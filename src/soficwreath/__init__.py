@@ -60,12 +60,10 @@ from .construct import (
     WindowSets,
     WreathApprox,
     base_action,
-    block_lamp_action,
     build,
     compute_good_blocks,
     derive_windows,
     lamp_action,
-    lamp_factor,
     make_budget,
     wreath_approx_from_json,
 )
@@ -77,6 +75,7 @@ from .verify import (
     check_almost_homomorphism,
     check_good_block_bound,
     detailed_reports,
+    oracle_check,
     verify_construction,
 )
 

@@ -10,8 +10,9 @@ fiber over b is a product of per-coordinate agreement fractions.  That makes
 exact metric evaluation possible on carriers of size |A|^|B| * |B| that could
 never be materialized.
 
-Sparsity is canonical: tau stores no identity permutations and no empty
-blocks, so structural equality is semantic equality.
+Sparsity is canonical: tau is a mapping block -> coordinate -> permutation
+that stores no identity permutations and no empty blocks, so structural
+equality is semantic equality.
 
 ``expand_explicit`` is the brute-force oracle.  Its point encoding is fixed:
 point (a, b) has index  b * |A|^|B| + sum_c a_c * |A|^c  with coordinates
@@ -27,7 +28,7 @@ from .perm import Permutation, draw_permutation
 
 EXPANSION_CAP = 10**6
 
-TauEntries = tuple[tuple[int, tuple[tuple[int, Permutation], ...]], ...]
+Tau = dict[int, dict[int, Permutation]]
 
 
 @dataclass(frozen=True)
@@ -35,17 +36,17 @@ class CoordAction:
     a_size: int
     b_size: int
     beta: Permutation
-    tau: TauEntries
+    tau: Tau  # block -> coordinate -> lamp permutation; never mutated
 
     def __post_init__(self):
         if self.a_size < 1 or self.b_size < 1:
             raise ValueError("sizes must be >= 1")
         if self.beta.degree != self.b_size:
             raise ValueError(f"carrier mismatch: beta degree {self.beta.degree}, expected {self.b_size}")
-        for b, entries in self.tau:
+        for b, entries in self.tau.items():
             if not 0 <= b < self.b_size or not entries:
                 raise ValueError(f"bad tau block {b}")
-            for c, p in entries:
+            for c, p in entries.items():
                 if not 0 <= c < self.b_size:
                     raise ValueError(f"bad coordinate {c}")
                 if p.degree != self.a_size:
@@ -53,14 +54,8 @@ class CoordAction:
                 if p.is_identity():
                     raise ValueError(f"non-canonical tau: identity stored at [{b}][{c}]")
 
-    def tau_map(self) -> dict[int, dict[int, Permutation]]:
-        return {b: dict(entries) for b, entries in self.tau}
-
-    def block(self, b: int) -> dict[int, Permutation]:
-        for bb, entries in self.tau:
-            if bb == b:
-                return dict(entries)
-        return {}
+    def tau_map(self) -> Tau:
+        return self.tau
 
     def is_identity(self) -> bool:
         return self.beta.is_identity() and not self.tau
@@ -72,11 +67,11 @@ class CoordAction:
         return compose_actions(self, other)
 
     def inverse(self) -> "CoordAction":
-        beta_inv = self.beta.inverse()
-        tau = {}
-        for b, entries in self.tau:
-            tau[self.beta(b)] = {c: p.inverse() for c, p in entries}
-        return coord_action(self.a_size, self.b_size, beta_inv, tau)
+        tau = {
+            self.beta(b): {c: p.inverse() for c, p in entries.items()}
+            for b, entries in self.tau.items()
+        }
+        return CoordAction(self.a_size, self.b_size, self.beta.inverse(), tau)
 
     def distance(self, other: "CoordAction") -> Fraction:
         return action_distance(self, other)
@@ -86,7 +81,7 @@ class CoordAction:
 
     def apply(self, a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
         """Act on one explicit point; used by tests and the oracle."""
-        entries = self.block(b)
+        entries = self.tau.get(b, {})
         image = tuple(entries[c](x) if c in entries else x for c, x in enumerate(a))
         return image, self.beta(b)
 
@@ -95,7 +90,10 @@ class CoordAction:
             "a_size": self.a_size,
             "b_size": self.b_size,
             "beta": list(self.beta.image),
-            "tau": [[b, [[c, list(p.image)] for c, p in entries]] for b, entries in self.tau],
+            "tau": [
+                [b, [[c, list(p.image)] for c, p in sorted(self.tau[b].items())]]
+                for b in sorted(self.tau)
+            ],
         }
 
     @classmethod
@@ -110,14 +108,12 @@ def coord_action(a_size: int, b_size: int, beta: Permutation | None = None, tau=
     """Canonicalizing constructor: prunes identity entries and empty blocks."""
     if beta is None:
         beta = Permutation.identity(b_size)
-    canonical = []
-    for b in sorted(tau or {}):
-        entries = tuple(
-            (c, p) for c, p in sorted(tau[b].items()) if not p.is_identity()
-        )
-        if entries:
-            canonical.append((b, entries))
-    return CoordAction(a_size, b_size, beta, tuple(canonical))
+    canonical = {}
+    for b, entries in (tau or {}).items():
+        kept = {c: p for c, p in entries.items() if not p.is_identity()}
+        if kept:
+            canonical[b] = kept
+    return CoordAction(a_size, b_size, beta, canonical)
 
 
 def identity_action(a_size: int, b_size: int) -> CoordAction:
@@ -134,20 +130,14 @@ def _check_sizes(w: CoordAction, v: CoordAction):
 def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
     """The action "first, then second"; cost O(|B| * sparsity * |A|)."""
     _check_sizes(second, first)
-    tau2 = second.tau_map()
-    tau1 = first.tau_map()
     tau = {}
-    for b in set(tau1) | {b for b in range(first.b_size) if first.beta(b) in tau2}:
-        one = tau1.get(b, {})
-        two = tau2.get(first.beta(b), {})
-        entries = {}
-        for c in set(one) | set(two):
+    for b in set(first.tau) | {b for b in range(first.b_size) if first.beta(b) in second.tau}:
+        one = first.tau.get(b, {})
+        entries = dict(one)
+        for c, p2 in second.tau.get(first.beta(b), {}).items():
             p1 = one.get(c)
-            p2 = two.get(c)
-            p = p1 if p2 is None else (p2 if p1 is None else p2 * p1)
-            entries[c] = p
-        if entries:
-            tau[b] = entries
+            entries[c] = p2 if p1 is None else p2 * p1
+        tau[b] = entries
     return coord_action(first.a_size, first.b_size, second.beta * first.beta, tau)
 
 
@@ -168,12 +158,11 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     the identity).  All arithmetic is over denominators bounded by |A|.
     """
     _check_sizes(w, v)
-    tw, tv = w.tau_map(), v.tau_map()
     agree = Fraction(0)
     for b in range(w.b_size):
         if w.beta(b) != v.beta(b):
             continue
-        one, two = tw.get(b, {}), tv.get(b, {})
+        one, two = w.tau.get(b, {}), v.tau.get(b, {})
         fiber = Fraction(1)
         for c in set(one) | set(two):
             fiber *= _pair_agreement(one.get(c), two.get(c), w.a_size)
@@ -185,18 +174,7 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
 
 def fixed_fraction(w: CoordAction) -> Fraction:
     """Fraction of carrier points fixed by w; equals 1 - distance to identity."""
-    tau = w.tau_map()
-    total = Fraction(0)
-    for b in range(w.b_size):
-        if w.beta(b) != b:
-            continue
-        fiber = Fraction(1)
-        for p in tau.get(b, {}).values():
-            fiber *= Fraction(p.fixed_points(), w.a_size)
-            if fiber == 0:
-                break
-        total += fiber
-    return total / w.b_size
+    return 1 - action_distance(w, identity_action(w.a_size, w.b_size))
 
 
 def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
@@ -207,11 +185,10 @@ def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
         raise ValueError(f"carrier too large for expansion: {total} > cap {cap}")
     pow_a = [w.a_size**c for c in range(w.b_size)]
     image = [0] * total
-    tau = w.tau_map()
     for b in range(w.b_size):
         src = b * a_space
         dst = w.beta(b) * a_space
-        entries = [(pow_a[c], w.a_size, p.image) for c, p in sorted(tau.get(b, {}).items())]
+        entries = [(pow_a[c], w.a_size, p.image) for c, p in w.tau.get(b, {}).items()]
         if not entries:
             for t in range(a_space):
                 image[src + t] = dst + t

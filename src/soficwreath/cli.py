@@ -10,7 +10,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .bigperm import EXPANSION_CAP, expand_explicit
+from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
 from .jsonutil import parse_fraction
@@ -23,7 +23,7 @@ from .sofic import (
     quotient_by_images,
     regular_rep,
 )
-from .verify import certificate_from_json, verify_construction
+from .verify import certificate_from_json, oracle_check, verify_construction
 
 OK, USAGE, CERTIFICATE, ORACLE = 0, 1, 2, 3
 
@@ -69,6 +69,12 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     raise ConfigError(f"unknown approximation kind {kind!r}")
 
 
+def _expansion_cap(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"expansion_cap must be a positive integer, got {value!r}")
+    return value
+
+
 def _load_config(path: str) -> dict:
     with open(path) as fh:
         config = json.load(fh)
@@ -91,20 +97,24 @@ def _cmd_build(args) -> int:
     eps = parse_fraction(config["eps"])
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
+    cap = _expansion_cap(config.get("expansion_cap", EXPANSION_CAP))
 
     from .groups import WreathProduct
 
     wreath = WreathProduct(lamp_group, base_group)
     targets_cfg = config["F"]
     if targets_cfg == "all":
-        targets = list(wreath.elements())
+        try:
+            targets = list(wreath.elements())
+        except NotImplementedError:
+            raise ConfigError('"F": "all" needs finite lamp and base groups') from None
     else:
         targets = [wreath.decode(u) for u in targets_cfg]
 
     approx = build(sigma_A, sigma_B, targets, eps)
 
     artifact = approx.to_json()
-    artifact["expansion_cap"] = config.get("expansion_cap", EXPANSION_CAP)
+    artifact["expansion_cap"] = cap
     with open(args.out, "w") as fh:
         json.dump(artifact, fh, indent=1)
 
@@ -124,38 +134,9 @@ def _cmd_build(args) -> int:
 def _load_artifact(path: str) -> tuple[WreathApprox, int]:
     with open(path) as fh:
         data = json.load(fh)
-    cap = data.get("expansion_cap", EXPANSION_CAP)
+    # an artifact may lower its oracle limit but never raise it
+    cap = min(_expansion_cap(data.get("expansion_cap", EXPANSION_CAP)), EXPANSION_CAP)
     return wreath_approx_from_json(data), cap
-
-
-def _oracle_check(approx: WreathApprox, cap: int) -> list[str]:
-    """Cross-check every certificate distance against explicit expansion."""
-    wreath = approx.wreath
-    targets = approx.windows.targets
-    ident_explicit = Permutation.identity(approx.carrier_size())
-    explicit = {u: expand_explicit(approx.rule(u), cap) for u in approx.windows.closure}
-    mismatches = []
-    for u in targets:
-        d_fact = approx.rule(u).distance(approx.identity_value())
-        d_expl = explicit[u].distance(ident_explicit)
-        if d_fact != d_expl:
-            mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
-    for u in targets:
-        for v in targets:
-            value = approx.rule(u) * approx.rule(v)
-            product = explicit[u] * explicit[v]
-            if expand_explicit(value, cap) != product:
-                mismatches.append(
-                    f"composition mismatch at pair ({wreath.encode(u)}, {wreath.encode(v)})"
-                )
-                continue
-            d_fact = value.distance(approx.rule(wreath.mul(u, v)))
-            d_expl = product.distance(explicit[wreath.mul(u, v)])
-            if d_fact != d_expl:
-                mismatches.append(
-                    f"distance mismatch at pair ({wreath.encode(u)}, {wreath.encode(v)}): {d_fact} vs {d_expl}"
-                )
-    return mismatches
 
 
 def _cmd_verify(args) -> int:
@@ -169,7 +150,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return ORACLE
-        mismatches = _oracle_check(approx, cap)
+        mismatches = oracle_check(approx, cap)
         if mismatches:
             for line in mismatches:
                 print(f"oracle mismatch: {line}", file=sys.stderr)

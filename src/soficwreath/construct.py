@@ -77,9 +77,6 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
     lamp_values = {g for f in lamp_window for _, g in f.entries}
     lamp_values.add(wreath.lamp.identity())  # freeness bookkeeping needs rule(1) = id certified
 
-    base_window = {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
-    base_window |= positions | {base.inv(h) for h in positions}
-
     windows = WindowSets(
         targets=targets,
         closure=wreath.sort(closure),
@@ -87,10 +84,16 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
         mover_window=base.sort(mover),
         positions=base.sort(positions),
         lamp_values=wreath.lamp.sort(lamp_values),
-        base_window=base.sort(base_window),
+        base_window=base.sort(derive_base_window(base, positions)),
     )
     _check_window_invariants(wreath, windows)
     return windows
+
+
+def derive_base_window(base, positions) -> set:
+    """What sigma_B must certify: positions, inverses, quotients h1^{-1} h2."""
+    window = {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
+    return window | set(positions) | {base.inv(h) for h in positions}
 
 
 def _check_window_invariants(wreath: WreathProduct, w: WindowSets):
@@ -234,46 +237,6 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
 # the coordinate actions
 
 
-def _anchor(sigma_B: SoficApprox, x, b: int) -> int:
-    return sigma_B.evaluate(x).inverse()(b)
-
-
-def lamp_factor(sigma_A: SoficApprox, sigma_B: SoficApprox, g, x, b: int) -> CoordAction:
-    """One lamp write: at block b, coordinate sigma_B(x)^{-1} b gets sigma_A(g)."""
-    coordinate = _anchor(sigma_B, x, b)
-    return coord_action(
-        sigma_A.carrier_size,
-        sigma_B.carrier_size,
-        tau={b: {coordinate: sigma_A.evaluate(g)}},
-    )
-
-
-def block_lamp_action(
-    sigma_A: SoficApprox,
-    sigma_B: SoficApprox,
-    positions,
-    block: GoodBlock,
-    f: FinSuppMap,
-    b: int,
-) -> CoordAction:
-    """Product of the lamp factors of f at one good block.
-
-    On a good block the factors touch pairwise distinct coordinates, so the
-    factor order (the canonical positions order) does not matter; it is fixed
-    anyway for reproducibility.
-    """
-    if b not in block.good:
-        raise ValueError(f"block {b} is not good")
-    if not set(f.support()) <= set(positions):
-        raise ValueError(f"support {f.support()!r} escapes the positions window")
-    out = identity_action(sigma_A.carrier_size, sigma_B.carrier_size)
-    for x in positions:
-        g = f.get(x)
-        if g is not None:
-            out = out * lamp_factor(sigma_A, sigma_B, g, x, b)
-    return out
-
-
 def lamp_action(
     sigma_A: SoficApprox,
     sigma_B: SoficApprox,
@@ -281,10 +244,12 @@ def lamp_action(
     block: GoodBlock,
     f: FinSuppMap,
 ) -> CoordAction:
-    """The full lamp-side action: block_lamp_action at every good block.
+    """The lamp-side action: at every good block b, for each position x in the
+    support of f, coordinate sigma_B(x)^{-1} b gets sigma_A(f(x)).
 
-    Total: configurations supported outside the positions window act as the
-    identity.
+    On a good block distinct positions anchor distinct coordinates, so the
+    writes commute.  Total: configurations supported outside the positions
+    window act as the identity.
     """
     if not set(f.support()) <= set(positions):
         return identity_action(sigma_A.carrier_size, sigma_B.carrier_size)

@@ -13,7 +13,7 @@ def frac_to_json(x: Fraction) -> dict:
 
 
 def frac_from_json(data) -> Fraction:
-    if not isinstance(data, dict) or set(data) != {"num", "den"}:
+    if not isinstance(data, dict) or set(data) != {"num", "den"} or data["den"] == 0:
         raise ValueError(f"not a rational: {data!r}")
     return Fraction(data["num"], data["den"])
 
@@ -30,7 +30,10 @@ def parse_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     if isinstance(value, dict):
         return frac_from_json(value)
     raise ValueError(f"not an exact rational: {value!r} (write it as a string, e.g. \"1/10\")")

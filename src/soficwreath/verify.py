@@ -1,6 +1,6 @@
 """Executable certificates for the wreath construction.
 
-Three layers of checks, all exact:
+Four layers of checks, all exact:
 
 * ``check_almost_homomorphism``: a rule on the wreath product is close to
   multiplicative on a window whenever its two restrictions are close to
@@ -13,6 +13,8 @@ Three layers of checks, all exact:
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them.
+* ``oracle_check``: on carriers small enough to expand, every distance of
+  the certificate agrees with brute force on explicit permutations.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
 both compose with ``*`` and measure with ``.distance``.
@@ -23,7 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable
 
-from .construct import Budget, GoodBlock, WreathApprox, compute_good_blocks
+from .bigperm import EXPANSION_CAP, expand_explicit
+from .construct import Budget, GoodBlock, WreathApprox, compute_good_blocks, derive_base_window
 from .groups import WreathElement, WreathProduct
 from .jsonutil import frac_to_json, frac_from_json
 from .perm import Permutation
@@ -201,9 +204,7 @@ def check_good_block_bound(
         raise ValueError(
             f"input tolerance {input_tolerance} not < block tolerance/(4 w^2) = {block_tolerance / (4 * w2)}"
         )
-    base_window = set(positions)
-    base_window |= {base.inv(h) for h in positions}
-    base_window |= {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
+    base_window = derive_base_window(base, positions)
     certificate = require_sofic(sigma_B, base_window, input_tolerance, "base approximation")
     block = compute_good_blocks(sigma_B, positions)
     return GoodBlockReport(
@@ -451,3 +452,43 @@ def certificate_from_json(data: dict) -> dict:
         raise ValueError("not a sofic certificate")
     frac_from_json(data["eps"])  # validates shape
     return data
+
+
+def oracle_check(approx: WreathApprox, cap: int = EXPANSION_CAP) -> list[str]:
+    """Cross-check every certificate distance against explicit expansion.
+
+    Each value is expanded once, when first needed: a product of two targets
+    may fall outside the closure window.  Raises ValueError when the carrier
+    exceeds ``cap``; returns one line per mismatch.
+    """
+    wreath = approx.wreath
+    ident = approx.identity_value()
+    identity = expand_explicit(ident, cap)
+    explicit = {}
+
+    def expand(u):
+        if u not in explicit:
+            explicit[u] = expand_explicit(approx.rule(u), cap)
+        return explicit[u]
+
+    def pair(u, v):
+        return f"pair ({wreath.encode(u)}, {wreath.encode(v)})"
+
+    targets = approx.windows.targets
+    mismatches = []
+    for u in targets:
+        d_fact, d_expl = approx.rule(u).distance(ident), expand(u).distance(identity)
+        if d_fact != d_expl:
+            mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
+    for u in targets:
+        for v in targets:
+            value = approx.rule(u) * approx.rule(v)
+            product = expand(u) * expand(v)
+            if expand_explicit(value, cap) != product:
+                mismatches.append(f"composition mismatch at {pair(u, v)}")
+                continue
+            uv = wreath.mul(u, v)
+            d_fact, d_expl = value.distance(approx.rule(uv)), product.distance(expand(uv))
+            if d_fact != d_expl:
+                mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {d_expl}")
+    return mismatches

@@ -42,11 +42,11 @@ class TestCanonicalForm:
     def test_identity_entries_pruned(self):
         action = coord_action(2, 3, tau={0: {1: Permutation.identity(2)}, 2: {}})
         assert action == identity_action(2, 3)
-        assert action.tau == ()
+        assert action.tau == {}
 
     def test_rejects_stored_identity(self):
         with pytest.raises(ValueError, match="non-canonical"):
-            CoordAction(2, 2, Permutation.identity(2), ((0, ((0, Permutation.identity(2)),)),))
+            CoordAction(2, 2, Permutation.identity(2), {0: {0: Permutation.identity(2)}})
 
     def test_rejects_degree_mismatch(self):
         with pytest.raises(ValueError, match="carrier mismatch"):

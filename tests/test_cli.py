@@ -103,6 +103,29 @@ class TestBuild:
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE
 
+    def test_zero_denominator_eps_is_usage_error(self, tmp_path, capsys):
+        config = write(tmp_path / "config.json", small_config(eps="1/0"))
+        assert main(["build", "--config", config, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_all_targets_over_infinite_group_is_usage_error(self, tmp_path, capsys):
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "integers"}},
+            approximations={
+                "lamp": {"kind": "regular"},
+                "base": {"kind": "cyclic-quotient", "size": 8, "radius": 2},
+            },
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert '"F": "all" needs finite' in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cap", ["big", True, 0])
+    def test_bad_expansion_cap_is_usage_error(self, tmp_path, capsys, cap):
+        config = write(tmp_path / "config.json", small_config(expansion_cap=cap))
+        assert main(["build", "--config", config, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert "expansion_cap must be a positive integer" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_exact_artifact_with_oracle(self, built_artifact, capsys):
@@ -138,6 +161,45 @@ class TestVerify:
         artifact["derived"]["block"]["good"] = artifact["derived"]["block"]["good"][:-1]
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == CERTIFICATE
+
+    def test_oracle_expands_products_outside_the_closure(self, tmp_path, capsys):
+        config = small_config(
+            F=[{"left": [[1, 1]], "right": 1}, {"left": [], "right": 1}]
+        )
+        path = write(tmp_path / "config.json", config)
+        out = str(tmp_path / "artifact.json")
+        assert main(["build", "--config", path, "--out", out]) == OK
+        capsys.readouterr()
+        assert main(["verify", "--approx", out, "--oracle"]) == OK
+        assert "oracle: all distances confirmed on 24 points" in capsys.readouterr().err
+
+    def test_zero_denominator_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(open(built_artifact).read())
+        artifact["eps"] = {"num": 1, "den": 0}
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        assert "not a rational" in capsys.readouterr().err
+
+    def test_non_integer_stored_cap_is_usage_error(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(open(built_artifact).read())
+        artifact["expansion_cap"] = "big"
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered, "--oracle"]) == USAGE
+        assert "expansion_cap must be a positive integer" in capsys.readouterr().err
+
+    def test_artifact_cannot_raise_its_oracle_cap(self, tmp_path, capsys):
+        # Z/2 wr Z/17 acts on 2^17 * 17 = 2,228,224 points, above the default cap
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "cyclic", "n": 17}},
+            F=[{"left": [[0, 1]], "right": 0}, {"left": [], "right": 1}],
+            expansion_cap=10**12,
+        )
+        path = write(tmp_path / "config.json", config)
+        out = str(tmp_path / "artifact.json")
+        assert main(["build", "--config", path, "--out", out]) == OK
+        capsys.readouterr()
+        assert main(["verify", "--approx", out, "--oracle"]) == ORACLE
+        assert "carrier 2228224 exceeds cap 1000000" in capsys.readouterr().err
 
     def test_missing_file_is_usage(self, tmp_path):
         assert main(["verify", "--approx", str(tmp_path / "nope.json")]) == USAGE

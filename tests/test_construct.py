@@ -1,16 +1,16 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 import soficwreath as sw
+from lamp_oracle import block_lamp_action, lamp_factor
 from soficwreath.bigperm import identity_action
 from soficwreath.construct import (
     base_action,
-    block_lamp_action,
     compute_good_blocks,
     derive_windows,
     lamp_action,
-    lamp_factor,
     make_budget,
     wreath_approx_from_json,
 )
@@ -231,6 +231,27 @@ class TestLampAction:
         action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({-1: 1, 1: 1}))
         assert set(action.tau_map()) <= set(block.good)
 
+    def test_agrees_with_block_oracle_on_every_good_block(self):
+        lamp = sw.cyclic(3)
+        sigma_A = sw.regular_rep(lamp)
+        positions = (-1, 0, 1)
+        sums = sw.DirectSum(lamp, sw.integers())
+        configurations = [
+            sums.make({x: g for x, g in zip(positions, values) if g})
+            for values in itertools.product(range(3), repeat=len(positions))
+        ]
+        for seed in (4, 13):
+            sigma_B = sw.perturb(sw.cyclic_quotient(16), Fraction(1, 2), seed=seed)
+            block = compute_good_blocks(sigma_B, positions)
+            assert block.good
+            for f in configurations:
+                action = lamp_action(sigma_A, sigma_B, positions, block, f)
+                assert action.beta.is_identity()
+                for b in block.good:
+                    oracle = block_lamp_action(sigma_A, sigma_B, positions, block, f, b)
+                    assert set(oracle.tau) <= {b}
+                    assert action.tau.get(b, {}) == oracle.tau.get(b, {})
+
 
 class TestBaseAction:
     def test_identity(self):
@@ -241,7 +262,7 @@ class TestBaseAction:
         sigma_B = sw.regular_rep(sw.cyclic(3))
         action = base_action(sigma_B, 1, a_size=2)
         assert action.beta == Permutation((1, 2, 0))
-        assert action.tau == ()
+        assert action.tau == {}
 
     def test_distance_to_identity_matches_base_rule(self):
         sigma_B = sw.perturb(sw.cyclic_quotient(12), Fraction(1, 2), seed=8)
@@ -276,7 +297,7 @@ class TestEquivariance:
                         continue
                     lhs = block_lamp_action(sigma_A, sigma_B, windows.positions, block, shifted, b2)
                     rhs = block_lamp_action(sigma_A, sigma_B, windows.positions, block, f, b)
-                    assert lhs.block(b2) == rhs.block(b)
+                    assert lhs.tau.get(b2, {}) == rhs.tau.get(b, {})
 
     def test_lamplighter_equivariance(self, lamplighter):
         approx = lamplighter
@@ -290,7 +311,7 @@ class TestEquivariance:
                     b2 = mover[h](b)
                     if b2 not in approx.block.good:
                         continue
-                    assert approx.lamp(shifted).block(b2) == approx.lamp(f).block(b)
+                    assert approx.lamp(shifted).tau.get(b2, {}) == approx.lamp(f).tau.get(b, {})
 
 
 class TestBuild:
