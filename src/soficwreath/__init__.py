@@ -40,7 +40,6 @@ from .sofic import (
     is_sofic_approx,
     perturb,
     quotient_by_images,
-    random_rule,
     regular_rep,
 )
 from .bigperm import (

@@ -5,10 +5,12 @@ A-coordinates indexed by B, to (a', beta(b)) where a'_c = tau[b][c](a_c).
 The image block depends only on b, and each A-coordinate transforms
 independently given b.  This class of permutations is closed under
 composition and inversion, and its normalized Hamming distances factorize:
-for fixed b the coordinates are independent, so the agreeing fraction of the
-fiber over b is a product of per-coordinate agreement fractions.  That makes
-exact metric evaluation possible on carriers of size |A|^|B| * |B| that could
-never be materialized.
+for fixed b the coordinates are independent, so the number of agreeing
+points in the fiber over b, out of |A|^k for the k coordinates touched there,
+is a product of k integer per-coordinate agreement counts.  The distance sums
+those integer numerators over one common denominator and builds one
+``Fraction`` per call.  That makes exact metric evaluation possible on
+carriers of size |A|^|B| * |B| that could never be materialized.
 
 Sparsity is canonical: tau is a mapping block -> coordinate -> permutation
 that stores no identity permutations and no empty blocks, so structural
@@ -21,10 +23,13 @@ c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count
+from operator import eq
 
-from .perm import Permutation, draw_permutation
+from .perm import Permutation, agreement_count, draw_permutation
 
 EXPANSION_CAP = 10**6
 
@@ -130,46 +135,58 @@ def _check_sizes(w: CoordAction, v: CoordAction):
 def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
     """The action "first, then second"; cost O(|B| * sparsity * |A|)."""
     _check_sizes(second, first)
+    beta = first.beta.image
+    moved_into = compress(count(), map(second.tau.__contains__, beta))
     tau = {}
-    for b in set(first.tau) | {b for b in range(first.b_size) if first.beta(b) in second.tau}:
-        one = first.tau.get(b, {})
-        entries = dict(one)
-        for c, p2 in second.tau.get(first.beta(b), {}).items():
-            p1 = one.get(c)
-            entries[c] = p2 if p1 is None else p2 * p1
-        tau[b] = entries
-    return coord_action(first.a_size, first.b_size, second.beta * first.beta, tau)
-
-
-def _pair_agreement(p: Permutation | None, q: Permutation | None, a_size: int) -> Fraction:
-    if p is None:
-        p, q = q, p
-    if q is None:
-        return Fraction(p.fixed_points(), a_size)
-    return p.agreement(q)
+    for b in first.tau.keys() | moved_into:
+        entries = dict(first.tau.get(b, {}))
+        for c, p2 in second.tau.get(beta[b], {}).items():
+            p1 = entries.get(c)  # an entry from one side only is canonical
+            if p1 is None:
+                entries[c] = p2
+            elif (p := p2 * p1).is_identity():
+                del entries[c]
+            else:
+                entries[c] = p
+        if entries:
+            tau[b] = entries
+    return CoordAction(first.a_size, first.b_size, second.beta * first.beta, tau)
 
 
 def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     """Exact normalized Hamming distance on the carrier A^B x B.
 
     Blocks where the two base images differ disagree on their whole fiber.
-    Where they agree, the agreeing fraction of the fiber is the product over
-    coordinates of the per-coordinate agreement fractions (absent entries are
-    the identity).  All arithmetic is over denominators bounded by |A|.
+    Where they agree, the fiber over a block touched at k coordinates agrees
+    on the product of the k integer per-coordinate agreement counts (absent
+    entries are the identity) out of |A|^k points.  Untouched blocks with
+    equal base images agree everywhere and are counted in bulk.  The
+    numerators are summed per k and divided once, over |A|^max_k * |B|.
+
+    >>> shift = coord_action(2, 3, beta=Permutation((1, 2, 0)))
+    >>> action_distance(shift, identity_action(2, 3))
+    Fraction(1, 1)
     """
     _check_sizes(w, v)
-    agree = Fraction(0)
-    for b in range(w.b_size):
-        if w.beta(b) != v.beta(b):
+    w_beta, v_beta = w.beta.image, v.beta.image
+    agree = Counter()  # k -> sum of fiber agreement counts out of |A|^k
+    agree[0] = sum(map(eq, w_beta, v_beta))
+    for b in w.tau.keys() | v.tau.keys():
+        if w_beta[b] != v_beta[b]:
             continue
+        agree[0] -= 1
         one, two = w.tau.get(b, {}), v.tau.get(b, {})
-        fiber = Fraction(1)
-        for c in set(one) | set(two):
-            fiber *= _pair_agreement(one.get(c), two.get(c), w.a_size)
-            if fiber == 0:
+        coords, fiber = one.keys() | two.keys(), 1
+        for c in coords:
+            p, q = one.get(c), two.get(c)  # an absent entry is the identity
+            fiber *= (p or q).fixed_points() if p is None or q is None else agreement_count(p, q)
+            if not fiber:
                 break
-        agree += fiber
-    return 1 - agree / w.b_size
+        if fiber:
+            agree[len(coords)] += fiber
+    top = max(agree)
+    numerator = sum(n * w.a_size ** (top - k) for k, n in agree.items())
+    return 1 - Fraction(numerator, w.a_size**top * w.b_size)
 
 
 def fixed_fraction(w: CoordAction) -> Fraction:

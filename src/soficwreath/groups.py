@@ -404,13 +404,6 @@ class WreathProduct(Group):
         h_inv = self.base.inv(a.right)
         return WreathElement(self.lamps.shift(h_inv, self.lamps.inv(a.left)), h_inv)
 
-    def projections(self, a: WreathElement) -> tuple[FinSuppMap, Any]:
-        """Split into (lamp configuration, base element).
-
-        The base projection is a homomorphism; the lamp projection is not.
-        """
-        return a.left, a.right
-
     def key(self, a: WreathElement):
         return (self.base.key(a.right), self.lamps.key(a.left))
 

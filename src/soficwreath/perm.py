@@ -11,6 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from operator import eq
 
 
 @dataclass(frozen=True)
@@ -56,16 +58,13 @@ class Permutation:
         return Permutation(tuple(inv))
 
     def is_identity(self) -> bool:
-        return all(x == i for i, x in enumerate(self.image))
+        return all(map(eq, self.image, count()))
 
     def fixed_points(self) -> int:
-        return sum(1 for i, x in enumerate(self.image) if x == i)
+        return sum(map(eq, self.image, count()))
 
     def distance(self, other: "Permutation") -> Fraction:
         return hamming(self, other)
-
-    def agreement(self, other: "Permutation") -> Fraction:
-        return agreement_fraction(self, other)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "image": list(self.image)}
@@ -87,7 +86,7 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
     """Compose two permutations, right factor first: (s*t)(i) = s(t(i))."""
     _check_degrees(s, t)
     si = s.image
-    return Permutation(tuple(si[x] for x in t.image))
+    return Permutation(tuple([si[x] for x in t.image]))
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:
@@ -96,16 +95,18 @@ def hamming(s: Permutation, t: Permutation) -> Fraction:
     >>> hamming(Permutation((1, 0, 2)), Permutation.identity(3))
     Fraction(2, 3)
     """
-    _check_degrees(s, t)
-    differ = sum(1 for a, b in zip(s.image, t.image) if a != b)
-    return Fraction(differ, s.degree)
+    return Fraction(s.degree - agreement_count(s, t), s.degree)
 
 
 def agreement_fraction(s: Permutation, t: Permutation) -> Fraction:
     """1 - hamming(s, t): the fraction of points where s and t agree."""
+    return Fraction(agreement_count(s, t), s.degree)
+
+
+def agreement_count(s: Permutation, t: Permutation) -> int:
+    """Number of points where s and t agree, counted in one C-level pass."""
     _check_degrees(s, t)
-    same = sum(1 for a, b in zip(s.image, t.image) if a == b)
-    return Fraction(same, s.degree)
+    return sum(map(eq, s.image, t.image))
 
 
 def random_permutation(degree: int, seed: int) -> Permutation:

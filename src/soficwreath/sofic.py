@@ -23,7 +23,7 @@ from typing import Any, Mapping
 
 from .groups import Group, FreeGroup, group_from_descriptor
 from .jsonutil import frac_to_json
-from .perm import Permutation, draw_permutation, transposition
+from .perm import Permutation, transposition
 
 
 class WindowViolationError(ValueError):
@@ -278,14 +278,3 @@ def perturb(s: SoficApprox, rate, seed: int) -> SoficApprox:
             p = transposition(s.carrier_size, i, j) * p
         rule[g] = p
     return SoficApprox(s.group, s.carrier_size, s.window, rule)
-
-
-def random_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
-    """Independent uniform permutation per window element (identity stays id)."""
-    rng = random.Random(seed)
-    rule = {}
-    for g in group.sort(window):
-        rule[g] = (
-            Permutation.identity(degree) if group.is_identity(g) else draw_permutation(degree, rng)
-        )
-    return SoficApprox(group, degree, frozenset(window), rule)

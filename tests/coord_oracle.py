@@ -1,0 +1,62 @@
+"""Reference implementations that tests compare the library against.
+
+``action_distance`` multiplies one ``Fraction`` per coordinate and adds one
+per block, where the library sums integer counts; ``compose_actions`` copies
+every entry and lets ``coord_action`` prune identities, where the library
+prunes only real products; ``check_bijection`` is the ``seen``-list walk that
+any faster bijection check in ``Permutation`` must agree with.  They follow
+the definitions term by term and are slower.
+"""
+from fractions import Fraction
+
+from soficwreath.bigperm import CoordAction, coord_action
+from soficwreath.perm import Permutation
+
+
+def check_bijection(image: tuple) -> None:
+    """Raise exactly what ``Permutation`` raises for an invalid image."""
+    n = len(image)
+    if n == 0:
+        raise ValueError("empty carrier")
+    seen = [False] * n
+    for x in image:
+        if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            raise ValueError(f"not a bijection of range({n}): {image}")
+        seen[x] = True
+
+
+def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
+    """The action "first, then second", canonicalized after the fact."""
+    tau = {}
+    for b in set(first.tau) | {b for b in range(first.b_size) if first.beta(b) in second.tau}:
+        one = first.tau.get(b, {})
+        entries = dict(one)
+        for c, p2 in second.tau.get(first.beta(b), {}).items():
+            p1 = one.get(c)
+            entries[c] = p2 if p1 is None else p2 * p1
+        tau[b] = entries
+    return coord_action(first.a_size, first.b_size, second.beta * first.beta, tau)
+
+
+def _pair_agreement(p: Permutation | None, q: Permutation | None, a_size: int) -> Fraction:
+    if p is None:
+        p, q = q, p
+    if q is None:
+        return Fraction(sum(1 for i, x in enumerate(p.image) if x == i), a_size)
+    return Fraction(sum(1 for x, y in zip(p.image, q.image) if x == y), a_size)
+
+
+def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
+    """Normalized Hamming distance as a sum over blocks of products of fractions."""
+    agree = Fraction(0)
+    for b in range(w.b_size):
+        if w.beta(b) != v.beta(b):
+            continue
+        one, two = w.tau.get(b, {}), v.tau.get(b, {})
+        fiber = Fraction(1)
+        for c in set(one) | set(two):
+            fiber *= _pair_agreement(one.get(c), two.get(c), w.a_size)
+            if fiber == 0:
+                break
+        agree += fiber
+    return 1 - agree / w.b_size

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import coord_oracle
 from soficwreath.bigperm import (
     CoordAction,
+    action_distance,
     compose_actions,
     coord_action,
     expand_explicit,
@@ -188,6 +190,57 @@ class TestExpansion:
             expand_explicit(identity_action(2, 30))
         with pytest.raises(ValueError, match="too large"):
             expand_explicit(identity_action(2, 4), cap=10)
+
+
+large_actions = st.tuples(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=1, max_value=12),
+    st.sampled_from([0, 0.3, 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+
+
+class TestAgainstReferenceKernels:
+    """The integer kernels against the Fraction-per-coordinate references."""
+
+    @settings(max_examples=80)
+    @given(large_actions)
+    def test_kernels_match_references(self, params):
+        a_size, b_size, density, seed = params
+        rng = random.Random(seed)
+        w, v, u = (random_coord_action(a_size, b_size, rng, density) for _ in range(3))
+        # sharing w's base image compares every touched block's fiber
+        same_base = CoordAction(a_size, b_size, w.beta, v.tau)
+        for second, first in [(w, v), (v, w), (w, w.inverse()), (same_base, w), (u, same_base)]:
+            assert compose_actions(second, first) == coord_oracle.compose_actions(second, first)
+        for x, y in [(w, v), (w, same_base), (w, w * u), (u * w, u * same_base), (w, w)]:
+            assert action_distance(x, y) == coord_oracle.action_distance(x, y)
+        identity = identity_action(a_size, b_size)
+        assert fixed_fraction(w) == 1 - coord_oracle.action_distance(w, identity)
+
+    def test_fixed_case_against_expansion(self):
+        swap01, cyc, cyc_inv = Permutation((1, 0, 2)), Permutation((1, 2, 0)), Permutation((2, 0, 1))
+        # block 0 is touched at two coordinates, blocks 1 and 2 at one
+        w = coord_action(3, 3, tau={0: {0: cyc, 1: swap01}, 1: {2: cyc}})
+        v = coord_action(3, 3, tau={0: {0: cyc_inv}, 1: {2: cyc_inv}, 2: {1: swap01}})
+        z = coord_action(3, 3, tau={0: {0: swap01, 1: swap01}})
+        u = coord_action(3, 3, beta=Permutation((0, 2, 1)), tau={2: {0: cyc}})
+        # cyc * cyc_inv cancels at [0][0] and empties block 1: both pruned
+        assert (w * v).tau == {0: {1: swap01}, 2: {1: swap01}}
+        # cyc against cyc_inv agrees nowhere, so blocks 0 and 1 contribute 0
+        assert w.distance(v) == Fraction(8, 9)
+        assert w.distance(z) == Fraction(5, 9)
+        # |A| = 1: the lamp factor is trivial and only the base moves
+        trivial = coord_action(1, 3, beta=Permutation((1, 0, 2)))
+        assert trivial.distance(identity_action(1, 3)) == Fraction(2, 3)
+        assert trivial * trivial == identity_action(1, 3)
+        for family in [[w, v, z, u, w * v, identity_action(3, 3)], [trivial, identity_action(1, 3)]]:
+            for x in family:
+                for y in family:
+                    explicit = hamming(expand_explicit(x), expand_explicit(y))
+                    assert x.distance(y) == explicit == coord_oracle.action_distance(x, y)
+                    assert expand_explicit(x * y) == expand_explicit(x) * expand_explicit(y)
+                    assert x * y == coord_oracle.compose_actions(x, y)
 
 
 class TestPerformance:

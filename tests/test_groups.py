@@ -1,6 +1,7 @@
 import pytest
 
 import soficwreath as sw
+from helpers import projections
 from soficwreath.groups import group_from_descriptor
 
 
@@ -194,8 +195,8 @@ class TestWreathProduct:
     def test_projections_definition(self):
         f = self.wreath.lamps.delta(0, 1)
         u = self.wreath.element(f, 4)
-        assert self.wreath.projections(u) == (f, 4)
-        assert self.wreath.projections(self.wreath.identity()) == (
+        assert projections(u) == (f, 4)
+        assert projections(self.wreath.identity()) == (
             self.wreath.lamps.identity(),
             0,
         )

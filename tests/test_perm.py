@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from coord_oracle import check_bijection
 from soficwreath.perm import (
     Permutation,
+    agreement_count,
     agreement_fraction,
     compose,
     draw_permutation,
@@ -22,6 +24,27 @@ def perm(*image):
 perms = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(range(n)).map(lambda img: Permutation(tuple(img)))
 )
+
+
+# Images that mix valid ints with bools, negatives, duplicates, out-of-range
+# ints, floats and None, plus valid permutations with 0 and 1 spelled as bools.
+entries = st.one_of(st.integers(min_value=-2, max_value=9), st.booleans(), st.just(1.0), st.none())
+images = st.one_of(
+    st.lists(entries, max_size=8).map(tuple),
+    st.integers(min_value=1, max_value=8).flatmap(lambda n: st.permutations(range(n))).map(tuple),
+    st.integers(min_value=1, max_value=8)
+    .flatmap(lambda n: st.permutations(range(n)))
+    .map(lambda img: tuple(x == 1 if x < 2 else x for x in img)),
+)
+
+
+def rejection(check, image):
+    """The ValueError message check raises on image, or None if it accepts."""
+    try:
+        check(image)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 def same_degree_perms(count):
@@ -114,6 +137,17 @@ class TestAgreement:
         s, t = pair
         assert agreement_fraction(s, t) + hamming(s, t) == 1
 
+    @given(same_degree_perms(2))
+    def test_count_matches_pointwise_loop(self, pair):
+        s, t = pair
+        count = sum(1 for i in range(s.degree) if s(i) == t(i))
+        assert agreement_count(s, t) == count
+        assert agreement_fraction(s, t) == Fraction(count, s.degree)
+
+    def test_count_degree_mismatch(self):
+        with pytest.raises(ValueError, match="carrier mismatch"):
+            agreement_count(perm(0, 1), perm(0, 1, 2))
+
 
 class TestRandomPermutation:
     def test_degree_one(self):
@@ -154,6 +188,16 @@ class TestValidationAndJson:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Permutation(())
+
+    def test_bool_entries_count_as_ints(self):
+        assert Permutation((True, False)).degree == 2
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation((1, True))
+
+    @settings(max_examples=300)
+    @given(images)
+    def test_bijection_check_matches_seen_loop(self, image):
+        assert rejection(Permutation, image) == rejection(check_bijection, image)
 
     @given(perms)
     def test_round_trip(self, s):

@@ -10,9 +10,9 @@ from soficwreath.sofic import (
     is_free,
     is_multiplicative,
     is_sofic_approx,
-    random_rule,
     require_sofic,
 )
+from helpers import random_rule
 
 
 class TestGenerators:

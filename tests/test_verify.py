@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import soficwreath as sw
+from helpers import random_rule
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
     check_almost_homomorphism,
@@ -118,7 +119,7 @@ class TestGoodBlockBound:
             )
 
     def test_failing_certificate_raises(self):
-        junk = sw.random_rule(sw.integers(), range(-4, 5), degree=16, seed=3)
+        junk = random_rule(sw.integers(), range(-4, 5), degree=16, seed=3)
         with pytest.raises(sw.CertificateError):
             check_good_block_bound(junk, [-1, 0, 1], Fraction(1, 2), Fraction(1, 200))
 
