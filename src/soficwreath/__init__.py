@@ -51,7 +51,6 @@ from .bigperm import (
     expand_explicit,
     fixed_fraction,
     identity_action,
-    random_coord_action,
 )
 from .construct import (
     Budget,

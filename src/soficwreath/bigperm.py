@@ -22,14 +22,13 @@ c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from operator import eq
 
-from .perm import Permutation, agreement_count, draw_permutation
+from .perm import Permutation, agreement_count
 
 EXPANSION_CAP = 10**6
 
@@ -83,30 +82,6 @@ class CoordAction:
 
     def fixed_fraction(self) -> Fraction:
         return fixed_fraction(self)
-
-    def apply(self, a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
-        """Act on one explicit point; used by tests and the oracle."""
-        entries = self.tau.get(b, {})
-        image = tuple(entries[c](x) if c in entries else x for c, x in enumerate(a))
-        return image, self.beta(b)
-
-    def to_json(self) -> dict:
-        return {
-            "a_size": self.a_size,
-            "b_size": self.b_size,
-            "beta": list(self.beta.image),
-            "tau": [
-                [b, [[c, list(p.image)] for c, p in sorted(self.tau[b].items())]]
-                for b in sorted(self.tau)
-            ],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CoordAction":
-        tau = {
-            b: {c: Permutation(tuple(img)) for c, img in entries} for b, entries in data["tau"]
-        }
-        return coord_action(data["a_size"], data["b_size"], Permutation(tuple(data["beta"])), tau)
 
 
 def coord_action(a_size: int, b_size: int, beta: Permutation | None = None, tau=None) -> CoordAction:
@@ -217,19 +192,3 @@ def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
                 shifted += (img[digit] - digit) * pw
             image[src + t] = dst + shifted
     return Permutation(tuple(image))
-
-
-def random_coord_action(a_size: int, b_size: int, rng: random.Random, density: float = 0.5) -> CoordAction:
-    """Random instance for property tests: seeded, canonical by construction."""
-    beta = draw_permutation(b_size, rng)
-    tau = {}
-    if a_size >= 2:
-        for b in range(b_size):
-            entries = {
-                c: draw_permutation(a_size, rng)
-                for c in range(b_size)
-                if rng.random() < density
-            }
-            if entries:
-                tau[b] = entries
-    return coord_action(a_size, b_size, beta, tau)

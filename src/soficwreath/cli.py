@@ -8,12 +8,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
-from .jsonutil import parse_fraction
+from .jsonutil import frac_from_json, parse_fraction
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -164,7 +163,7 @@ def _cmd_verify(args) -> int:
 
 
 def _frac_str(data) -> str:
-    return str(Fraction(data["num"], data["den"]))
+    return str(frac_from_json(data))
 
 
 def _render_text(cert: dict) -> str:
@@ -173,14 +172,14 @@ def _render_text(cert: dict) -> str:
     lines.append(f"window: {len(cert['window'])} elements, eps = {_frac_str(cert['eps'])}")
     lines.append(f"identity value is identity: {'yes' if cert['identity_pass'] else 'NO'}")
 
-    worst = max(cert["mult_defects"], key=lambda e: Fraction(e["defect"]["num"], e["defect"]["den"]), default=None)
+    worst = max(cert["mult_defects"], key=lambda e: frac_from_json(e["defect"]), default=None)
     if worst is not None:
         lines.append(
             f"multiplicativity: {len(cert['mult_defects'])} pairs, worst defect {_frac_str(worst['defect'])}"
         )
     margins = cert["free_margins"]
     if margins:
-        least = min(margins, key=lambda e: Fraction(e["margin"]["num"], e["margin"]["den"]))
+        least = min(margins, key=lambda e: frac_from_json(e["margin"]))
         lines.append(f"freeness: {len(margins)} elements, least margin {_frac_str(least['margin'])}")
     else:
         lines.append("freeness: vacuous (no non-identity targets)")

@@ -145,15 +145,6 @@ class Budget:
             "window_size": self.window_size,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Budget":
-        return cls(
-            frac_from_json(data["eps"]),
-            frac_from_json(data["block_tolerance"]),
-            frac_from_json(data["input_tolerance"]),
-            data["window_size"],
-        )
-
 
 def make_budget(eps, window_size: int) -> Budget:
     """Concrete tolerances strictly inside the open bounds.
@@ -191,12 +182,6 @@ class GoodBlock:
             "compatible": sorted(self.compatible),
             "good": sorted(self.good),
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GoodBlock":
-        return cls(
-            frozenset(data["injective"]), frozenset(data["compatible"]), frozenset(data["good"])
-        )
 
 
 def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:

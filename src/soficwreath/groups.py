@@ -17,6 +17,11 @@ from functools import cached_property
 from typing import Any, Iterable, Iterator
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: Python counts True and False as ints, decoders do not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 class Group:
     """Interface: identity/mul/inv plus a deterministic total ordering key.
 
@@ -80,7 +85,7 @@ class CyclicGroup(Group):
         return a
 
     def decode(self, data):
-        if not isinstance(data, int) or not 0 <= data < self.n:
+        if not _is_int(data) or not 0 <= data < self.n:
             raise ValueError(f"not an element of cyclic({self.n}): {data!r}")
         return data
 
@@ -117,7 +122,7 @@ class SymmetricGroup(Group):
 
     def decode(self, data):
         a = tuple(data)
-        if sorted(a) != list(range(self.k)):
+        if not all(map(_is_int, a)) or sorted(a) != list(range(self.k)):
             raise ValueError(f"not an element of symmetric({self.k}): {data!r}")
         return a
 
@@ -143,7 +148,7 @@ class IntegerGroup(Group):
         return a
 
     def decode(self, data):
-        if not isinstance(data, int) or isinstance(data, bool):
+        if not _is_int(data):
             raise ValueError(f"not an integer: {data!r}")
         return data
 
@@ -209,7 +214,7 @@ class FreeGroup(Group):
             if x == -y:
                 raise ValueError(f"word not reduced: {data!r}")
         for letter in word:
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > self.rank:
+            if not _is_int(letter) or letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"bad letter {letter!r} for rank {self.rank}")
         return word
 
@@ -267,7 +272,7 @@ class TableGroup(Group):
         return a
 
     def decode(self, data):
-        if not isinstance(data, int) or not 0 <= data < len(self.table):
+        if not _is_int(data) or not 0 <= data < len(self.table):
             raise ValueError(f"not an element index: {data!r}")
         return data
 
@@ -293,9 +298,6 @@ class FinSuppMap:
             if y == x:
                 return g
         return None
-
-    def as_dict(self) -> dict:
-        return dict(self.entries)
 
     def is_identity(self) -> bool:
         return not self.entries

@@ -178,17 +178,6 @@ class GoodBlockReport:
     def bound_pass(self) -> bool:
         return len(self.block.good) >= (1 - self.block_tolerance) * self.carrier_size
 
-    def to_json(self) -> dict:
-        return {
-            "carrier_size": self.carrier_size,
-            "block_tolerance": frac_to_json(self.block_tolerance),
-            "input_tolerance": frac_to_json(self.input_tolerance),
-            "injective": len(self.block.injective),
-            "compatible": len(self.block.compatible),
-            "good": len(self.block.good),
-            "bound_pass": self.bound_pass,
-        }
-
 
 def check_good_block_bound(
     sigma_B: SoficApprox, positions, block_tolerance, input_tolerance
@@ -310,7 +299,6 @@ class Certificate:
     free_margins: tuple[tuple[WreathElement, Fraction], ...]
     budget: Budget
     details: DetailedReport
-    seed: int | None = None
 
     @property
     def worst_defect(self) -> tuple[Fraction, Any]:
@@ -368,21 +356,19 @@ class Certificate:
             "budget": self.budget.to_json(),
             "details": self.details.to_json(wreath),
             "pass": self.passed,
-            "seed": self.seed,
+            "seed": None,  # format 1 keeps the key; nothing seeds a certificate
         }
 
 
-def detailed_reports(approx: WreathApprox, targets=None, eps=None) -> DetailedReport:
+def detailed_reports(approx: WreathApprox) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
     bounds, and per-element freeness decompositions."""
     wreath = approx.wreath
     windows = approx.windows
     budget = approx.budget
-    targets = windows.targets if targets is None else wreath.sort(set(targets))
-    eps = budget.eps if eps is None else Fraction(eps)
 
     almost = check_almost_homomorphism(
-        approx.rule, wreath, windows.closure, windows.lamp_window, windows.mover_window, eps
+        approx.rule, wreath, windows.closure, windows.lamp_window, windows.mover_window, budget.eps
     )
     mult = MultiplicativityReport(
         almost_hom=almost,
@@ -394,7 +380,7 @@ def detailed_reports(approx: WreathApprox, targets=None, eps=None) -> DetailedRe
 
     ident = approx.identity_value()
     entries = []
-    for u in targets:
+    for u in windows.targets:
         if u == wreath.identity():
             continue
         margin = approx.rule(u).distance(ident)
@@ -419,11 +405,10 @@ def detailed_reports(approx: WreathApprox, targets=None, eps=None) -> DetailedRe
     return DetailedReport(multiplicativity=mult, freeness=tuple(entries))
 
 
-def verify_construction(approx: WreathApprox, targets=None, eps=None) -> Certificate:
+def verify_construction(approx: WreathApprox) -> Certificate:
     """Exhaustive exact certificate of the assembled rule on its targets."""
     wreath = approx.wreath
-    targets = approx.windows.targets if targets is None else wreath.sort(set(targets))
-    eps = approx.budget.eps if eps is None else Fraction(eps)
+    targets = approx.windows.targets
 
     identity_pass = approx.rule(wreath.identity()) == approx.identity_value()
     mult_defects = tuple(
@@ -436,13 +421,13 @@ def verify_construction(approx: WreathApprox, targets=None, eps=None) -> Certifi
         (u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity()
     )
     return Certificate(
-        eps=eps,
+        eps=approx.budget.eps,
         window=targets,
         identity_pass=identity_pass,
         mult_defects=mult_defects,
         free_margins=free_margins,
         budget=approx.budget,
-        details=detailed_reports(approx, targets, eps),
+        details=detailed_reports(approx),
     )
 
 

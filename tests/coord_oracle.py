@@ -4,8 +4,9 @@
 per block, where the library sums integer counts; ``compose_actions`` copies
 every entry and lets ``coord_action`` prune identities, where the library
 prunes only real products; ``check_bijection`` is the ``seen``-list walk that
-any faster bijection check in ``Permutation`` must agree with.  They follow
-the definitions term by term and are slower.
+any faster bijection check in ``Permutation`` must agree with; ``apply`` acts
+on one explicit point of the carrier.  They follow the definitions term by
+term and are slower.
 """
 from fractions import Fraction
 
@@ -23,6 +24,13 @@ def check_bijection(image: tuple) -> None:
         if not isinstance(x, int) or not 0 <= x < n or seen[x]:
             raise ValueError(f"not a bijection of range({n}): {image}")
         seen[x] = True
+
+
+def apply(w: CoordAction, a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:
+    """Image of the point (a, b) under w, one coordinate at a time."""
+    entries = w.tau.get(b, {})
+    image = tuple(entries[c](x) if c in entries else x for c, x in enumerate(a))
+    return image, w.beta(b)
 
 
 def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:

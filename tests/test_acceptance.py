@@ -8,7 +8,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import soficwreath as sw
-from soficwreath.bigperm import expand_explicit, random_coord_action
+from helpers import random_coord_action
+from soficwreath.bigperm import expand_explicit
 from soficwreath.perm import Permutation, draw_permutation, hamming
 from soficwreath.verify import (
     check_almost_homomorphism,

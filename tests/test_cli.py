@@ -120,6 +120,12 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert '"F": "all" needs finite' in capsys.readouterr().err
 
+    def test_boolean_element_is_usage_error(self, tmp_path, capsys):
+        config = small_config(F=[{"left": [], "right": True}])
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert "not an element of cyclic(3): True" in capsys.readouterr().err
+
     @pytest.mark.parametrize("cap", ["big", True, 0])
     def test_bad_expansion_cap_is_usage_error(self, tmp_path, capsys, cap):
         config = write(tmp_path / "config.json", small_config(expansion_cap=cap))
@@ -240,6 +246,23 @@ class TestReport:
         path.write_text(cert)
         assert main(["report", "--certificate", str(path), "--format", "text"]) == OK
         assert "freeness: vacuous" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "field",
+        [("mult_defects", 0, "defect"), ("details", "freeness", 0, "margin")],
+        ids=["mult_defect", "freeness_margin"],
+    )
+    def test_zero_denominator_in_text_report_is_usage_error(self, tmp_path, capsys, field):
+        cert = json.loads((pathlib.Path(__file__).parent / "data" / "small_certificate.json").read_text())
+        node = cert
+        for key in field:
+            node = node[key]
+        node["den"] = 0
+        path = write(tmp_path / "certificate.json", cert)
+        assert main(["report", "--certificate", path, "--format", "text"]) == USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a rational")
+        assert "Traceback" not in err
 
     def test_rejects_non_certificate(self, tmp_path, capsys):
         path = write(tmp_path / "bogus.json", {"kind": "other"})

@@ -251,6 +251,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             sw.cyclic(3).decode(5)
 
+    @pytest.mark.parametrize(
+        "group, valid, with_bool",
+        [
+            (sw.cyclic(3), 1, True),
+            (sw.symmetric(2), [1, 0], [True, False]),
+            (sw.integers(), 1, True),
+            (sw.free(1), [1], [True]),
+            (sw.finite_from_table(KLEIN), 0, False),
+        ],
+        ids=["cyclic3", "sym2", "integers", "free1", "klein"],
+    )
+    def test_decode_rejects_booleans(self, group, valid, with_bool):
+        assert group.encode(group.decode(valid)) == valid
+        with pytest.raises(ValueError):
+            group.decode(with_bool)
+
     def test_unknown_descriptor(self):
         with pytest.raises(ValueError):
             group_from_descriptor({"kind": "nope"})
