@@ -16,6 +16,14 @@ Sparsity is canonical: tau is a mapping block -> coordinate -> permutation
 that stores no identity permutations and no empty blocks, so structural
 equality is semantic equality.
 
+In the construction a few lamp permutations recur at most coordinates, so
+each kernel does its per-permutation work once per distinct permutation
+object, or pair of objects, in one call.  The tables are keyed by ``id()``,
+which is sound because the operands hold every key object for the whole
+call, and they are dropped when the call returns.  ``compose_actions``
+reuses a block dict that only one operand touches, so actions share block
+dicts: tau and its block dicts are never mutated once an action is built.
+
 ``expand_explicit`` is the brute-force oracle.  Its point encoding is fixed:
 point (a, b) has index  b * |A|^|B| + sum_c a_c * |A|^c  with coordinates
 c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
@@ -40,23 +48,27 @@ class CoordAction:
     a_size: int
     b_size: int
     beta: Permutation
-    tau: Tau  # block -> coordinate -> lamp permutation; never mutated
+    tau: Tau  # block -> coordinate -> lamp permutation; never mutated, block dicts may be shared
 
     def __post_init__(self):
         if self.a_size < 1 or self.b_size < 1:
             raise ValueError("sizes must be >= 1")
         if self.beta.degree != self.b_size:
             raise ValueError(f"carrier mismatch: beta degree {self.beta.degree}, expected {self.b_size}")
+        checked = set()  # ids of the entry objects whose degree and identity passed
         for b, entries in self.tau.items():
             if not 0 <= b < self.b_size or not entries:
                 raise ValueError(f"bad tau block {b}")
             for c, p in entries.items():
                 if not 0 <= c < self.b_size:
                     raise ValueError(f"bad coordinate {c}")
+                if id(p) in checked:
+                    continue
                 if p.degree != self.a_size:
                     raise ValueError(f"carrier mismatch: tau[{b}][{c}] degree {p.degree}, expected {self.a_size}")
                 if p.is_identity():
                     raise ValueError(f"non-canonical tau: identity stored at [{b}][{c}]")
+                checked.add(id(p))
 
     def tau_map(self) -> Tau:
         return self.tau
@@ -108,18 +120,33 @@ def _check_sizes(w: CoordAction, v: CoordAction):
 
 
 def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
-    """The action "first, then second"; cost O(|B| * sparsity * |A|)."""
+    """The action "first, then second"; cost O(|B| * sparsity * |A|).
+
+    A block that only one side touches keeps that side's block dict, shared
+    with the operand.  Where both touch a coordinate, ``p2 * p1`` and its
+    identity test are computed once per distinct pair of permutation objects.
+    """
     _check_sizes(second, first)
     beta = first.beta.image
     moved_into = compress(count(), map(second.tau.__contains__, beta))
+    products = {}  # (id(p2), id(p1)) -> p2 * p1, or None for the identity
     tau = {}
     for b in first.tau.keys() | moved_into:
-        entries = dict(first.tau.get(b, {}))
-        for c, p2 in second.tau.get(beta[b], {}).items():
-            p1 = entries.get(c)  # an entry from one side only is canonical
-            if p1 is None:
+        one, two = first.tau.get(b), second.tau.get(beta[b])
+        if one is None or two is None:  # one side only: already canonical
+            tau[b] = one or two
+            continue
+        entries = dict(one)
+        for c, p2 in two.items():
+            p1 = entries.get(c)
+            if p1 is None:  # an entry from one side only is canonical
                 entries[c] = p2
-            elif (p := p2 * p1).is_identity():
+                continue
+            key = (id(p2), id(p1))
+            if key not in products:
+                p = p2 * p1
+                products[key] = None if p.is_identity() else p
+            if (p := products[key]) is None:
                 del entries[c]
             else:
                 entries[c] = p
@@ -134,9 +161,11 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     Blocks where the two base images differ disagree on their whole fiber.
     Where they agree, the fiber over a block touched at k coordinates agrees
     on the product of the k integer per-coordinate agreement counts (absent
-    entries are the identity) out of |A|^k points.  Untouched blocks with
-    equal base images agree everywhere and are counted in bulk.  The
-    numerators are summed per k and divided once, over |A|^max_k * |B|.
+    entries are the identity) out of |A|^k points; each distinct pair of
+    permutation objects is counted once per call.  Blocks with equal base
+    images and equal entry dicts, untouched ones included, agree everywhere
+    and are counted in bulk.  The numerators are summed per k and divided
+    once, over |A|^max_k * |B|.
 
     >>> shift = coord_action(2, 3, beta=Permutation((1, 2, 0)))
     >>> action_distance(shift, identity_action(2, 3))
@@ -146,15 +175,21 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     w_beta, v_beta = w.beta.image, v.beta.image
     agree = Counter()  # k -> sum of fiber agreement counts out of |A|^k
     agree[0] = sum(map(eq, w_beta, v_beta))
+    counts = {}  # (id(p), id(q)) -> agreement count
     for b in w.tau.keys() | v.tau.keys():
         if w_beta[b] != v_beta[b]:
             continue
-        agree[0] -= 1
         one, two = w.tau.get(b, {}), v.tau.get(b, {})
+        if one == two:  # agrees on the whole fiber: stays in the bulk count
+            continue
+        agree[0] -= 1
         coords, fiber = one.keys() | two.keys(), 1
         for c in coords:
             p, q = one.get(c), two.get(c)  # an absent entry is the identity
-            fiber *= (p or q).fixed_points() if p is None or q is None else agreement_count(p, q)
+            key = (id(p), id(q))
+            if key not in counts:
+                counts[key] = (p or q).fixed_points() if p is None or q is None else agreement_count(p, q)
+            fiber *= counts[key]
             if not fiber:
                 break
         if fiber:

@@ -12,7 +12,7 @@ import sys
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
-from .jsonutil import frac_from_json, parse_fraction
+from .jsonutil import frac_from_json, is_int, parse_fraction
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -31,6 +31,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _int_field(desc: dict, key: str) -> int:
+    value = desc[key]
+    if not is_int(value):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"bad approximation descriptor: {desc!r}")
@@ -40,13 +47,15 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     if kind == "cyclic-quotient":
         if not isinstance(group, IntegerGroup):
             raise ConfigError("cyclic-quotient needs the integers as its group")
-        radius = desc.get("radius")
-        window = None if radius is None else range(-radius, radius + 1)
-        return cyclic_quotient(desc["size"], window)
+        size = _int_field(desc, "size")
+        if desc.get("radius") is None:
+            return cyclic_quotient(size)
+        radius = _int_field(desc, "radius")
+        return cyclic_quotient(size, range(-radius, radius + 1))
     if kind == "free-quotient":
         if not isinstance(group, FreeGroup):
             raise ConfigError("free-quotient needs a free group")
-        degree = desc["degree"]
+        degree = _int_field(desc, "degree")
         images = desc["images"]
         if isinstance(images, dict):
             import random
@@ -55,7 +64,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
         else:
             images = [Permutation(tuple(img)) for img in images]
-        return quotient_by_images(group, images, group.ball(desc["radius"]))
+        return quotient_by_images(group, images, group.ball(_int_field(desc, "radius")))
     if kind == "perturb":
         inner = _approx_from_descriptor(desc["base"], group, seed)
         return perturb(inner, parse_fraction(desc["rate"]), desc.get("seed", seed))
@@ -69,7 +78,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
 
 
 def _expansion_cap(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not is_int(value) or value < 1:
         raise ConfigError(f"expansion_cap must be a positive integer, got {value!r}")
     return value
 

@@ -30,6 +30,7 @@ from fractions import Fraction
 from .bigperm import CoordAction, coord_action, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json
+from .perm import Permutation
 from .sofic import (
     CertificateError,
     DefectReport,
@@ -233,18 +234,19 @@ def lamp_action(
     support of f, coordinate sigma_B(x)^{-1} b gets sigma_A(f(x)).
 
     On a good block distinct positions anchor distinct coordinates, so the
-    writes commute.  Total: configurations supported outside the positions
-    window act as the identity.
+    writes commute, and dropping the identity values before the loop leaves
+    tau canonical as built.  Total: configurations supported outside the
+    positions window act as the identity.
     """
+    a_size, b_size = sigma_A.carrier_size, sigma_B.carrier_size
     if not set(f.support()) <= set(positions):
-        return identity_action(sigma_A.carrier_size, sigma_B.carrier_size)
-    writes = [(sigma_B.evaluate(x).inverse().image, sigma_A.evaluate(g)) for x, g in f.entries]
-    tau = {}
-    for b in block.good:
-        entries = {q[b]: p for q, p in writes}
-        if entries:
-            tau[b] = entries
-    return coord_action(sigma_A.carrier_size, sigma_B.carrier_size, tau=tau)
+        return identity_action(a_size, b_size)
+    writes = []
+    for x, g in f.entries:
+        if not (p := sigma_A.evaluate(g)).is_identity():
+            writes.append((sigma_B.evaluate(x).inverse().image, p))
+    tau = {b: {q[b]: p for q, p in writes} for b in block.good} if writes else {}
+    return CoordAction(a_size, b_size, Permutation.identity(b_size), tau)
 
 
 def base_action(sigma_B: SoficApprox, h, a_size: int) -> CoordAction:

@@ -16,10 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator
 
-
-def _is_int(x) -> bool:
-    """A JSON integer: Python counts True and False as ints, decoders do not."""
-    return isinstance(x, int) and not isinstance(x, bool)
+from .jsonutil import is_int
 
 
 class Group:
@@ -85,7 +82,7 @@ class CyclicGroup(Group):
         return a
 
     def decode(self, data):
-        if not _is_int(data) or not 0 <= data < self.n:
+        if not is_int(data) or not 0 <= data < self.n:
             raise ValueError(f"not an element of cyclic({self.n}): {data!r}")
         return data
 
@@ -122,7 +119,7 @@ class SymmetricGroup(Group):
 
     def decode(self, data):
         a = tuple(data)
-        if not all(map(_is_int, a)) or sorted(a) != list(range(self.k)):
+        if not all(map(is_int, a)) or sorted(a) != list(range(self.k)):
             raise ValueError(f"not an element of symmetric({self.k}): {data!r}")
         return a
 
@@ -148,7 +145,7 @@ class IntegerGroup(Group):
         return a
 
     def decode(self, data):
-        if not _is_int(data):
+        if not is_int(data):
             raise ValueError(f"not an integer: {data!r}")
         return data
 
@@ -214,7 +211,7 @@ class FreeGroup(Group):
             if x == -y:
                 raise ValueError(f"word not reduced: {data!r}")
         for letter in word:
-            if not _is_int(letter) or letter == 0 or abs(letter) > self.rank:
+            if not is_int(letter) or letter == 0 or abs(letter) > self.rank:
                 raise ValueError(f"bad letter {letter!r} for rank {self.rank}")
         return word
 
@@ -272,7 +269,7 @@ class TableGroup(Group):
         return a
 
     def decode(self, data):
-        if not _is_int(data) or not 0 <= data < len(self.table):
+        if not is_int(data) or not 0 <= data < len(self.table):
             raise ValueError(f"not an element index: {data!r}")
         return data
 

@@ -12,8 +12,14 @@ def frac_to_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def is_int(x) -> bool:
+    """A JSON integer: Python counts True and False as ints, decoders do not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def frac_from_json(data) -> Fraction:
-    if not isinstance(data, dict) or set(data) != {"num", "den"} or data["den"] == 0:
+    valid = isinstance(data, dict) and set(data) == {"num", "den"} and all(map(is_int, data.values()))
+    if not valid or data["den"] == 0:
         raise ValueError(f"not a rational: {data!r}")
     return Fraction(data["num"], data["den"])
 

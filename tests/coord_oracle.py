@@ -4,9 +4,11 @@
 per block, where the library sums integer counts; ``compose_actions`` copies
 every entry and lets ``coord_action`` prune identities, where the library
 prunes only real products; ``check_bijection`` is the ``seen``-list walk that
-any faster bijection check in ``Permutation`` must agree with; ``apply`` acts
-on one explicit point of the carrier.  They follow the definitions term by
-term and are slower.
+any faster bijection check in ``Permutation`` must agree with;
+``check_coord_action`` checks every entry of tau in full, where
+``CoordAction`` checks each distinct entry object once; ``apply`` acts on one
+explicit point of the carrier.  They follow the definitions term by term and
+are slower.
 """
 from fractions import Fraction
 
@@ -24,6 +26,24 @@ def check_bijection(image: tuple) -> None:
         if not isinstance(x, int) or not 0 <= x < n or seen[x]:
             raise ValueError(f"not a bijection of range({n}): {image}")
         seen[x] = True
+
+
+def check_coord_action(a_size: int, b_size: int, beta: Permutation, tau) -> None:
+    """Raise exactly what ``CoordAction`` raises for invalid fields."""
+    if a_size < 1 or b_size < 1:
+        raise ValueError("sizes must be >= 1")
+    if beta.degree != b_size:
+        raise ValueError(f"carrier mismatch: beta degree {beta.degree}, expected {b_size}")
+    for b, entries in tau.items():
+        if not 0 <= b < b_size or not entries:
+            raise ValueError(f"bad tau block {b}")
+        for c, p in entries.items():
+            if not 0 <= c < b_size:
+                raise ValueError(f"bad coordinate {c}")
+            if p.degree != a_size:
+                raise ValueError(f"carrier mismatch: tau[{b}][{c}] degree {p.degree}, expected {a_size}")
+            if p.is_identity():
+                raise ValueError(f"non-canonical tau: identity stored at [{b}][{c}]")
 
 
 def apply(w: CoordAction, a: tuple[int, ...], b: int) -> tuple[tuple[int, ...], int]:

@@ -1,6 +1,8 @@
 """Constructions that only tests use, kept out of the library."""
 import random
 
+from hypothesis import strategies as st
+
 from soficwreath.bigperm import CoordAction, coord_action
 from soficwreath.groups import Group, WreathElement
 from soficwreath.perm import Permutation, draw_permutation
@@ -32,6 +34,52 @@ def random_coord_action(a_size: int, b_size: int, rng: random.Random, density: f
             if entries:
                 tau[b] = entries
     return coord_action(a_size, b_size, beta, tau)
+
+
+@st.composite
+def pooled_actions(draw) -> list[CoordAction]:
+    """Three actions on one carrier whose entries come from a small pool of
+    shared ``Permutation`` objects, as lamp actions in the construction do.
+
+    The pool holds two distinct objects with equal images.  Base images come
+    from a pool of two, and each block of a later action is often the first
+    action's block dict itself or an equal copy, so equal blocks, repeated
+    entry pairs and shared block dicts are all common.
+    """
+    a_size = draw(st.integers(min_value=2, max_value=4))
+    b_size = draw(st.integers(min_value=1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pool = [draw_permutation(a_size, rng) for _ in range(3)]
+    pool = [p for p in pool if not p.is_identity()] or [Permutation((1, 0, *range(2, a_size)))]
+    pool.append(Permutation(pool[0].image))  # equal to pool[0], a different object
+    betas = [draw_permutation(b_size, rng), draw_permutation(b_size, rng)]
+
+    def fresh_block():
+        return {c: rng.choice(pool) for c in rng.sample(range(b_size), rng.randint(1, min(b_size, 3)))}
+
+    template = {b: fresh_block() for b in range(b_size) if rng.random() < 0.7}
+    actions = []
+    for _ in range(3):
+        tau = {}
+        for b in range(b_size):
+            pick = rng.random()
+            if pick < 0.4 and b in template:
+                tau[b] = template[b]  # the same dict object
+            elif pick < 0.6 and b in template:
+                tau[b] = dict(template[b])  # an equal copy
+            elif pick < 0.85:
+                tau[b] = fresh_block()
+        actions.append(CoordAction(a_size, b_size, rng.choice(betas), tau))
+    return actions
+
+
+def rejection(check, value):
+    """The ValueError message check raises on value, or None if it accepts."""
+    try:
+        check(value)
+    except ValueError as err:
+        return str(err)
+    return None
 
 
 def projections(a: WreathElement):

@@ -1,3 +1,4 @@
+import copy
 import random
 import time
 from fractions import Fraction
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import coord_oracle
-from helpers import random_coord_action
+from helpers import pooled_actions, random_coord_action, rejection
 from soficwreath.bigperm import (
     CoordAction,
     action_distance,
@@ -241,6 +242,59 @@ class TestAgainstReferenceKernels:
                     assert x.distance(y) == explicit == coord_oracle.action_distance(x, y)
                     assert expand_explicit(x * y) == expand_explicit(x) * expand_explicit(y)
                     assert x * y == coord_oracle.compose_actions(x, y)
+
+
+# Entries for a tau on 3 blocks with |A| = 3: two distinct objects with equal
+# images, a third valid one, an identity and one of the wrong degree.
+entry_pool = [
+    Permutation((1, 2, 0)),
+    Permutation((1, 2, 0)),
+    Permutation((0, 2, 1)),
+    Permutation.identity(3),
+    Permutation((1, 0)),
+]
+in_range, any_index = st.integers(min_value=0, max_value=2), st.integers(min_value=-1, max_value=3)
+shared_entry_taus = st.one_of(
+    st.dictionaries(in_range, st.dictionaries(in_range, st.sampled_from(entry_pool[:3]), min_size=1)),
+    st.dictionaries(any_index, st.dictionaries(any_index, st.sampled_from(entry_pool), max_size=4), max_size=4),
+)
+
+
+class TestSharedEntries:
+    """The per-call tables, the equal-block bulk count and shared block dicts,
+    on entries drawn from a small pool of shared permutation objects."""
+
+    @settings(max_examples=80)
+    @given(pooled_actions())
+    def test_pooled_kernels_match_references(self, actions):
+        w, v, u = actions
+        # compositions share block dicts with their operands and each other
+        wu, vu, uw = w * u, v * u, u * w
+        family = [w, v, u, wu, vu, uw, wu * v]
+        for x in family:
+            for y in family:
+                assert action_distance(x, y) == coord_oracle.action_distance(x, y)
+        for second, first in [(w, v), (v, w), (u, wu), (wu, vu), (uw, w), (w, w.inverse())]:
+            assert compose_actions(second, first) == coord_oracle.compose_actions(second, first)
+
+    @settings(max_examples=60)
+    @given(pooled_actions())
+    def test_compose_leaves_operands_unchanged(self, actions):
+        w, v, u = actions
+        for second, first in [(w, v), (v, w), (w * v, u), (u, w * v), (w, w)]:
+            before = copy.deepcopy((second.tau, first.tau))
+            compose_actions(second, first)
+            assert (second.tau, first.tau) == before
+
+    @settings(max_examples=300)
+    @given(shared_entry_taus)
+    def test_entry_checks_match_full_loop(self, tau):
+        """Same decision and message as checking every entry in full, with
+        bad and identity entries repeated as the same object."""
+        beta = Permutation((2, 0, 1))
+        assert rejection(lambda t: CoordAction(3, 3, beta, t), tau) == rejection(
+            lambda t: coord_oracle.check_coord_action(3, 3, beta, t), tau
+        )
 
 
 class TestPerformance:

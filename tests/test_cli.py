@@ -103,10 +103,19 @@ class TestBuild:
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE
 
-    def test_zero_denominator_eps_is_usage_error(self, tmp_path, capsys):
-        config = write(tmp_path / "config.json", small_config(eps="1/0"))
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            ("1/0", "zero denominator"),
+            ({"num": True, "den": 2}, "not a rational"),
+            ({"num": 1, "den": True}, "not a rational"),
+        ],
+        ids=["zero_den", "bool_num", "bool_den"],
+    )
+    def test_zero_denominator_eps_is_usage_error(self, tmp_path, capsys, eps, message):
+        config = write(tmp_path / "config.json", small_config(eps=eps))
         assert main(["build", "--config", config, "--out", str(tmp_path / "x.json")]) == USAGE
-        assert "zero denominator" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     def test_all_targets_over_infinite_group_is_usage_error(self, tmp_path, capsys):
         config = small_config(
@@ -120,11 +129,28 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert '"F": "all" needs finite' in capsys.readouterr().err
 
-    def test_boolean_element_is_usage_error(self, tmp_path, capsys):
-        config = small_config(F=[{"left": [], "right": True}])
-        path = write(tmp_path / "config.json", config)
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"F": [{"left": [], "right": True}]}, "not an element of cyclic(3): True"),
+            (
+                {
+                    "groups": {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "integers"}},
+                    "approximations": {
+                        "lamp": {"kind": "regular"},
+                        "base": {"kind": "cyclic-quotient", "size": 8, "radius": True},
+                    },
+                    "F": [{"left": [[0, 1]], "right": 0}],
+                },
+                "radius must be an integer, got True",
+            ),
+        ],
+        ids=["element", "radius"],
+    )
+    def test_boolean_element_is_usage_error(self, tmp_path, capsys, overrides, message):
+        path = write(tmp_path / "config.json", small_config(**overrides))
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
-        assert "not an element of cyclic(3): True" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cap", ["big", True, 0])
     def test_bad_expansion_cap_is_usage_error(self, tmp_path, capsys, cap):
@@ -179,9 +205,12 @@ class TestVerify:
         assert main(["verify", "--approx", out, "--oracle"]) == OK
         assert "oracle: all distances confirmed on 24 points" in capsys.readouterr().err
 
-    def test_zero_denominator_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "eps", [{"num": 1, "den": 0}, {"num": True, "den": 2}], ids=["zero_den", "bool_num"]
+    )
+    def test_zero_denominator_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys, eps):
         artifact = json.loads(open(built_artifact).read())
-        artifact["eps"] = {"num": 1, "den": 0}
+        artifact["eps"] = eps
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == USAGE
         assert "not a rational" in capsys.readouterr().err
@@ -248,16 +277,20 @@ class TestReport:
         assert "freeness: vacuous" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "field",
-        [("mult_defects", 0, "defect"), ("details", "freeness", 0, "margin")],
-        ids=["mult_defect", "freeness_margin"],
+        "field, key, value",
+        [
+            (("mult_defects", 0, "defect"), "den", 0),
+            (("details", "freeness", 0, "margin"), "den", 0),
+            (("eps",), "num", True),
+        ],
+        ids=["mult_defect", "freeness_margin", "eps_bool_num"],
     )
-    def test_zero_denominator_in_text_report_is_usage_error(self, tmp_path, capsys, field):
+    def test_zero_denominator_in_text_report_is_usage_error(self, tmp_path, capsys, field, key, value):
         cert = json.loads((pathlib.Path(__file__).parent / "data" / "small_certificate.json").read_text())
         node = cert
-        for key in field:
-            node = node[key]
-        node["den"] = 0
+        for step in field:
+            node = node[step]
+        node[key] = value
         path = write(tmp_path / "certificate.json", cert)
         assert main(["report", "--certificate", path, "--format", "text"]) == USAGE
         err = capsys.readouterr().err

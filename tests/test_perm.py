@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from coord_oracle import check_bijection
+from helpers import rejection
 from soficwreath.perm import (
     Permutation,
     agreement_count,
@@ -36,15 +37,6 @@ images = st.one_of(
     .flatmap(lambda n: st.permutations(range(n)))
     .map(lambda img: tuple(x == 1 if x < 2 else x for x in img)),
 )
-
-
-def rejection(check, image):
-    """The ValueError message check raises on image, or None if it accepts."""
-    try:
-        check(image)
-    except ValueError as err:
-        return str(err)
-    return None
 
 
 def same_degree_perms(count):
