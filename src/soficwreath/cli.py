@@ -142,6 +142,8 @@ def _cmd_build(args) -> int:
 def _load_artifact(path: str) -> tuple[WreathApprox, int]:
     with open(path) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError("artifact must be a JSON object")
     # an artifact may lower its oracle limit but never raise it
     cap = min(_expansion_cap(data.get("expansion_cap", EXPANSION_CAP)), EXPANSION_CAP)
     return wreath_approx_from_json(data), cap

@@ -109,6 +109,20 @@ def agreement_count(s: Permutation, t: Permutation) -> int:
     return sum(map(eq, s.image, t.image))
 
 
+def product_agreement(s: Permutation, t: Permutation, u: Permutation) -> int:
+    """``agreement_count(s * t, u)`` without building s * t.
+
+    A product of bijections is a bijection, so no check is skipped.
+
+    >>> product_agreement(Permutation((1, 2, 0)), Permutation((1, 2, 0)), Permutation((2, 0, 1)))
+    3
+    """
+    _check_degrees(s, t)
+    _check_degrees(t, u)
+    si = s.image
+    return len([None for x, y in zip(t.image, u.image) if si[x] == y])
+
+
 def random_permutation(degree: int, seed: int) -> Permutation:
     """Uniformly random permutation, deterministic for a fixed seed.
 

@@ -12,7 +12,8 @@ free action by a homomorphism on a given window:
 * free: min over non-identity g of d(rule(g), id) > 1 - eps;
 * sofic: both of the above plus rule(1) = id.
 
-All inequalities are strict and compared as exact ``Fraction`` values.
+All inequalities are strict and compared as exact ``Fraction`` values.  The
+multiplicative check counts agreeing points per pair and builds no product.
 """
 from __future__ import annotations
 
@@ -22,8 +23,8 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .groups import Group, FreeGroup, group_from_descriptor
-from .jsonutil import frac_to_json
-from .perm import Permutation, transposition
+from .jsonutil import frac_to_json, is_int
+from .perm import Permutation, product_agreement, transposition
 
 
 class WindowViolationError(ValueError):
@@ -75,9 +76,12 @@ class SoficApprox:
     @classmethod
     def from_json(cls, data: dict) -> "SoficApprox":
         group = group_from_descriptor(data["group"])
+        carrier_size = data["carrier_size"]
+        if not is_int(carrier_size) or carrier_size < 1:
+            raise ValueError(f"carrier_size must be a positive integer, got {carrier_size!r}")
         rule = {group.decode(k): Permutation.from_json(p) for k, p in data["rule"]}
         window = frozenset(group.decode(k) for k in data["window"])
-        return cls(group, data["carrier_size"], window, rule)
+        return cls(group, carrier_size, window, rule)
 
 
 @dataclass(frozen=True)
@@ -138,17 +142,22 @@ def _require_window(s: SoficApprox, needed, what: str):
 
 
 def is_multiplicative(s: SoficApprox, window, eps: Fraction) -> DefectReport:
-    """Worst defect d(rule(g) rule(h), rule(gh)) over the window; pass iff < eps."""
+    """Worst defect d(rule(g) rule(h), rule(gh)) over the window; pass iff < eps.
+
+    Each pair is counted with ``product_agreement``, which builds no product;
+    the witness is the first pair in sorted order with the fewest agreements.
+    """
     eps = Fraction(eps)
     els = s.group.sort(window)
     _require_window(s, els, "multiplicativity check")
     products = [(g, h, s.group.mul(g, h)) for g in els for h in els]
     _require_window(s, (gh for _, _, gh in products), "multiplicativity check (products)")
-    worst, witness = Fraction(0), None
+    fewest, witness = None, None
     for g, h, gh in products:
-        d = (s.evaluate(g) * s.evaluate(h)).distance(s.evaluate(gh))
-        if witness is None or d > worst:
-            worst, witness = d, (g, h)
+        agree = product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh))
+        if witness is None or agree < fewest:
+            fewest, witness = agree, (g, h)
+    worst = Fraction(0) if witness is None else 1 - Fraction(fewest, s.carrier_size)
     return DefectReport(
         eps=eps,
         window=els,
@@ -232,7 +241,7 @@ def cyclic_quotient(n: int, window=None) -> SoficApprox:
     if window is None:
         window = range(-(n - 1), n)
     window = frozenset(window)
-    rule = {k: Permutation(tuple((i + k) % n for i in range(n))) for k in window}
+    rule = {k: Permutation((*range(k % n, n), *range(k % n))) for k in window}
     from .groups import integers
 
     return SoficApprox(integers(), n, window, rule)

@@ -379,26 +379,26 @@ def detailed_reports(approx: WreathApprox) -> DetailedReport:
     )
 
     ident = approx.identity_value()
+    base_ident = Permutation.identity(approx.b_size)
     entries = []
     for u in windows.targets:
         if u == wreath.identity():
             continue
         margin = approx.rule(u).distance(ident)
         if not wreath.base.is_identity(u.right):
-            base_margin = approx.sigma_B.evaluate(u.right).distance(
-                Permutation.identity(approx.b_size)
-            )
+            base_margin = approx.sigma_B.evaluate(u.right).distance(base_ident)
             entries.append(FreenessEntry(u, margin, base_margin, None, None, None))
         else:
             support = u.left.support()
             anchor = min(support, key=wreath.base.key) if support else None
+            # the fixed fraction is 1 - d(rule(u), id), and margin is that distance
             entries.append(
                 FreenessEntry(
                     u,
                     margin,
                     None,
                     anchor,
-                    approx.rule(u).fixed_fraction(),
+                    1 - margin,
                     budget.block_tolerance + budget.input_tolerance,
                 )
             )
@@ -433,7 +433,7 @@ def verify_construction(approx: WreathApprox) -> Certificate:
 
 def certificate_from_json(data: dict) -> dict:
     """Light validation for stored certificates (used by the report command)."""
-    if data.get("kind") != "sofic-certificate" or data.get("format") != 1:
+    if not isinstance(data, dict) or data.get("kind") != "sofic-certificate" or data.get("format") != 1:
         raise ValueError("not a sofic certificate")
     frac_from_json(data["eps"])  # validates shape
     return data

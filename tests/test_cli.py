@@ -3,6 +3,7 @@ import pathlib
 
 import pytest
 
+import soficwreath as sw
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
 
 
@@ -152,6 +153,15 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert message in capsys.readouterr().err
 
+    def test_file_approximation_with_string_carrier_size_is_usage_error(self, tmp_path, capsys):
+        stored = sw.regular_rep(sw.cyclic(3)).to_json()
+        stored["carrier_size"] = "3"
+        base = {"kind": "file", "path": write(tmp_path / "base.json", stored)}
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "artifact.json")]) == USAGE
+        assert capsys.readouterr().err == "error: carrier_size must be a positive integer, got '3'\n"
+
     @pytest.mark.parametrize("cap", ["big", True, 0])
     def test_bad_expansion_cap_is_usage_error(self, tmp_path, capsys, cap):
         config = write(tmp_path / "config.json", small_config(expansion_cap=cap))
@@ -239,6 +249,21 @@ class TestVerify:
     def test_missing_file_is_usage(self, tmp_path):
         assert main(["verify", "--approx", str(tmp_path / "nope.json")]) == USAGE
 
+    @pytest.mark.parametrize("data", [[1, 2], "artifact", 3, None], ids=["list", "string", "int", "null"])
+    def test_non_object_artifact_is_usage_error(self, tmp_path, capsys, data):
+        path = write(tmp_path / "artifact.json", data)
+        assert main(["verify", "--approx", path]) == USAGE
+        assert capsys.readouterr().err == "error: artifact must be a JSON object\n"
+
+    @pytest.mark.parametrize("carrier_size", ["3", True, 3.0, 0, -3])
+    def test_bad_stored_carrier_size_is_usage_error(self, built_artifact, tmp_path, capsys, carrier_size):
+        artifact = json.loads(open(built_artifact).read())
+        artifact["base_approx"]["carrier_size"] = carrier_size
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: carrier_size must be a positive integer, got {carrier_size!r}\n"
+
 
 class TestReport:
     @pytest.fixture
@@ -300,6 +325,12 @@ class TestReport:
     def test_rejects_non_certificate(self, tmp_path, capsys):
         path = write(tmp_path / "bogus.json", {"kind": "other"})
         assert main(["report", "--certificate", path]) == USAGE
+
+    @pytest.mark.parametrize("data", [[1, 2], "sofic-certificate", None], ids=["list", "string", "null"])
+    def test_non_object_certificate_is_usage_error(self, tmp_path, capsys, data):
+        path = write(tmp_path / "certificate.json", data)
+        assert main(["report", "--certificate", path]) == USAGE
+        assert capsys.readouterr().err == "error: not a sofic certificate\n"
 
     def test_golden_certificate_and_report(self, built_artifact, capsys):
         # frozen outputs for the exact 24-element fixture

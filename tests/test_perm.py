@@ -13,6 +13,7 @@ from soficwreath.perm import (
     compose,
     draw_permutation,
     hamming,
+    product_agreement,
     random_permutation,
     transposition,
 )
@@ -112,6 +113,34 @@ class TestHamming:
         assert hamming(s, Permutation.identity(s.degree)) == 1 - Fraction(
             s.fixed_points(), s.degree
         )
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+class TestProductAgreement:
+    def test_right_factor_first(self):
+        s, t = perm(1, 0, 2), perm(0, 2, 1)
+        assert s * t != t * s
+        assert product_agreement(s, t, s * t) == 3
+        assert product_agreement(t, s, s * t) == 0
+
+    @given(same_degree_perms(3))
+    def test_counts_agreement_with_built_product(self, triple):
+        s, t, u = triple
+        assert product_agreement(s, t, u) == agreement_count(s * t, u)
+
+    @given(perms, perms, perms)
+    def test_degree_mismatch_raises_as_built_product(self, s, t, u):
+        def built(s, t, u):
+            return agreement_count(s * t, u)
+
+        assert outcome(product_agreement, s, t, u) == outcome(built, s, t, u)
 
 
 class TestAgreement:

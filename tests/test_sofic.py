@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 import soficwreath as sw
+import sofic_oracle
 from soficwreath.perm import Permutation, hamming, transposition
 from soficwreath.sofic import (
     SoficApprox,
@@ -13,6 +15,43 @@ from soficwreath.sofic import (
     require_sofic,
 )
 from helpers import random_rule
+
+
+@st.composite
+def noisy_approximations(draw):
+    """An approximation and a check window whose products stay in its window.
+
+    The rule values are random, perturbed, or drawn from a non-abelian group
+    or free group, so they rarely commute and defects are often nonzero, with
+    ties between pairs.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rate = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    kind = draw(st.sampled_from(["random", "symmetric", "shift", "free"]))
+    if kind == "random":
+        group = sw.cyclic(draw(st.integers(min_value=1, max_value=5)))
+        candidates = group.sort(group.elements())
+        approx = random_rule(group, candidates, draw(st.integers(min_value=1, max_value=6)), seed)
+    elif kind == "symmetric":
+        group = sw.symmetric(3)
+        approx = sw.perturb(sw.regular_rep(group), rate, seed)
+        candidates = group.sort(group.elements())
+    elif kind == "shift":
+        radius = draw(st.integers(min_value=1, max_value=3))
+        n = draw(st.integers(min_value=1, max_value=9))
+        approx = sw.perturb(sw.cyclic_quotient(n, range(-2 * radius, 2 * radius + 1)), rate, seed)
+        candidates = tuple(range(-radius, radius + 1))
+    else:
+        group = sw.free(2)
+        degree = draw(st.integers(min_value=1, max_value=6))
+        images = [Permutation(tuple(draw(st.permutations(range(degree))))) for _ in range(2)]
+        approx = sw.perturb(sw.quotient_by_images(group, images, group.ball(2)), rate, seed)
+        candidates = group.ball(1)
+    window = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
+    return approx, window
+
+
+tolerances = st.builds(Fraction, st.integers(min_value=1, max_value=12), st.just(12))
 
 
 class TestGenerators:
@@ -51,6 +90,10 @@ class TestGenerators:
         assert noisy.evaluate(approx.group.identity()).is_identity()
         again = sw.perturb(approx, Fraction(1, 2), seed=9)
         assert noisy.rule == again.rule
+
+    @given(st.integers(min_value=1, max_value=40), st.integers(min_value=-100, max_value=100))
+    def test_cyclic_quotient_is_shift_by_k_mod_n(self, n, k):
+        assert sw.cyclic_quotient(n, [k]).evaluate(k).image == tuple((i + k) % n for i in range(n))
 
     def test_random_rule_keeps_identity(self):
         approx = random_rule(sw.cyclic(4), range(4), degree=10, seed=5)
@@ -111,6 +154,23 @@ class TestMultiplicative:
             for h in (1, 2)
         )
         assert report.mult_defect == expected > 0
+
+    def test_product_acts_right_factor_first(self):
+        # rule(1) rule(2) differs from rule(2) rule(1), so only the product
+        # s(t(i)) agrees with rule(3) at every point
+        group = sw.cyclic(4)
+        a, b = Permutation((1, 0, 2)), Permutation((0, 2, 1))
+        rule = {0: Permutation.identity(3), 1: a, 2: b, 3: a * b}
+        approx = SoficApprox(group, 3, frozenset(rule), rule)
+        report = is_multiplicative(approx, [1, 2], Fraction(1, 2))
+        assert hamming(rule[1] * rule[2], rule[3]) == 0 < hamming(rule[2] * rule[1], rule[3])
+        assert report == sofic_oracle.is_multiplicative(approx, [1, 2], Fraction(1, 2))
+
+    @given(noisy_approximations(), tolerances)
+    def test_matches_built_product_oracle(self, case, eps):
+        approx, window = case
+        assert is_multiplicative(approx, window, eps) == sofic_oracle.is_multiplicative(approx, window, eps)
+        assert is_sofic_approx(approx, window, eps) == sofic_oracle.is_sofic_approx(approx, window, eps)
 
     def test_window_violation_never_extends(self):
         approx = sw.cyclic_quotient(8, window=range(-2, 3))
