@@ -12,7 +12,7 @@ import sys
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
-from .jsonutil import frac_from_json, is_int, parse_fraction
+from .jsonutil import all_ints, dump_indented, frac_from_json, is_int, parse_fraction
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -62,19 +62,33 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
 
             rng = random.Random(images.get("seed", seed))
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
-        else:
+        elif all(map(all_ints, images)):
             images = [Permutation(tuple(img)) for img in images]
+        else:
+            raise ConfigError("free-quotient images must be lists of integers")
         return quotient_by_images(group, images, group.ball(_int_field(desc, "radius")))
     if kind == "perturb":
         inner = _approx_from_descriptor(desc["base"], group, seed)
         return perturb(inner, parse_fraction(desc["rate"]), desc.get("seed", seed))
     if kind == "file":
-        with open(desc["path"]) as fh:
-            loaded = SoficApprox.from_json(json.load(fh))
+        path = desc["path"]
+        # open() would take an int as a file descriptor, and True as stdout
+        if not isinstance(path, str):
+            raise ConfigError(f"file approximation path must be a string, got {path!r}")
+        loaded = SoficApprox.from_json(_read_json(path))
         if loaded.group != group:
-            raise ConfigError(f"approximation file {desc['path']} is for a different group")
+            raise ConfigError(f"approximation file {path} is for a different group")
         return loaded
     raise ConfigError(f"unknown approximation kind {kind!r}")
+
+
+def _read_json(path: str):
+    """Every JSON input of the CLI: config, artifact, certificate, approximation."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
 def _expansion_cap(value) -> int:
@@ -84,8 +98,7 @@ def _expansion_cap(value) -> int:
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        config = json.load(fh)
+    config = _read_json(path)
     if not isinstance(config, dict) or config.get("format") != 1:
         raise ConfigError('config must be an object with "format": 1')
     for key in ("groups", "approximations", "F", "eps"):
@@ -124,7 +137,7 @@ def _cmd_build(args) -> int:
     artifact = approx.to_json()
     artifact["expansion_cap"] = cap
     with open(args.out, "w") as fh:
-        json.dump(artifact, fh, indent=1)
+        dump_indented(artifact, fh.write)
 
     w = approx.windows
     print(f"targets: {len(w.targets)}  closure: {len(w.closure)}")
@@ -140,8 +153,7 @@ def _cmd_build(args) -> int:
 
 
 def _load_artifact(path: str) -> tuple[WreathApprox, int]:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError("artifact must be a JSON object")
     # an artifact may lower its oracle limit but never raise it
@@ -152,7 +164,11 @@ def _load_artifact(path: str) -> tuple[WreathApprox, int]:
 def _cmd_verify(args) -> int:
     approx, cap = _load_artifact(args.approx)
     certificate = verify_construction(approx)
-    print(json.dumps(certificate.to_json(approx.wreath), indent=1))
+    # one write: stdout may be unbuffered, and then every piece is a system call
+    pieces = []
+    dump_indented(certificate.to_json(approx.wreath), pieces.append)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
     if args.oracle:
         if approx.carrier_size() > cap:
             print(
@@ -233,8 +249,10 @@ def _render_text(cert: dict) -> str:
 
 
 def _cmd_report(args) -> int:
-    with open(args.certificate) as fh:
-        cert = certificate_from_json(json.load(fh))
+    """Render a stored certificate.  ``--format json`` keeps ``json.dumps``
+    with sorted keys rather than ``dump_indented``: its input is any loaded
+    JSON, floats included, and no benchmark path runs it."""
+    cert = certificate_from_json(_read_json(args.certificate))
     if args.format == "json":
         print(json.dumps(cert, indent=1, sort_keys=True))
     else:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import count
 from operator import eq
 
+from .jsonutil import all_ints, is_int
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -71,6 +73,8 @@ class Permutation:
 
     @classmethod
     def from_json(cls, data: dict) -> "Permutation":
+        if not is_int(data["degree"]) or not all_ints(data["image"]):
+            raise ValueError("permutation degree and image entries must be JSON integers")
         p = cls(tuple(data["image"]))
         if p.degree != data["degree"]:
             raise ValueError(f"degree field {data['degree']} does not match image of length {p.degree}")

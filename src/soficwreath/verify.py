@@ -338,21 +338,20 @@ class Certificate:
         return out
 
     def to_json(self, wreath: WreathProduct) -> dict:
+        # every pair and margin names window elements: encode each once and
+        # share its dict, which dump_indented then writes once per depth
+        enc = {u: wreath.encode(u) for u in self.window}
         return {
             "kind": "sofic-certificate",
             "format": 1,
             "group": wreath.descriptor(),
-            "window": [wreath.encode(u) for u in self.window],
+            "window": [enc[u] for u in self.window],
             "eps": frac_to_json(self.eps),
             "identity_pass": self.identity_pass,
             "mult_defects": [
-                {"pair": [wreath.encode(u), wreath.encode(v)], "defect": frac_to_json(d)}
-                for u, v, d in self.mult_defects
+                {"pair": [enc[u], enc[v]], "defect": frac_to_json(d)} for u, v, d in self.mult_defects
             ],
-            "free_margins": [
-                {"element": wreath.encode(u), "margin": frac_to_json(m)}
-                for u, m in self.free_margins
-            ],
+            "free_margins": [{"element": enc[u], "margin": frac_to_json(m)} for u, m in self.free_margins],
             "budget": self.budget.to_json(),
             "details": self.details.to_json(wreath),
             "pass": self.passed,

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 
 import pytest
@@ -168,6 +169,64 @@ class TestBuild:
         assert main(["build", "--config", config, "--out", str(tmp_path / "x.json")]) == USAGE
         assert "expansion_cap must be a positive integer" in capsys.readouterr().err
 
+    def test_file_approximation_path_must_be_a_string(self, tmp_path, capsys):
+        # open() takes an int as a file descriptor; this one holds a valid approximation
+        read_fd, write_fd = os.pipe()
+        with os.fdopen(write_fd, "w") as fh:
+            json.dump(sw.regular_rep(sw.cyclic(3)).to_json(), fh)
+        base = {"kind": "file", "path": read_fd}
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base})
+        path = write(tmp_path / "config.json", config)
+        try:
+            assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+            err = capsys.readouterr().err
+            assert err == f"error: file approximation path must be a string, got {read_fd}\n"
+        finally:
+            try:
+                os.close(read_fd)
+            except OSError:  # already closed by a reader that took the descriptor
+                pass
+
+    def test_boolean_free_quotient_image_is_usage_error(self, tmp_path, capsys):
+        base = {"kind": "free-quotient", "degree": 2, "images": [[True, False]], "radius": 1}
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+            approximations={"lamp": {"kind": "regular"}, "base": base},
+            F=[{"left": [], "right": [1]}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: free-quotient images must be lists of integers\n"
+
+
+class TestDeepJson:
+    """JSON nested deeper than the parser's recursion limit is malformed input."""
+
+    @pytest.fixture
+    def deep(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000 + "]" * 100000)
+        return str(path)
+
+    def expect_usage(self, argv, deep, capsys):
+        assert main(argv) == USAGE
+        assert capsys.readouterr().err == f"error: {deep}: JSON nested too deeply\n"
+
+    def test_config(self, deep, tmp_path, capsys):
+        self.expect_usage(["build", "--config", deep, "--out", str(tmp_path / "x.json")], deep, capsys)
+
+    def test_file_approximation(self, deep, tmp_path, capsys):
+        base = {"kind": "file", "path": deep}
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base})
+        path = write(tmp_path / "config.json", config)
+        self.expect_usage(["build", "--config", path, "--out", str(tmp_path / "x.json")], deep, capsys)
+
+    def test_artifact(self, deep, capsys):
+        self.expect_usage(["verify", "--approx", deep], deep, capsys)
+
+    def test_certificate(self, deep, capsys):
+        self.expect_usage(["report", "--certificate", deep], deep, capsys)
+
 
 class TestVerify:
     def test_exact_artifact_with_oracle(self, built_artifact, capsys):
@@ -245,6 +304,15 @@ class TestVerify:
         capsys.readouterr()
         assert main(["verify", "--approx", out, "--oracle"]) == ORACLE
         assert "carrier 2228224 exceeds cap 1000000" in capsys.readouterr().err
+
+    def test_boolean_permutation_entries_are_usage_error(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(open(built_artifact).read())
+        for _, perm in artifact["lamp_approx"]["rule"]:
+            perm["image"] = [x == 1 for x in perm["image"]]
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        err = capsys.readouterr().err
+        assert err == "error: permutation degree and image entries must be JSON integers\n"
 
     def test_missing_file_is_usage(self, tmp_path):
         assert main(["verify", "--approx", str(tmp_path / "nope.json")]) == USAGE

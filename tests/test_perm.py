@@ -227,6 +227,15 @@ class TestValidationAndJson:
     def test_json_shape(self):
         assert perm(1, 0).to_json() == {"degree": 2, "image": [1, 0]}
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"degree": 2, "image": [True, False]}, {"degree": True, "image": [0]}, {"degree": 1.0, "image": [0]}],
+        ids=["bool_image", "bool_degree", "float_degree"],
+    )
+    def test_json_entries_must_be_integers(self, data):
+        with pytest.raises(ValueError, match="must be JSON integers"):
+            Permutation.from_json(data)
+
     def test_json_degree_mismatch(self):
         with pytest.raises(ValueError):
             Permutation.from_json({"degree": 3, "image": [1, 0]})
