@@ -31,7 +31,7 @@ print("worst multiplicative defect:", certificate.worst_defect[0])
 print("least freeness margin:", certificate.min_margin[0])
 
 # Brute-force cross-check: expand every value to an explicit permutation of
-# the 24-point carrier and compare all 576 pair distances.
-mismatches = oracle_check(approx)
+# the 24-point carrier and confirm all 576 pair distances of the certificate.
+mismatches = oracle_check(approx, certificate)
 print("oracle mismatches over", len(targets) ** 2, "pairs:", len(mismatches))
 assert not mismatches

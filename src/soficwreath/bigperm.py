@@ -24,9 +24,9 @@ call, and they are dropped when the call returns.  ``compose_actions``
 reuses a block dict that only one operand touches, so actions share block
 dicts: tau and its block dicts are never mutated once an action is built.
 
-``expand_explicit`` is the brute-force oracle.  Its point encoding is fixed:
-point (a, b) has index  b * |A|^|B| + sum_c a_c * |A|^c  with coordinates
-c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
+``explicit_image`` (and ``expand_explicit``) is the brute-force oracle.  Its
+point encoding is fixed: point (a, b) has index  b * |A|^|B| + sum_c a_c * |A|^c
+with c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
 """
 from __future__ import annotations
 
@@ -204,26 +204,29 @@ def fixed_fraction(w: CoordAction) -> Fraction:
     return 1 - action_distance(w, identity_action(w.a_size, w.b_size))
 
 
-def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
-    """Materialize w as a permutation of b * |A|^|B| + sum_c a_c * |A|^c."""
+def explicit_image(w: CoordAction, cap: int = EXPANSION_CAP) -> tuple[int, ...]:
+    """The image of w on b * |A|^|B| + sum_c a_c * |A|^c.  Each touched block's
+    fiber is the product of its coordinate maps, built from the highest."""
     a_space = w.a_size**w.b_size
     total = a_space * w.b_size
     if total > cap:
         raise ValueError(f"carrier too large for expansion: {total} > cap {cap}")
-    pow_a = [w.a_size**c for c in range(w.b_size)]
-    image = [0] * total
-    for b in range(w.b_size):
-        src = b * a_space
-        dst = w.beta(b) * a_space
-        entries = [(pow_a[c], w.a_size, p.image) for c, p in w.tau.get(b, {}).items()]
-        if not entries:
-            for t in range(a_space):
-                image[src + t] = dst + t
+    image = []
+    for b, target in enumerate(w.beta.image):
+        dst = target * a_space
+        entries = w.tau.get(b)
+        if entries is None:
+            image.extend(range(dst, dst + a_space))
             continue
-        for t in range(a_space):
-            shifted = t
-            for pw, base, img in entries:
-                digit = (t // pw) % base
-                shifted += (img[digit] - digit) * pw
-            image[src + t] = dst + shifted
-    return Permutation(tuple(image))
+        fiber = [dst]
+        for c in reversed(range(w.b_size)):
+            step, p = w.a_size**c, entries.get(c)
+            offsets = range(0, w.a_size * step, step) if p is None else [d * step for d in p.image]
+            fiber = [x + o for x in fiber for o in offsets]
+        image.extend(fiber)
+    return tuple(image)
+
+
+def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
+    """Materialize w as a checked permutation of b * |A|^|B| + sum_c a_c * |A|^c."""
+    return Permutation(explicit_image(w, cap))

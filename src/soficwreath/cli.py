@@ -176,7 +176,7 @@ def _cmd_verify(args) -> int:
                 file=sys.stderr,
             )
             return ORACLE
-        mismatches = oracle_check(approx, cap)
+        mismatches = oracle_check(approx, certificate, cap)
         if mismatches:
             for line in mismatches:
                 print(f"oracle mismatch: {line}", file=sys.stderr)

@@ -291,9 +291,9 @@ class WreathApprox:
         return base_action(self.sigma_B, h, self.a_size)
 
     def rule(self, u: WreathElement) -> CoordAction:
-        if u not in self._cache:
-            self._cache[u] = self.lamp(u.left) * self.base(u.right)
-        return self._cache[u]
+        if (value := self._cache.get(u)) is None:
+            value = self._cache[u] = self.lamp(u.left) * self.base(u.right)
+        return value
 
     def identity_value(self) -> CoordAction:
         return identity_action(self.a_size, self.b_size)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator
 
-from .jsonutil import is_int
+from .jsonutil import all_ints, is_int
 
 
 class Group:
@@ -394,10 +394,16 @@ class WreathProduct(Group):
         return WreathElement(self.lamps.identity(), self.base.identity())
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        return WreathElement(
-            self.lamps.mul(a.left, self.lamps.shift(a.right, b.left)),
-            self.base.mul(a.right, b.right),
-        )
+        """``lamps.mul(a.left, lamps.shift(a.right, b.left))`` in one pass and one sort."""
+        lamp, base, h = self.lamp, self.base, a.right
+        out = dict(a.left.entries)
+        for x, g in b.left.entries:
+            y = base.mul(h, x)
+            out[y] = lamp.mul(out[y], g) if y in out else g
+            if lamp.is_identity(out[y]):
+                del out[y]
+        left = FinSuppMap(tuple(sorted(out.items(), key=lambda item: base.key(item[0]))))
+        return WreathElement(left, base.mul(h, b.right))
 
     def inv(self, a: WreathElement) -> WreathElement:
         h_inv = self.base.inv(a.right)
@@ -451,12 +457,22 @@ def wreath_product(lamp: Group, base: Group) -> WreathProduct:
     return WreathProduct(lamp, base)
 
 
+def _field(desc: dict, key: str, valid=is_int, what: str = "an integer"):
+    if not valid(value := desc[key]):
+        raise ValueError(f"group {key} must be {what}, got {value!r}")
+    return value
+
+
+def _is_table(table) -> bool:
+    return isinstance(table, list) and all(isinstance(row, list) and all_ints(row) for row in table)
+
+
 _KINDS = {
-    "cyclic": lambda d: cyclic(d["n"]),
-    "symmetric": lambda d: symmetric(d["k"]),
+    "cyclic": lambda d: cyclic(_field(d, "n")),
+    "symmetric": lambda d: symmetric(_field(d, "k")),
     "integers": lambda d: integers(),
-    "free": lambda d: free(d["rank"]),
-    "table": lambda d: finite_from_table(d["table"]),
+    "free": lambda d: free(_field(d, "rank")),
+    "table": lambda d: finite_from_table(_field(d, "table", _is_table, "a list of lists of integers")),
     "direct-sum": lambda d: DirectSum(group_from_descriptor(d["lamp"]), group_from_descriptor(d["index"])),
     "wreath": lambda d: WreathProduct(group_from_descriptor(d["lamp"]), group_from_descriptor(d["base"])),
 }

@@ -13,8 +13,8 @@ Four layers of checks, all exact:
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them.
-* ``oracle_check``: on carriers small enough to expand, every distance of
-  the certificate agrees with brute force on explicit permutations.
+* ``oracle_check``: on carriers small enough to expand, a certificate's
+  distances and the rule's products agree with explicit permutations.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
 both compose with ``*`` and measure with ``.distance``.
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import eq
 from typing import Any, Callable
 
-from .bigperm import EXPANSION_CAP, expand_explicit
+from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
 from .construct import Budget, GoodBlock, WreathApprox, compute_good_blocks, derive_base_window
 from .groups import WreathElement, WreathProduct
 from .jsonutil import frac_to_json, frac_from_json
@@ -438,41 +439,53 @@ def certificate_from_json(data: dict) -> dict:
     return data
 
 
-def oracle_check(approx: WreathApprox, cap: int = EXPANSION_CAP) -> list[str]:
-    """Cross-check every certificate distance against explicit expansion.
+def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPANSION_CAP) -> list[str]:
+    """Cross-check every distance of ``certificate`` against explicit expansion.
 
-    Each value is expanded once, when first needed: a product of two targets
-    may fall outside the closure window.  Raises ValueError when the carrier
-    exceeds ``cap``; returns one line per mismatch.
+    Each value is expanded once, when first needed (a product of two targets
+    may fall outside the closure), and each ``rule(u) * rule(v)`` must expand
+    to the composition of the expansions.  Raises ValueError for another
+    target window or a carrier over ``cap``; returns one line per mismatch.
     """
     wreath = approx.wreath
-    ident = approx.identity_value()
-    identity = expand_explicit(ident, cap)
+    targets = approx.windows.targets
+    identity = wreath.identity()
+    if (
+        certificate.window != targets
+        or [u for u, _ in certificate.free_margins] != [u for u in targets if u != identity]
+        or len(certificate.mult_defects) != len(targets) ** 2
+    ):
+        raise ValueError("certificate is not for the approximation's target window")
+    n = approx.carrier_size()
     explicit = {}
 
     def expand(u):
-        if u not in explicit:
-            explicit[u] = expand_explicit(approx.rule(u), cap)
-        return explicit[u]
+        if (value := explicit.get(u)) is None:
+            value = explicit[u] = expand_explicit(approx.rule(u), cap)
+        return value
 
     def pair(u, v):
         return f"pair ({wreath.encode(u)}, {wreath.encode(v)})"
 
-    targets = approx.windows.targets
     mismatches = []
-    for u in targets:
-        d_fact, d_expl = approx.rule(u).distance(ident), expand(u).distance(identity)
+    if certificate.identity_pass != expand(identity).is_identity():
+        mismatches.append(f"identity mismatch: certificate says {certificate.identity_pass}")
+    for u, d_fact in certificate.free_margins:
+        d_expl = Fraction(n - expand(u).fixed_points(), n)
         if d_fact != d_expl:
             mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
-    for u in targets:
-        for v in targets:
-            value = approx.rule(u) * approx.rule(v)
-            product = expand(u) * expand(v)
-            if expand_explicit(value, cap) != product:
+    values = [(v, approx.rule(v), expand(v).image) for v in targets]
+    defects = iter(certificate.mult_defects)
+    for u, ru, eu in values:
+        for v, rv, ev in values:
+            cu, cv, d_fact = next(defects)
+            if (cu, cv) != (u, v):
+                raise ValueError(f"certificate does not list {pair(u, v)} in order")
+            product = tuple([eu[x] for x in ev])  # a product of checked bijections
+            if explicit_image(ru * rv, cap) != product:
                 mismatches.append(f"composition mismatch at {pair(u, v)}")
                 continue
-            uv = wreath.mul(u, v)
-            d_fact, d_expl = value.distance(approx.rule(uv)), product.distance(expand(uv))
+            d_expl = Fraction(n - sum(map(eq, product, expand(wreath.mul(u, v)).image)), n)
             if d_fact != d_expl:
                 mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {d_expl}")
     return mismatches

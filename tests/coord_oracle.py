@@ -8,11 +8,13 @@ any faster bijection check in ``Permutation`` must agree with;
 ``check_coord_action`` checks every entry of tau in full, where
 ``CoordAction`` checks each distinct entry object once; ``apply`` acts on one
 explicit point of the carrier.  They follow the definitions term by term and
-are slower.
+are slower.  ``expand_explicit`` computes the image of each carrier point
+digit by digit, where the library builds each block's fiber as a product of
+per-coordinate maps.
 """
 from fractions import Fraction
 
-from soficwreath.bigperm import CoordAction, coord_action
+from soficwreath.bigperm import EXPANSION_CAP, CoordAction, coord_action
 from soficwreath.perm import Permutation
 
 
@@ -88,3 +90,25 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
                 break
         agree += fiber
     return 1 - agree / w.b_size
+
+
+def expand_explicit(w: CoordAction, cap: int = EXPANSION_CAP) -> Permutation:
+    """Materialize w point by point: read the digits of each index, move the
+    touched ones, and place the result in the image block."""
+    a_space = w.a_size**w.b_size
+    total = a_space * w.b_size
+    if total > cap:
+        raise ValueError(f"carrier too large for expansion: {total} > cap {cap}")
+    pow_a = [w.a_size**c for c in range(w.b_size)]
+    image = [0] * total
+    for b in range(w.b_size):
+        src = b * a_space
+        dst = w.beta(b) * a_space
+        entries = [(pow_a[c], p.image) for c, p in w.tau.get(b, {}).items()]
+        for t in range(a_space):
+            shifted = t
+            for pw, img in entries:
+                digit = (t // pw) % w.a_size
+                shifted += (img[digit] - digit) * pw
+            image[src + t] = dst + shifted
+    return Permutation(tuple(image))

@@ -47,7 +47,7 @@ def test_criterion_1_exactness_end_to_end():
             assert all(defect == 0 for _, _, defect in cert.mult_defects)
             assert all(margin == 1 for _, margin in cert.free_margins)
 
-            assert oracle_check(approx) == []
+            assert oracle_check(approx, cert) == []
 
 
 def test_criterion_2_oracle_equivalence():

@@ -14,6 +14,7 @@ from soficwreath.bigperm import (
     compose_actions,
     coord_action,
     expand_explicit,
+    explicit_image,
     fixed_fraction,
     identity_action,
 )
@@ -39,6 +40,16 @@ def make_pair(a_size, b_size, seed):
         random_coord_action(a_size, b_size, rng),
         random_coord_action(a_size, b_size, rng),
     )
+
+
+# carriers from 1 to 4^6 * 6 points, against caps of 100 and 10**4
+expandable_actions = st.tuples(
+    st.integers(min_value=1, max_value=4),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from([0, 0.3, 1]),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([100, 10**4]),
+)
 
 
 class TestCanonicalForm:
@@ -191,6 +202,21 @@ class TestExpansion:
             expand_explicit(identity_action(2, 30))
         with pytest.raises(ValueError, match="too large"):
             expand_explicit(identity_action(2, 4), cap=10)
+
+    @settings(max_examples=150)
+    @given(expandable_actions)
+    def test_matches_point_by_point_reference(self, params):
+        """Untouched blocks (density 0 leaves them all), moved blocks and the
+        cap error, against the digit-by-digit expansion."""
+        a_size, b_size, density, seed, cap = params
+        w = random_coord_action(a_size, b_size, random.Random(seed), density)
+        error = rejection(lambda x: coord_oracle.expand_explicit(x, cap), w)
+        assert rejection(lambda x: explicit_image(x, cap), w) == error
+        assert rejection(lambda x: expand_explicit(x, cap), w) == error
+        if error is None:
+            reference = coord_oracle.expand_explicit(w, cap)
+            assert explicit_image(w, cap) == reference.image
+            assert expand_explicit(w, cap) == reference
 
 
 large_actions = st.tuples(

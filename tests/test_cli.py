@@ -198,6 +198,35 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == "error: free-quotient images must be lists of integers\n"
 
+    @pytest.mark.parametrize(
+        "groups, base_approx, targets, message",
+        [
+            ({"lamp": {"kind": "cyclic", "n": True}}, None, "all", "group n must be an integer, got True"),
+            ({"lamp": {"kind": "symmetric", "k": 2.0}}, None, "all", "group k must be an integer, got 2.0"),
+            (
+                {"base": {"kind": "free", "rank": True}},
+                {"kind": "free-quotient", "degree": 2, "images": [[1, 0]], "radius": 1},
+                [{"left": [], "right": [1]}],
+                "group rank must be an integer, got True",
+            ),
+            (
+                {"lamp": {"kind": "table", "table": [[False, True], [True, False]]}},
+                None,
+                "all",
+                "group table must be a list of lists of integers, got [[False, True], [True, False]]",
+            ),
+        ],
+        ids=["cyclic", "symmetric", "free", "table"],
+    )
+    def test_non_integer_group_parameter_is_usage_error(self, tmp_path, capsys, groups, base_approx, targets, message):
+        config = small_config(F=targets)
+        config["groups"].update(groups)
+        if base_approx is not None:
+            config["approximations"]["base"] = base_approx
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestDeepJson:
     """JSON nested deeper than the parser's recursion limit is malformed input."""
@@ -274,6 +303,22 @@ class TestVerify:
         assert main(["verify", "--approx", out, "--oracle"]) == OK
         assert "oracle: all distances confirmed on 24 points" in capsys.readouterr().err
 
+    def test_symmetric_lamps_build_and_pass_the_oracle(self, tmp_path, capsys):
+        # a transposition and a 3-cycle do not commute, so the lamp input
+        # certificate depends on the order of the factors in each product
+        config = small_config(
+            groups={"lamp": {"kind": "symmetric", "k": 3}, "base": {"kind": "cyclic", "n": 2}},
+            F=[{"left": [[0, [1, 0, 2]]], "right": 0}, {"left": [[1, [1, 2, 0]]], "right": 1}],
+        )
+        path = write(tmp_path / "config.json", config)
+        out = str(tmp_path / "artifact.json")
+        assert main(["build", "--config", path, "--out", out]) == OK
+        assert "lamp values 4" in capsys.readouterr().out
+        assert main(["verify", "--approx", out, "--oracle"]) == OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is True
+        assert "oracle: all distances confirmed on 72 points" in captured.err
+
     @pytest.mark.parametrize(
         "eps", [{"num": 1, "den": 0}, {"num": True, "den": 2}], ids=["zero_den", "bool_num"]
     )
@@ -313,6 +358,13 @@ class TestVerify:
         assert main(["verify", "--approx", tampered]) == USAGE
         err = capsys.readouterr().err
         assert err == "error: permutation degree and image entries must be JSON integers\n"
+
+    def test_boolean_group_order_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(open(built_artifact).read())
+        artifact["group"]["lamp"]["n"] = True
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        assert capsys.readouterr().err == "error: group n must be an integer, got True\n"
 
     def test_missing_file_is_usage(self, tmp_path):
         assert main(["verify", "--approx", str(tmp_path / "nope.json")]) == USAGE

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
+from group_oracle import wreath_mul
 from helpers import projections
 from soficwreath.groups import group_from_descriptor
 
@@ -221,6 +223,45 @@ class TestWreathProduct:
         els = list(finite.elements())
         assert len(els) == 24
         assert len(set(els)) == 24
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_mul_matches_shift_then_multiply(self, data):
+        """Integer, free, symmetric and table groups on either side; small
+        element pools make shifted supports overlap and values cancel."""
+        lamp, base = (data.draw(st.sampled_from(MUL_GROUPS)) for _ in range(2))
+        wreath = sw.wreath_product(lamp, base)
+
+        def element():
+            mapping = data.draw(st.dictionaries(elements(base), elements(lamp), max_size=4))
+            return wreath.element(mapping, data.draw(elements(base)))
+
+        a, b = element(), element()
+        product = wreath.mul(a, b)
+        assert product == wreath_mul(wreath, a, b)
+        assert product.left == wreath.lamps.make(product.left.entries)
+
+
+S3 = sw.symmetric(3)
+S3_ELEMENTS = S3.sort(S3.elements())
+MUL_GROUPS = [
+    sw.integers(),
+    sw.free(2),
+    S3,
+    sw.finite_from_table(  # S3 again, as a Cayley table on indices
+        [[S3_ELEMENTS.index(S3.mul(g, h)) for h in S3_ELEMENTS] for g in S3_ELEMENTS]
+    ),
+    sw.finite_from_table(KLEIN),
+]
+
+
+def elements(group):
+    if isinstance(group, sw.groups.IntegerGroup):
+        return st.integers(min_value=-3, max_value=3)
+    if isinstance(group, sw.groups.FreeGroup):
+        letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3)
+        return letters.map(lambda word: group.mul((), tuple(word)))
+    return st.sampled_from(list(group.elements()))
 
 
 class TestSerialization:

@@ -1,14 +1,18 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 import soficwreath as sw
 from helpers import random_rule
+from soficwreath import bigperm
+from soficwreath.construct import GoodBlock
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
     check_almost_homomorphism,
     check_good_block_bound,
     detailed_reports,
+    oracle_check,
     verify_construction,
 )
 
@@ -236,3 +240,94 @@ class TestDetailedReports:
         data = detailed_reports(small_wreath).to_json(small_wreath.wreath)
         assert set(data) == {"multiplicativity", "freeness"}
         assert data["multiplicativity"]["within_bounds"] is True
+
+
+def one_block_short(lamp_order: int, base_order: int):
+    """All of Z/lamp wr Z/base on regular representations, with the lowest
+    good block taken out of the good set, so that many pairs have a nonzero
+    defect.  Lamp order 3 gives two distinct lamp permutations, which the
+    per-call tables of the kernels key by pairs of objects."""
+    lamp, base = sw.cyclic(lamp_order), sw.cyclic(base_order)
+    wreath = sw.wreath_product(lamp, base)
+    approx = sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
+    block = approx.block
+    short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
+    return dataclasses.replace(approx, block=short, _cache={})
+
+
+class TestOracleCheck:
+    @pytest.mark.parametrize(
+        "lamp_order, base_order, nonzero, worst",
+        [(2, 3, 336, Fraction(2, 3)), (3, 2, 144, Fraction(1))],
+        ids=["z2_wr_z3", "z3_wr_z2"],
+    )
+    def test_confirms_nonzero_defects(self, lamp_order, base_order, nonzero, worst):
+        approx = one_block_short(lamp_order, base_order)
+        cert = verify_construction(approx)
+        assert sum(1 for _, _, d in cert.mult_defects if d) == nonzero
+        assert cert.worst_defect[0] == worst
+        assert oracle_check(approx, cert) == []
+
+    def test_tampered_distance_is_reported(self):
+        approx = one_block_short(2, 3)
+        cert = verify_construction(approx)
+        u, v, d = cert.mult_defects[100]
+        defects = list(cert.mult_defects)
+        defects[100] = (u, v, d + Fraction(1, 24))
+        tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
+        pair = f"({approx.wreath.encode(u)}, {approx.wreath.encode(v)})"
+        assert oracle_check(approx, tampered) == [
+            f"distance mismatch at pair {pair}: {d + Fraction(1, 24)} vs {d}"
+        ]
+
+    def test_tampered_margin_and_identity_are_reported(self):
+        approx = one_block_short(2, 3)
+        cert = verify_construction(approx)
+        u, m = cert.free_margins[0]
+        tampered = dataclasses.replace(
+            cert, identity_pass=False, free_margins=((u, m / 2),) + cert.free_margins[1:]
+        )
+        assert oracle_check(approx, tampered) == [
+            "identity mismatch: certificate says False",
+            f"freeness distance mismatch at {approx.wreath.encode(u)}: {m / 2} vs {m}",
+        ]
+
+    def test_distances_are_read_from_the_given_certificate(self, small_wreath):
+        # same target window, every distance of the exact approximation: the
+        # 336 pairs and the 7 lamp-only margins the missing block moves disagree
+        approx = one_block_short(2, 3)
+        mismatches = oracle_check(approx, verify_construction(small_wreath))
+        assert len(mismatches) == 336 + 7
+        assert sum(line.startswith("distance mismatch at pair (") for line in mismatches) == 336
+        assert sum(line.startswith("freeness distance mismatch at ") for line in mismatches) == 7
+
+    def test_wrong_composition_is_reported(self, monkeypatch):
+        approx = one_block_short(3, 2)
+        cert = verify_construction(approx)
+        compose = bigperm.compose_actions
+
+        def drop_one_block(second, first):
+            w = compose(second, first)
+            tau = {b: entries for b, entries in w.tau.items() if b != min(w.tau)}
+            return bigperm.CoordAction(w.a_size, w.b_size, w.beta, tau)
+
+        monkeypatch.setattr(bigperm, "compose_actions", drop_one_block)
+        mismatches = oracle_check(approx, cert)
+        assert mismatches
+        assert all(line.startswith("composition mismatch at pair (") for line in mismatches)
+
+    def test_certificate_for_another_window_is_rejected(self, small_wreath):
+        approx = one_block_short(3, 2)
+        with pytest.raises(ValueError, match="not for the approximation's target window"):
+            oracle_check(approx, verify_construction(small_wreath))
+        cert = verify_construction(approx)
+        for shorter in (
+            dataclasses.replace(cert, mult_defects=cert.mult_defects[:-1]),
+            dataclasses.replace(cert, free_margins=cert.free_margins[1:]),
+        ):
+            with pytest.raises(ValueError, match="not for the approximation's target window"):
+                oracle_check(approx, shorter)
+        first, second, *rest = cert.mult_defects
+        swapped = dataclasses.replace(cert, mult_defects=(second, first, *rest))
+        with pytest.raises(ValueError, match="does not list pair"):
+            oracle_check(approx, swapped)
