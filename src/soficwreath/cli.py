@@ -12,7 +12,7 @@ import sys
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
-from .jsonutil import all_ints, dump_indented, frac_from_json, is_int, parse_fraction
+from .jsonutil import all_ints, checked, dump_indented, frac_from_json, is_int, is_positive_int, parse_fraction
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -31,11 +31,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _int_field(desc: dict, key: str) -> int:
-    value = desc[key]
-    if not is_int(value):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
-    return value
+def _finite(enumerate_, message: str):
+    """``enumerate_()``, which lists a group's elements: a usage error if it is infinite."""
+    try:
+        return enumerate_()
+    except NotImplementedError:
+        raise ConfigError(message) from None
 
 
 def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
@@ -43,33 +44,34 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         raise ConfigError(f"bad approximation descriptor: {desc!r}")
     kind = desc["kind"]
     if kind == "regular":
-        return regular_rep(group)
+        return _finite(lambda: regular_rep(group), '"regular" approximation needs a finite group')
     if kind == "cyclic-quotient":
         if not isinstance(group, IntegerGroup):
             raise ConfigError("cyclic-quotient needs the integers as its group")
-        size = _int_field(desc, "size")
+        size = checked(desc["size"], is_int, "size", "an integer")
         if desc.get("radius") is None:
             return cyclic_quotient(size)
-        radius = _int_field(desc, "radius")
+        radius = checked(desc["radius"], is_int, "radius", "an integer")
         return cyclic_quotient(size, range(-radius, radius + 1))
     if kind == "free-quotient":
         if not isinstance(group, FreeGroup):
             raise ConfigError("free-quotient needs a free group")
-        degree = _int_field(desc, "degree")
+        degree = checked(desc["degree"], is_int, "degree", "an integer")
         images = desc["images"]
         if isinstance(images, dict):
             import random
 
-            rng = random.Random(images.get("seed", seed))
+            rng = random.Random(checked(images.get("seed", seed), is_int, "images seed", "an integer"))
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
         elif all(map(all_ints, images)):
             images = [Permutation(tuple(img)) for img in images]
         else:
             raise ConfigError("free-quotient images must be lists of integers")
-        return quotient_by_images(group, images, group.ball(_int_field(desc, "radius")))
+        return quotient_by_images(group, images, group.ball(checked(desc["radius"], is_int, "radius", "an integer")))
     if kind == "perturb":
         inner = _approx_from_descriptor(desc["base"], group, seed)
-        return perturb(inner, parse_fraction(desc["rate"]), desc.get("seed", seed))
+        rate = parse_fraction(desc["rate"])
+        return perturb(inner, rate, checked(desc.get("seed", seed), is_int, "perturb seed", "an integer"))
     if kind == "file":
         path = desc["path"]
         # open() would take an int as a file descriptor, and True as stdout
@@ -91,12 +93,6 @@ def _read_json(path: str):
             raise ConfigError(f"{path}: JSON nested too deeply") from None
 
 
-def _expansion_cap(value) -> int:
-    if not is_int(value) or value < 1:
-        raise ConfigError(f"expansion_cap must be a positive integer, got {value!r}")
-    return value
-
-
 def _load_config(path: str) -> dict:
     config = _read_json(path)
     if not isinstance(config, dict) or config.get("format") != 1:
@@ -109,7 +105,7 @@ def _load_config(path: str) -> dict:
 
 def _cmd_build(args) -> int:
     config = _load_config(args.config)
-    seed = config.get("seed", 0)
+    seed = checked(config.get("seed", 0), is_int, "seed", "an integer")
     lamp_group = group_from_descriptor(config["groups"]["lamp"])
     base_group = group_from_descriptor(config["groups"]["base"])
     sigma_A = _approx_from_descriptor(config["approximations"]["lamp"], lamp_group, seed)
@@ -118,17 +114,14 @@ def _cmd_build(args) -> int:
     eps = parse_fraction(config["eps"])
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
-    cap = _expansion_cap(config.get("expansion_cap", EXPANSION_CAP))
+    cap = checked(config.get("expansion_cap", EXPANSION_CAP), is_positive_int, "expansion_cap", "a positive integer")
 
     from .groups import WreathProduct
 
     wreath = WreathProduct(lamp_group, base_group)
     targets_cfg = config["F"]
     if targets_cfg == "all":
-        try:
-            targets = list(wreath.elements())
-        except NotImplementedError:
-            raise ConfigError('"F": "all" needs finite lamp and base groups') from None
+        targets = _finite(lambda: list(wreath.elements()), '"F": "all" needs finite lamp and base groups')
     else:
         targets = [wreath.decode(u) for u in targets_cfg]
 
@@ -157,7 +150,8 @@ def _load_artifact(path: str) -> tuple[WreathApprox, int]:
     if not isinstance(data, dict):
         raise ConfigError("artifact must be a JSON object")
     # an artifact may lower its oracle limit but never raise it
-    cap = min(_expansion_cap(data.get("expansion_cap", EXPANSION_CAP)), EXPANSION_CAP)
+    cap = checked(data.get("expansion_cap", EXPANSION_CAP), is_positive_int, "expansion_cap", "a positive integer")
+    cap = min(cap, EXPANSION_CAP)
     return wreath_approx_from_json(data), cap
 
 

@@ -31,13 +31,7 @@ from .bigperm import CoordAction, coord_action, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json
 from .perm import Permutation
-from .sofic import (
-    CertificateError,
-    DefectReport,
-    SoficApprox,
-    WindowViolationError,
-    require_sofic,
-)
+from .sofic import CertificateError, DefectReport, SoficApprox, _require_window, require_sofic
 
 
 @dataclass(frozen=True)
@@ -188,14 +182,10 @@ class GoodBlock:
 def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
     base = sigma_B.group
     positions = base.sort(set(positions))
-    products = {base.mul(h1, h2): (h1, h2) for h1 in positions for h2 in positions}
-    needed = set(positions) | set(products)
-    missing = [h for h in needed if h not in sigma_B.window]
-    if missing:
-        raise WindowViolationError(f"good-block computation needs {missing[:5]!r} in the base window")
+    needed = {*positions, *(base.mul(h1, h2) for h1 in positions for h2 in positions)}
+    _require_window(sigma_B, needed, "good-block computation")
 
-    inv = {h: sigma_B.evaluate(h).inverse().image for h in positions}
-    inv_prod = {h: sigma_B.evaluate(h).inverse().image for h in products}
+    inv = {h: sigma_B.evaluate(h).inverse().image for h in needed}
     n = sigma_B.carrier_size
 
     injective = set(range(n))
@@ -209,13 +199,59 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
         q1 = inv[h1]
         for h2 in positions:
             q2 = inv[h2]
-            qp = inv_prod[base.mul(h1, h2)]
+            qp = inv[base.mul(h1, h2)]
             compatible -= {b for b in compatible if qp[b] != q2[q1[b]]}
 
     return GoodBlock(
         injective=frozenset(injective),
         compatible=frozenset(compatible),
         good=frozenset(injective & compatible),
+    )
+
+
+@dataclass(frozen=True)
+class GoodBlockReport:
+    carrier_size: int
+    block_tolerance: Fraction
+    input_tolerance: Fraction
+    block: GoodBlock
+    certificate: DefectReport
+
+    @property
+    def bound_pass(self) -> bool:
+        return len(self.block.good) >= (1 - self.block_tolerance) * self.carrier_size
+
+
+def check_good_block_bound(
+    sigma_B: SoficApprox, positions, block_tolerance, input_tolerance
+) -> GoodBlockReport:
+    """Certify sigma_B on the derived base window, then check the good-block
+    count against (1 - block_tolerance) |B|, which the certificate forces when
+    input_tolerance < block_tolerance / (4 w^2), w the number of positions.
+
+    >>> from .sofic import cyclic_quotient
+    >>> report = check_good_block_bound(cyclic_quotient(64), range(-2, 3), Fraction(1, 10), Fraction(1, 1024))
+    >>> len(report.block.good), report.bound_pass, report.certificate.passed
+    (64, True, True)
+    """
+    block_tolerance = Fraction(block_tolerance)
+    input_tolerance = Fraction(input_tolerance)
+    base = sigma_B.group
+    positions = base.sort(set(positions))
+    w2 = len(positions) ** 2
+    if not input_tolerance < block_tolerance / (4 * w2):
+        raise ValueError(
+            f"input tolerance {input_tolerance} not < block tolerance/(4 w^2) = {block_tolerance / (4 * w2)}"
+        )
+    base_window = derive_base_window(base, positions)
+    certificate = require_sofic(sigma_B, base_window, input_tolerance, "base approximation")
+    block = compute_good_blocks(sigma_B, positions)
+    return GoodBlockReport(
+        carrier_size=sigma_B.carrier_size,
+        block_tolerance=block_tolerance,
+        input_tolerance=input_tolerance,
+        block=block,
+        certificate=certificate,
     )
 
 
@@ -308,18 +344,23 @@ class WreathApprox:
             "base_approx": self.sigma_B.to_json(),
             "targets": [wreath.encode(u) for u in self.windows.targets],
             "eps": frac_to_json(self.budget.eps),
-            "derived": {
-                "windows": {
-                    "closure": [wreath.encode(u) for u in self.windows.closure],
-                    "lamp_window": [wreath.lamps.encode(f) for f in self.windows.lamp_window],
-                    "mover_window": [wreath.base.encode(h) for h in self.windows.mover_window],
-                    "positions": [wreath.base.encode(h) for h in self.windows.positions],
-                    "lamp_values": [wreath.lamp.encode(g) for g in self.windows.lamp_values],
-                    "base_window": [wreath.base.encode(h) for h in self.windows.base_window],
-                },
-                "block": self.block.to_json(),
-                "budget": self.budget.to_json(),
+            "derived": self.derived_json(),
+        }
+
+    def derived_json(self) -> dict:
+        """The ``derived`` section of ``to_json``: what ``build`` re-derives."""
+        wreath, windows = self.wreath, self.windows
+        return {
+            "windows": {
+                "closure": [wreath.encode(u) for u in windows.closure],
+                "lamp_window": [wreath.lamps.encode(f) for f in windows.lamp_window],
+                "mover_window": [wreath.base.encode(h) for h in windows.mover_window],
+                "positions": [wreath.base.encode(h) for h in windows.positions],
+                "lamp_values": [wreath.lamp.encode(g) for g in windows.lamp_values],
+                "base_window": [wreath.base.encode(h) for h in windows.base_window],
             },
+            "block": self.block.to_json(),
+            "budget": self.budget.to_json(),
         }
 
 
@@ -334,10 +375,9 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
     budget = make_budget(eps, len(windows.positions))
 
     lamp_cert = require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
-    base_cert = require_sofic(sigma_B, windows.base_window, budget.input_tolerance, "base approximation")
-    block = compute_good_blocks(sigma_B, windows.positions)
+    good = check_good_block_bound(sigma_B, windows.positions, budget.block_tolerance, budget.input_tolerance)
     # certified inputs force this bound; a violation would be a library bug
-    if len(block.good) < (1 - budget.block_tolerance) * sigma_B.carrier_size:
+    if not good.bound_pass:
         raise AssertionError("good-block bound violated despite certified inputs")
 
     return WreathApprox(
@@ -345,10 +385,10 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
         sigma_A=sigma_A,
         sigma_B=sigma_B,
         windows=windows,
-        block=block,
+        block=good.block,
         budget=budget,
         lamp_certificate=lamp_cert,
-        base_certificate=base_cert,
+        base_certificate=good.certificate,
     )
 
 
@@ -370,6 +410,6 @@ def wreath_approx_from_json(data: dict) -> WreathApprox:
     eps = frac_from_json(data["eps"])
     approx = build(sigma_A, sigma_B, targets, eps)
     stored = data.get("derived")
-    if stored is not None and stored != approx.to_json()["derived"]:
+    if stored is not None and stored != approx.derived_json():
         raise CertificateError("artifact derived data does not match a fresh derivation")
     return approx

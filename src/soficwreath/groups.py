@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator
 
-from .jsonutil import all_ints, is_int
+from .jsonutil import all_ints, checked, is_int
 
 
 class Group:
@@ -282,7 +282,9 @@ class FinSuppMap:
     """Finitely supported map from a base group's index set into a lamp group.
 
     Canonical form: entries sorted by the index group's key, values never the
-    lamp identity.  Construct through ``DirectSum.make`` rather than directly.
+    lamp identity.  ``DirectSum.make`` canonicalises any mapping, and the
+    ``DirectSum`` operations return canonical maps; build through those
+    rather than directly.
     """
 
     entries: tuple[tuple[Any, Any], ...]
@@ -325,14 +327,7 @@ class DirectSum(Group):
         return FinSuppMap(())
 
     def mul(self, a: FinSuppMap, b: FinSuppMap) -> FinSuppMap:
-        out = dict(a.entries)
-        for x, g in b.entries:
-            combined = self.lamp.mul(out[x], g) if x in out else g
-            if self.lamp.is_identity(combined):
-                out.pop(x, None)
-            else:
-                out[x] = combined
-        return self.make(out)
+        return self.mul_shift(a, self.index.identity(), b)
 
     def inv(self, a: FinSuppMap) -> FinSuppMap:
         return self.make({x: self.lamp.inv(g) for x, g in a.entries})
@@ -343,7 +338,29 @@ class DirectSum(Group):
         Equivalently result(y) = a(h^{-1} y); this is the index-shift action
         of the base group by automorphisms.
         """
-        return self.make({self.index.mul(h, x): g for x, g in a.entries})
+        return self.mul_shift(self.identity(), h, a)
+
+    def mul_shift(self, a: FinSuppMap, h, b: FinSuppMap) -> FinSuppMap:
+        """The lamp product ``a * shift(h, b)`` in one pass and one sort.
+
+        Pointwise, result(y) = a(y) * b(h^{-1} y).  ``mul`` is the case h = 1,
+        ``shift`` the case a = 1, and ``WreathProduct.mul`` the general one.
+
+        >>> lamps = DirectSum(cyclic(3), integers())
+        >>> a, b = lamps.make({0: 1, 5: 2}), lamps.make({-1: 2, 3: 1})
+        >>> lamps.mul_shift(a, 1, b).entries  # 1 + 2 = 0 at index 0
+        ((4, 1), (5, 2))
+        >>> lamps.mul_shift(a, 1, b) == lamps.mul(a, lamps.shift(1, b))
+        True
+        """
+        lamp, index = self.lamp, self.index
+        out = dict(a.entries)
+        for x, g in b.entries:
+            y = index.mul(h, x)
+            out[y] = lamp.mul(out[y], g) if y in out else g
+            if lamp.is_identity(out[y]):
+                del out[y]
+        return FinSuppMap(tuple(sorted(out.items(), key=lambda item: index.key(item[0]))))
 
     def key(self, a: FinSuppMap):
         return tuple((self.index.key(x), self.lamp.key(g)) for x, g in a.entries)
@@ -394,16 +411,7 @@ class WreathProduct(Group):
         return WreathElement(self.lamps.identity(), self.base.identity())
 
     def mul(self, a: WreathElement, b: WreathElement) -> WreathElement:
-        """``lamps.mul(a.left, lamps.shift(a.right, b.left))`` in one pass and one sort."""
-        lamp, base, h = self.lamp, self.base, a.right
-        out = dict(a.left.entries)
-        for x, g in b.left.entries:
-            y = base.mul(h, x)
-            out[y] = lamp.mul(out[y], g) if y in out else g
-            if lamp.is_identity(out[y]):
-                del out[y]
-        left = FinSuppMap(tuple(sorted(out.items(), key=lambda item: base.key(item[0]))))
-        return WreathElement(left, base.mul(h, b.right))
+        return WreathElement(self.lamps.mul_shift(a.left, a.right, b.left), self.base.mul(a.right, b.right))
 
     def inv(self, a: WreathElement) -> WreathElement:
         h_inv = self.base.inv(a.right)
@@ -457,22 +465,16 @@ def wreath_product(lamp: Group, base: Group) -> WreathProduct:
     return WreathProduct(lamp, base)
 
 
-def _field(desc: dict, key: str, valid=is_int, what: str = "an integer"):
-    if not valid(value := desc[key]):
-        raise ValueError(f"group {key} must be {what}, got {value!r}")
-    return value
-
-
 def _is_table(table) -> bool:
     return isinstance(table, list) and all(isinstance(row, list) and all_ints(row) for row in table)
 
 
 _KINDS = {
-    "cyclic": lambda d: cyclic(_field(d, "n")),
-    "symmetric": lambda d: symmetric(_field(d, "k")),
+    "cyclic": lambda d: cyclic(checked(d["n"], is_int, "group n", "an integer")),
+    "symmetric": lambda d: symmetric(checked(d["k"], is_int, "group k", "an integer")),
     "integers": lambda d: integers(),
-    "free": lambda d: free(_field(d, "rank")),
-    "table": lambda d: finite_from_table(_field(d, "table", _is_table, "a list of lists of integers")),
+    "free": lambda d: free(checked(d["rank"], is_int, "group rank", "an integer")),
+    "table": lambda d: finite_from_table(checked(d["table"], _is_table, "group table", "a list of lists of integers")),
     "direct-sum": lambda d: DirectSum(group_from_descriptor(d["lamp"]), group_from_descriptor(d["index"])),
     "wreath": lambda d: WreathProduct(group_from_descriptor(d["lamp"]), group_from_descriptor(d["base"])),
 }

@@ -21,6 +21,18 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def is_positive_int(x) -> bool:
+    return is_int(x) and x >= 1
+
+
+def checked(value, valid, name: str, what: str):
+    """The one check of a field read from JSON input: ``value`` if
+    ``valid(value)``, else ValueError "<name> must be <what>, got <value>"."""
+    if not valid(value):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def all_ints(values) -> bool:
     """``all(map(is_int, values))`` for decoded JSON, in one C-level pass."""
     return set(map(type, values)) <= {int}

@@ -20,10 +20,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Any, Mapping
 
 from .groups import Group, FreeGroup, group_from_descriptor
-from .jsonutil import frac_to_json, is_int
+from .jsonutil import checked, frac_to_json, is_positive_int
 from .perm import Permutation, product_agreement, transposition
 
 
@@ -76,9 +77,7 @@ class SoficApprox:
     @classmethod
     def from_json(cls, data: dict) -> "SoficApprox":
         group = group_from_descriptor(data["group"])
-        carrier_size = data["carrier_size"]
-        if not is_int(carrier_size) or carrier_size < 1:
-            raise ValueError(f"carrier_size must be a positive integer, got {carrier_size!r}")
+        carrier_size = checked(data["carrier_size"], is_positive_int, "carrier_size", "a positive integer")
         rule = {group.decode(k): Permutation.from_json(p) for k, p in data["rule"]}
         window = frozenset(group.decode(k) for k in data["window"])
         return cls(group, carrier_size, window, rule)
@@ -152,11 +151,11 @@ def is_multiplicative(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     _require_window(s, els, "multiplicativity check")
     products = [(g, h, s.group.mul(g, h)) for g in els for h in els]
     _require_window(s, (gh for _, _, gh in products), "multiplicativity check (products)")
-    fewest, witness = None, None
-    for g, h, gh in products:
-        agree = product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh))
-        if witness is None or agree < fewest:
-            fewest, witness = agree, (g, h)
+    fewest, witness = min(
+        ((product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh)), (g, h)) for g, h, gh in products),
+        key=itemgetter(0),
+        default=(None, None),
+    )
     worst = Fraction(0) if witness is None else 1 - Fraction(fewest, s.carrier_size)
     return DefectReport(
         eps=eps,
@@ -168,7 +167,8 @@ def is_multiplicative(s: SoficApprox, window, eps: Fraction) -> DefectReport:
 
 
 def is_free(s: SoficApprox, window, eps: Fraction) -> DefectReport:
-    """Smallest distance to the identity over non-identity window elements.
+    """Smallest distance to the identity over non-identity window elements;
+    the witness is the first element in sorted order at that distance.
 
     An empty range (window contains at most the identity) passes vacuously.
     """
@@ -176,13 +176,11 @@ def is_free(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     els = s.group.sort(window)
     _require_window(s, els, "freeness check")
     ident = Permutation.identity(s.carrier_size)
-    margin, witness = None, None
-    for g in els:
-        if s.group.is_identity(g):
-            continue
-        d = s.evaluate(g).distance(ident)
-        if margin is None or d < margin:
-            margin, witness = d, g
+    margin, witness = min(
+        ((s.evaluate(g).distance(ident), g) for g in els if not s.group.is_identity(g)),
+        key=itemgetter(0),
+        default=(None, None),
+    )
     ok = True if margin is None else margin > 1 - eps
     return DefectReport(eps=eps, window=els, free_margin=margin, free_witness=witness, free_pass=ok)
 

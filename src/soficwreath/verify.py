@@ -1,15 +1,12 @@
 """Executable certificates for the wreath construction.
 
-Four layers of checks, all exact:
+Three layers of checks, all exact:
 
 * ``check_almost_homomorphism``: a rule on the wreath product is close to
   multiplicative on a window whenever its two restrictions are close to
   multiplicative, mixed values split, and the base conjugation intertwines
   with the index shift.  The checker measures the four hypotheses (at eps/6)
   and the conclusion (at eps) independently and reports both.
-* ``check_good_block_bound``: a certified base approximation loses at most a
-  ``block_tolerance`` fraction of blocks: |good| >= (1 - tol) |B| whenever
-  input_tolerance < block_tolerance / (4 w^2).
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them.
@@ -17,30 +14,27 @@ Four layers of checks, all exact:
   distances and the rule's products agree with explicit permutations.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
-both compose with ``*`` and measure with ``.distance``.
+both compose with ``*`` and measure with ``.distance``.  The good-block
+lemma, ``check_good_block_bound`` with its ``GoodBlockReport``, lives in
+``construct``, whose ``build`` runs it; this module re-exports both names.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import eq
+from operator import eq, itemgetter
 from typing import Any, Callable
 
 from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
-from .construct import Budget, GoodBlock, WreathApprox, compute_good_blocks, derive_base_window
+from .construct import Budget, GoodBlockReport, WreathApprox, check_good_block_bound  # noqa: F401
 from .groups import WreathElement, WreathProduct
 from .jsonutil import frac_to_json, frac_from_json
 from .perm import Permutation
-from .sofic import DefectReport, SoficApprox, require_sofic
 
 
 def _worst(pairs):
-    """Max of (defect, witness) with a deterministic witness; empty -> (0, None)."""
-    worst, witness = Fraction(0), None
-    for d, w in pairs:
-        if d > worst or witness is None:
-            worst, witness = d, w
-    return worst, witness
+    """Max of (defect, witness), the first one on a tie; empty -> (0, None)."""
+    return max(pairs, key=itemgetter(0), default=(Fraction(0), None))
 
 
 @dataclass(frozen=True)
@@ -167,45 +161,6 @@ def check_almost_homomorphism(
     )
 
 
-@dataclass(frozen=True)
-class GoodBlockReport:
-    carrier_size: int
-    block_tolerance: Fraction
-    input_tolerance: Fraction
-    block: GoodBlock
-    certificate: DefectReport
-
-    @property
-    def bound_pass(self) -> bool:
-        return len(self.block.good) >= (1 - self.block_tolerance) * self.carrier_size
-
-
-def check_good_block_bound(
-    sigma_B: SoficApprox, positions, block_tolerance, input_tolerance
-) -> GoodBlockReport:
-    """Certify sigma_B on the derived base window, then check the good-block
-    count against (1 - block_tolerance) |B|."""
-    block_tolerance = Fraction(block_tolerance)
-    input_tolerance = Fraction(input_tolerance)
-    base = sigma_B.group
-    positions = base.sort(set(positions))
-    w2 = len(positions) ** 2
-    if not input_tolerance < block_tolerance / (4 * w2):
-        raise ValueError(
-            f"input tolerance {input_tolerance} not < block tolerance/(4 w^2) = {block_tolerance / (4 * w2)}"
-        )
-    base_window = derive_base_window(base, positions)
-    certificate = require_sofic(sigma_B, base_window, input_tolerance, "base approximation")
-    block = compute_good_blocks(sigma_B, positions)
-    return GoodBlockReport(
-        carrier_size=sigma_B.carrier_size,
-        block_tolerance=block_tolerance,
-        input_tolerance=input_tolerance,
-        block=block,
-        certificate=certificate,
-    )
-
-
 # ---------------------------------------------------------------------------
 # certificates for the assembled construction
 
@@ -307,10 +262,7 @@ class Certificate:
 
     @property
     def min_margin(self) -> tuple[Fraction | None, Any]:
-        margin, witness = None, None
-        for u, m in self.free_margins:
-            if margin is None or m < margin:
-                margin, witness = m, u
+        witness, margin = min(self.free_margins, key=itemgetter(1), default=(None, None))
         return margin, witness
 
     @property

@@ -131,6 +131,49 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert '"F": "all" needs finite' in capsys.readouterr().err
 
+    def test_regular_approximation_over_infinite_group_is_usage_error(self, tmp_path, capsys):
+        config = small_config(
+            groups={"lamp": {"kind": "free", "rank": 1}, "base": {"kind": "cyclic", "n": 3}},
+            F=[{"left": [[0, [1]]], "right": 0}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == 'error: "regular" approximation needs a finite group\n'
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "abc", [1]], ids=["true", "float", "string", "list"])
+    def test_non_integer_seed_is_usage_error(self, tmp_path, capsys, seed):
+        path = write(tmp_path / "config.json", small_config(seed=seed))
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: seed must be an integer, got {seed!r}\n"
+
+    @pytest.mark.parametrize(
+        "base, base_approx, target, message",
+        [
+            (
+                {"kind": "cyclic", "n": 3},
+                {"kind": "perturb", "base": {"kind": "regular"}, "rate": "0", "seed": 1.5},
+                0,
+                "perturb seed must be an integer, got 1.5",
+            ),
+            (
+                {"kind": "free", "rank": 1},
+                {"kind": "free-quotient", "degree": 2, "images": {"seed": "abc"}, "radius": 1},
+                [1],
+                "images seed must be an integer, got 'abc'",
+            ),
+        ],
+        ids=["perturb", "free-quotient"],
+    )
+    def test_non_integer_nested_seed_is_usage_error(self, tmp_path, capsys, base, base_approx, target, message):
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": base},
+            approximations={"lamp": {"kind": "regular"}, "base": base_approx},
+            F=[{"left": [], "right": target}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize(
         "overrides, message",
         [

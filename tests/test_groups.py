@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
+import group_oracle
 from group_oracle import wreath_mul
 from helpers import projections
 from soficwreath.groups import group_from_descriptor
@@ -244,15 +245,10 @@ class TestWreathProduct:
 
 S3 = sw.symmetric(3)
 S3_ELEMENTS = S3.sort(S3.elements())
-MUL_GROUPS = [
-    sw.integers(),
-    sw.free(2),
-    S3,
-    sw.finite_from_table(  # S3 again, as a Cayley table on indices
-        [[S3_ELEMENTS.index(S3.mul(g, h)) for h in S3_ELEMENTS] for g in S3_ELEMENTS]
-    ),
-    sw.finite_from_table(KLEIN),
-]
+S3_TABLE = sw.finite_from_table(  # S3 again, as a Cayley table on indices
+    [[S3_ELEMENTS.index(S3.mul(g, h)) for h in S3_ELEMENTS] for g in S3_ELEMENTS]
+)
+MUL_GROUPS = [sw.integers(), sw.free(2), S3, S3_TABLE, sw.finite_from_table(KLEIN)]
 
 
 def elements(group):
@@ -262,6 +258,30 @@ def elements(group):
         letters = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=3)
         return letters.map(lambda word: group.mul((), tuple(word)))
     return st.sampled_from(list(group.elements()))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_lamp_products_match_pointwise_reference(data):
+    """Non-abelian lamps over cyclic, integer, free and table index groups:
+    ``mul``, ``shift``, ``inv`` and the wreath product, which all run the one
+    ``mul_shift`` kernel, against the pointwise reference."""
+    index = data.draw(st.sampled_from([sw.cyclic(4), sw.integers(), sw.free(2), S3_TABLE]))
+    wreath = sw.wreath_product(S3, index)
+    lamps = wreath.lamps
+
+    def config():
+        return lamps.make(data.draw(st.dictionaries(elements(index), elements(S3), max_size=4)))
+
+    f, g = config(), config()
+    h, k = data.draw(elements(index)), data.draw(elements(index))
+    assert lamps.mul(f, g) == group_oracle.mul_shift(lamps, f, index.identity(), g)
+    assert lamps.shift(h, g) == group_oracle.mul_shift(lamps, lamps.identity(), h, g)
+    assert lamps.mul_shift(f, h, g) == group_oracle.mul_shift(lamps, f, h, g)
+    assert lamps.inv(f) == group_oracle.inv(lamps, f)
+    assert lamps.mul(f, lamps.inv(f)) == lamps.identity()
+    a, b = wreath.element(f, h), wreath.element(g, k)
+    assert wreath.mul(a, b) == group_oracle.wreath_mul(wreath, a, b)
 
 
 class TestSerialization:

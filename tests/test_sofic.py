@@ -200,6 +200,35 @@ class TestFree:
         assert report.free_pass
 
 
+class TestWitnessTies:
+    """On a tie the witness is the first extreme in sorted order."""
+
+    RULE = {
+        0: Permutation.identity(4),
+        1: Permutation((1, 2, 3, 0)),
+        2: transposition(4, 0, 1),
+        3: transposition(4, 2, 3),
+    }
+
+    def test_is_free_names_first_least_margin(self):
+        approx = SoficApprox(sw.cyclic(4), 4, frozenset(self.RULE), self.RULE)
+        report = is_free(approx, [3, 2, 1, 0], Fraction(1, 2))
+        assert report.free_margin == Fraction(1, 2)  # at 2 and at 3
+        assert report.free_witness == 2
+
+    def test_is_multiplicative_names_first_worst_pair(self):
+        swap = transposition(4, 0, 1)
+        rule = {0: Permutation.identity(4), 1: swap, 2: transposition(4, 2, 3), 3: swap}
+        approx = SoficApprox(sw.cyclic(4), 4, frozenset(rule), rule)
+        report = is_multiplicative(approx, [3, 2, 1, 0], Fraction(1, 2))
+        pairs = [(g, h) for g in range(4) for h in range(4)]
+        defects = [hamming(rule[g] * rule[h], rule[(g + h) % 4]) for g, h in pairs]
+        worst = max(defects)
+        assert defects.count(worst) > 1 and defects.index(worst) > 0  # a tie, not at the first pair
+        assert report.mult_defect == worst
+        assert report.mult_witness == pairs[defects.index(worst)]
+
+
 class TestSoficCheck:
     @pytest.mark.parametrize("eps", [Fraction(1, 2), Fraction(1, 10), Fraction(1, 1000)])
     def test_regular_rep_passes_every_eps(self, eps):

@@ -93,6 +93,38 @@ class TestAlmostHomomorphism:
         assert report.hypotheses_pass
 
 
+class TestWitnessTies:
+    """On a tie the witness is the first extreme in the checked order."""
+
+    def test_bullet_names_first_worst_pair(self, wreath24):
+        wreath, windows, exact = wreath24
+        mixed = [
+            u
+            for u in (wreath.element(f, h) for f in windows.lamp_window for h in windows.mover_window)
+            if not u.left.is_identity() and not wreath.base.is_identity(u.right)
+        ]
+        rule = dict(exact.rule)
+        for victim in mixed[1:3]:  # two equal split defects, neither at the first mixed pair
+            rule[victim] = transposition(24, 0, 1) * rule[victim]
+        report = check_almost_homomorphism(
+            rule.__getitem__, wreath, windows.closure, windows.lamp_window, windows.mover_window, Fraction(1, 10)
+        )
+        assert report.split.defect == Fraction(2, 24)
+        assert report.split.witness == (mixed[1].left, mixed[1].right)
+
+    def test_certificate_extremes_name_first_on_tie(self, small_wreath):
+        cert = verify_construction(small_wreath)
+        u0, u1, u2, u3 = cert.window[:4]
+        third, half = Fraction(1, 3), Fraction(1, 2)
+        tied = dataclasses.replace(
+            cert,
+            mult_defects=((u0, u0, Fraction(0)), (u0, u1, third), (u1, u0, third), (u1, u1, Fraction(1, 4))),
+            free_margins=((u1, Fraction(1)), (u2, half), (u3, half)),
+        )
+        assert tied.worst_defect == (third, (u0, u1))
+        assert tied.min_margin == (half, u2)
+
+
 class TestGoodBlockBound:
     def test_regular_rep_has_full_slack(self):
         report = check_good_block_bound(
