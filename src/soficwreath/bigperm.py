@@ -74,7 +74,7 @@ class CoordAction:
         return self.tau
 
     def is_identity(self) -> bool:
-        return self.beta.is_identity() and not self.tau
+        return not self.tau and self.beta.is_identity()
 
     def carrier_size(self) -> int:
         return self.a_size**self.b_size * self.b_size
@@ -125,8 +125,13 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
     A block that only one side touches keeps that side's block dict, shared
     with the operand.  Where both touch a coordinate, ``p2 * p1`` and its
     identity test are computed once per distinct pair of permutation objects.
+    An identity operand returns the other one, which is immutable.
     """
     _check_sizes(second, first)
+    if first.is_identity():
+        return second
+    if second.is_identity():
+        return first
     beta = first.beta.image
     moved_into = compress(count(), map(second.tau.__contains__, beta))
     products = {}  # (id(p2), id(p1)) -> p2 * p1, or None for the identity

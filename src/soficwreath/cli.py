@@ -39,6 +39,11 @@ def _finite(enumerate_, message: str):
         raise ConfigError(message) from None
 
 
+def _radius(desc: dict) -> int:
+    radius = checked(desc["radius"], is_int, "radius", "an integer")
+    return checked(radius, (0).__le__, "radius", "non-negative")
+
+
 def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError(f"bad approximation descriptor: {desc!r}")
@@ -51,7 +56,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         size = checked(desc["size"], is_int, "size", "an integer")
         if desc.get("radius") is None:
             return cyclic_quotient(size)
-        radius = checked(desc["radius"], is_int, "radius", "an integer")
+        radius = _radius(desc)
         return cyclic_quotient(size, range(-radius, radius + 1))
     if kind == "free-quotient":
         if not isinstance(group, FreeGroup):
@@ -63,11 +68,11 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
 
             rng = random.Random(checked(images.get("seed", seed), is_int, "images seed", "an integer"))
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
-        elif all(map(all_ints, images)):
+        elif isinstance(images, list) and all(isinstance(img, list) and all_ints(img) for img in images):
             images = [Permutation(tuple(img)) for img in images]
         else:
             raise ConfigError("free-quotient images must be lists of integers")
-        return quotient_by_images(group, images, group.ball(checked(desc["radius"], is_int, "radius", "an integer")))
+        return quotient_by_images(group, images, group.ball(_radius(desc)))
     if kind == "perturb":
         inner = _approx_from_descriptor(desc["base"], group, seed)
         rate = parse_fraction(desc["rate"])

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import compress, count
+from operator import eq, ne
 
 from .bigperm import CoordAction, coord_action, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json
-from .perm import Permutation
+from .perm import Permutation, _gather
 from .sofic import CertificateError, DefectReport, SoficApprox, _require_window, require_sofic
 
 
@@ -185,22 +187,20 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
     needed = {*positions, *(base.mul(h1, h2) for h1 in positions for h2 in positions)}
     _require_window(sigma_B, needed, "good-block computation")
 
-    inv = {h: sigma_B.evaluate(h).inverse().image for h in needed}
+    inv = {h: sigma_B.evaluate(h).inverse() for h in needed}
     n = sigma_B.carrier_size
 
     injective = set(range(n))
     for i, h1 in enumerate(positions):
         for h2 in positions[i + 1 :]:
-            q1, q2 = inv[h1], inv[h2]
-            injective -= {b for b in injective if q1[b] == q2[b]}
+            injective.difference_update(compress(count(), map(eq, inv[h1].image, inv[h2].image)))
 
     compatible = set(range(n))
     for h1 in positions:
-        q1 = inv[h1]
         for h2 in positions:
-            q2 = inv[h2]
-            qp = inv[base.mul(h1, h2)]
-            compatible -= {b for b in compatible if qp[b] != q2[q1[b]]}
+            qp, q2q1 = inv[base.mul(h1, h2)].image, _gather(inv[h2], inv[h1])
+            if q2q1 != qp:  # equal images: every block is compatible at this pair
+                compatible.difference_update(compress(count(), map(ne, qp, q2q1)))
 
     return GoodBlock(
         injective=frozenset(injective),

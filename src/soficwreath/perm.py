@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from operator import eq
+from operator import eq, itemgetter
 
 from .jsonutil import all_ints, is_int
 
@@ -54,10 +54,14 @@ class Permutation:
         return compose(self, other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.image)
-        for i, x in enumerate(self.image):
-            inv[x] = i
-        return Permutation(tuple(inv))
+        """The inverse, computed once per instance and kept: the image never changes."""
+        inv = self.__dict__.get("_inverse")
+        if inv is None:
+            image = [0] * len(self.image)
+            for i, x in enumerate(self.image):
+                image[x] = i
+            inv = self.__dict__["_inverse"] = Permutation(tuple(image))
+        return inv
 
     def is_identity(self) -> bool:
         return all(map(eq, self.image, count()))
@@ -86,11 +90,15 @@ def _check_degrees(s: Permutation, t: Permutation):
         raise ValueError(f"carrier mismatch: degree {s.degree} vs {t.degree}")
 
 
+def _gather(s: Permutation, t: Permutation) -> tuple[int, ...]:
+    """The image of s * t, ``s.image[t.image[i]]`` for every i, in one C-level call."""
+    _check_degrees(s, t)
+    return itemgetter(*t.image)(s.image) if s.degree > 1 else s.image
+
+
 def compose(s: Permutation, t: Permutation) -> Permutation:
     """Compose two permutations, right factor first: (s*t)(i) = s(t(i))."""
-    _check_degrees(s, t)
-    si = s.image
-    return Permutation(tuple([si[x] for x in t.image]))
+    return Permutation(_gather(s, t))
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:
@@ -116,15 +124,15 @@ def agreement_count(s: Permutation, t: Permutation) -> int:
 def product_agreement(s: Permutation, t: Permutation, u: Permutation) -> int:
     """``agreement_count(s * t, u)`` without building s * t.
 
-    A product of bijections is a bijection, so no check is skipped.
+    A product of bijections is a bijection, so no check is skipped.  An exact
+    product is one tuple comparison; otherwise the points are counted.
 
     >>> product_agreement(Permutation((1, 2, 0)), Permutation((1, 2, 0)), Permutation((2, 0, 1)))
     3
     """
-    _check_degrees(s, t)
+    image = _gather(s, t)
     _check_degrees(t, u)
-    si = s.image
-    return len([None for x, y in zip(t.image, u.image) if si[x] == y])
+    return u.degree if image == u.image else sum(map(eq, image, u.image))
 
 
 def random_permutation(degree: int, seed: int) -> Permutation:

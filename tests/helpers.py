@@ -1,8 +1,11 @@
 """Constructions that only tests use, kept out of the library."""
 import random
 
+from fractions import Fraction
+
 from hypothesis import strategies as st
 
+import soficwreath as sw
 from soficwreath.bigperm import CoordAction, coord_action
 from soficwreath.groups import Group, WreathElement
 from soficwreath.perm import Permutation, draw_permutation
@@ -18,6 +21,54 @@ def random_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
             Permutation.identity(degree) if group.is_identity(g) else draw_permutation(degree, rng)
         )
     return SoficApprox(group, degree, frozenset(window), rule)
+
+
+def collapsed_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
+    """Each non-identity element goes to the identity or to one shared
+    permutation, so distinct elements collide and most products are wrong."""
+    rng = random.Random(seed)
+    shared = draw_permutation(degree, rng)
+    ident = Permutation.identity(degree)
+    rule = {g: ident if group.is_identity(g) else rng.choice((ident, shared)) for g in group.sort(window)}
+    return SoficApprox(group, degree, frozenset(window), rule)
+
+
+@st.composite
+def windowed_approximations(draw):
+    """An approximation and a check window (or positions) whose pairwise
+    products lie in its window, as the input certificates and the good-block
+    lemma need.
+
+    Rule values are perturbed shifts, random, collapsed, or perturbed regular
+    representations of S_3 or quotients of a free group, on carriers of
+    degree 1 to 12, so products are often inexact, rarely commute, defects
+    tie between pairs, and anchors of distinct positions often collide.
+    """
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rate = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+    kind = draw(st.sampled_from(["shift", "random", "collapsed", "symmetric", "free"]))
+    if kind == "symmetric":
+        group = sw.symmetric(3)
+        approx = sw.perturb(sw.regular_rep(group), rate, seed)
+        candidates = group.sort(group.elements())
+    elif kind == "shift":
+        radius = draw(st.integers(min_value=1, max_value=3))
+        n = draw(st.integers(min_value=1, max_value=12))
+        approx = sw.perturb(sw.cyclic_quotient(n, range(-2 * radius, 2 * radius + 1)), rate, seed)
+        candidates = tuple(range(-radius, radius + 1))
+    elif kind == "free":
+        group = sw.free(2)
+        degree = draw(st.integers(min_value=1, max_value=6))
+        images = [Permutation(tuple(draw(st.permutations(range(degree))))) for _ in range(2)]
+        approx = sw.perturb(sw.quotient_by_images(group, images, group.ball(2)), rate, seed)
+        candidates = group.ball(1)
+    else:
+        group = sw.cyclic(draw(st.integers(min_value=1, max_value=5)))
+        candidates = group.sort(group.elements())
+        make = random_rule if kind == "random" else collapsed_rule
+        approx = make(group, candidates, draw(st.integers(min_value=1, max_value=6)), seed)
+    window = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
+    return approx, window
 
 
 def random_coord_action(a_size: int, b_size: int, rng: random.Random, density: float = 0.5) -> CoordAction:

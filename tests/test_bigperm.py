@@ -79,6 +79,20 @@ class TestCompose:
         assert w * identity_action(3, 4) == w
         assert identity_action(3, 4) * w == w
 
+    @given(small_actions)
+    def test_identity_operand_matches_reference(self, params):
+        a_size, b_size, seed = params
+        w, v = make_pair(a_size, b_size, seed)
+        one = identity_action(a_size, b_size)
+        for second, first in ((one, w), (w, one), (one, v), (v, one), (one, one)):
+            composed = compose_actions(second, first)
+            assert composed == coord_oracle.compose_actions(second, first)
+            assert composed is second or composed is first  # no new action is built
+
+    def test_identity_operand_still_checks_sizes(self):
+        with pytest.raises(ValueError, match="carrier mismatch"):
+            compose_actions(identity_action(2, 3), random_coord_action(3, 3, random.Random(1)))
+
     def test_inverse_law(self, rng):
         for _ in range(20):
             w = random_coord_action(3, 4, rng)

@@ -230,6 +230,44 @@ class TestBuild:
             except OSError:  # already closed by a reader that took the descriptor
                 pass
 
+    @pytest.mark.parametrize(
+        "groups, base_approx, target",
+        [
+            (
+                {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "integers"}},
+                {"kind": "cyclic-quotient", "size": 8, "radius": -2},
+                0,
+            ),
+            (
+                {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+                {"kind": "free-quotient", "degree": 2, "images": [[1, 0]], "radius": -2},
+                [1],
+            ),
+        ],
+        ids=["cyclic-quotient", "free-quotient"],
+    )
+    def test_negative_radius_is_usage_error(self, tmp_path, capsys, groups, base_approx, target):
+        config = small_config(
+            groups=groups,
+            approximations={"lamp": {"kind": "regular"}, "base": base_approx},
+            F=[{"left": [], "right": target}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: radius must be non-negative, got -2\n"
+
+    @pytest.mark.parametrize("images", [5, None, [5], [[1, 0], 5], "ab"], ids=["int", "null", "int_list", "mixed", "string"])
+    def test_free_quotient_images_of_wrong_shape_are_usage_error(self, tmp_path, capsys, images):
+        base = {"kind": "free-quotient", "degree": 2, "images": images, "radius": 1}
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+            approximations={"lamp": {"kind": "regular"}, "base": base},
+            F=[{"left": [], "right": [1]}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: free-quotient images must be lists of integers\n"
+
     def test_boolean_free_quotient_image_is_usage_error(self, tmp_path, capsys):
         base = {"kind": "free-quotient", "degree": 2, "images": [[True, False]], "radius": 1}
         config = small_config(

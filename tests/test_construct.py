@@ -2,8 +2,11 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import soficwreath as sw
+import sofic_oracle
+from helpers import windowed_approximations
 from lamp_oracle import block_lamp_action, lamp_factor
 from soficwreath.bigperm import identity_action
 from soficwreath.construct import (
@@ -114,6 +117,21 @@ class TestGoodBlocks:
     def test_window_precondition(self):
         with pytest.raises(sw.WindowViolationError):
             compute_good_blocks(sw.cyclic_quotient(8, window=range(-2, 3)), [-2, 2])
+
+    @settings(max_examples=200)
+    @given(windowed_approximations())
+    def test_matches_pointwise_oracle(self, case):
+        approx, positions = case
+        assert compute_good_blocks(approx, positions) == sofic_oracle.compute_good_blocks(approx, positions)
+
+    def test_non_abelian_base_composes_anchors_in_order(self):
+        # Q(x) = sigma_B(x)^{-1}, so Q(gh) = Q(h) Q(g); Q(g) Q(h) = Q(hg)
+        # differs from it at every point for each non-commuting g, h
+        group = sw.symmetric(3)
+        elements = group.sort(group.elements())
+        block = compute_good_blocks(sw.regular_rep(group), elements)
+        assert block.compatible == frozenset(range(6))
+        assert block == sofic_oracle.compute_good_blocks(sw.regular_rep(group), elements)
 
     def test_good_blocks_recheckable_pointwise(self):
         approx = sw.perturb(sw.cyclic_quotient(16), Fraction(1, 2), seed=4)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from coord_oracle import check_bijection
 from helpers import rejection
+from sofic_oracle import inverse_image, product_image
 from soficwreath.perm import (
     Permutation,
     agreement_count,
@@ -141,6 +142,68 @@ class TestProductAgreement:
             return agreement_count(s * t, u)
 
         assert outcome(product_agreement, s, t, u) == outcome(built, s, t, u)
+
+
+@st.composite
+def product_triples(draw):
+    """(s, t, u) of one degree, 1 to 8, where u is s * t exactly, s * t with
+    two points swapped, t * s, or any permutation, so the count is often
+    below the degree."""
+    s, t, other = draw(same_degree_perms(3))
+    exact = Permutation(product_image(s, t))
+    kind = draw(st.sampled_from(["exact", "swapped", "reversed", "random"]))
+    if kind == "swapped" and s.degree >= 2:
+        i, j = draw(st.lists(st.integers(min_value=0, max_value=s.degree - 1), min_size=2, max_size=2, unique=True))
+        return s, t, transposition(s.degree, i, j) * exact
+    return s, t, {"reversed": Permutation(product_image(t, s)), "random": other}.get(kind, exact)
+
+
+class TestGatherKernels:
+    """``compose`` and ``product_agreement`` share one C-level gather; they
+    are checked here against point-by-point products."""
+
+    @given(same_degree_perms(2))
+    def test_compose_matches_pointwise(self, pair):
+        s, t = pair
+        assert compose(s, t).image == product_image(s, t)
+
+    @settings(max_examples=200)
+    @given(product_triples())
+    def test_product_agreement_matches_pointwise(self, triple):
+        s, t, u = triple
+        image = product_image(s, t)
+        assert product_agreement(s, t, u) == sum(1 for i in range(u.degree) if image[i] == u.image[i])
+
+    def test_inexact_product_is_counted(self):
+        s, t = perm(1, 2, 0, 3), perm(0, 1, 3, 2)
+        assert product_agreement(s, t, s * t) == 4
+        assert product_agreement(s, t, transposition(4, 0, 3) * (s * t)) == 2
+        assert product_agreement(s, t, t * s) == 1
+
+    def test_degree_one(self):
+        one = Permutation.identity(1)
+        assert compose(one, one) == one
+        assert product_agreement(one, one, one) == 1
+        with pytest.raises(ValueError, match="carrier mismatch"):
+            compose(one, perm(1, 0))
+
+
+class TestInverse:
+    @given(perms)
+    def test_kept_inverse_equals_a_fresh_one(self, s):
+        kept = s.inverse()
+        assert s.inverse() is kept
+        fresh = Permutation(s.image).inverse()
+        assert fresh is not kept and fresh == kept
+        assert kept.image == inverse_image(s)
+        assert s * kept == Permutation.identity(s.degree)
+
+    def test_kept_inverse_changes_no_field(self):
+        s = perm(2, 0, 1)
+        before = (repr(s), hash(s), s.to_json())
+        s.inverse()
+        assert (repr(s), hash(s), s.to_json()) == before
+        assert s == perm(2, 0, 1)
 
 
 class TestAgreement:

@@ -14,41 +14,7 @@ from soficwreath.sofic import (
     is_sofic_approx,
     require_sofic,
 )
-from helpers import random_rule
-
-
-@st.composite
-def noisy_approximations(draw):
-    """An approximation and a check window whose products stay in its window.
-
-    The rule values are random, perturbed, or drawn from a non-abelian group
-    or free group, so they rarely commute and defects are often nonzero, with
-    ties between pairs.
-    """
-    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
-    rate = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
-    kind = draw(st.sampled_from(["random", "symmetric", "shift", "free"]))
-    if kind == "random":
-        group = sw.cyclic(draw(st.integers(min_value=1, max_value=5)))
-        candidates = group.sort(group.elements())
-        approx = random_rule(group, candidates, draw(st.integers(min_value=1, max_value=6)), seed)
-    elif kind == "symmetric":
-        group = sw.symmetric(3)
-        approx = sw.perturb(sw.regular_rep(group), rate, seed)
-        candidates = group.sort(group.elements())
-    elif kind == "shift":
-        radius = draw(st.integers(min_value=1, max_value=3))
-        n = draw(st.integers(min_value=1, max_value=9))
-        approx = sw.perturb(sw.cyclic_quotient(n, range(-2 * radius, 2 * radius + 1)), rate, seed)
-        candidates = tuple(range(-radius, radius + 1))
-    else:
-        group = sw.free(2)
-        degree = draw(st.integers(min_value=1, max_value=6))
-        images = [Permutation(tuple(draw(st.permutations(range(degree))))) for _ in range(2)]
-        approx = sw.perturb(sw.quotient_by_images(group, images, group.ball(2)), rate, seed)
-        candidates = group.ball(1)
-    window = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
-    return approx, window
+from helpers import random_rule, windowed_approximations
 
 
 tolerances = st.builds(Fraction, st.integers(min_value=1, max_value=12), st.just(12))
@@ -166,7 +132,7 @@ class TestMultiplicative:
         assert hamming(rule[1] * rule[2], rule[3]) == 0 < hamming(rule[2] * rule[1], rule[3])
         assert report == sofic_oracle.is_multiplicative(approx, [1, 2], Fraction(1, 2))
 
-    @given(noisy_approximations(), tolerances)
+    @given(windowed_approximations(), tolerances)
     def test_matches_built_product_oracle(self, case, eps):
         approx, window = case
         assert is_multiplicative(approx, window, eps) == sofic_oracle.is_multiplicative(approx, window, eps)
