@@ -7,6 +7,8 @@ Hamming distance exactly through a sparse factorized representation, and
 emits machine-checkable certificates with exact rational defects.
 """
 
+from importlib import import_module as _import_module
+
 from .perm import (
     Permutation,
     agreement_fraction,
@@ -55,26 +57,28 @@ from .bigperm import (
 from .construct import (
     Budget,
     GoodBlock,
+    GoodBlockReport,
     WindowSets,
     WreathApprox,
     base_action,
     build,
+    check_good_block_bound,
     compute_good_blocks,
     derive_windows,
     lamp_action,
     make_budget,
     wreath_approx_from_json,
 )
-from .verify import (
-    AlmostHomReport,
-    Certificate,
-    DetailedReport,
-    GoodBlockReport,
-    check_almost_homomorphism,
-    check_good_block_bound,
-    detailed_reports,
-    oracle_check,
-    verify_construction,
-)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# ``verify`` loads on first use (PEP 562), as ``build`` checks no certificate.  Nothing
+# is kept here, so each access reads the binding in ``verify``, which a tracer may wrap.
+_FROM_VERIFY = {"AlmostHomReport", "Certificate", "DetailedReport", "check_almost_homomorphism",
+                "detailed_reports", "oracle_check", "verify_construction"}
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + ["verify", *_FROM_VERIFY])
+
+
+def __getattr__(name: str):
+    if name == "verify" or name in _FROM_VERIFY:
+        verify = _import_module(f"{__name__}.verify")
+        return verify if name == "verify" else getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -45,6 +45,7 @@ Tau = dict[int, dict[int, Permutation]]
 
 @dataclass(frozen=True)
 class CoordAction:
+    """A permutation of A^B x B: the base permutation ``beta`` and the sparse lamp maps ``tau``."""
     a_size: int
     b_size: int
     beta: Permutation
@@ -201,7 +202,8 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
             agree[len(coords)] += fiber
     top = max(agree)
     numerator = sum(n * w.a_size ** (top - k) for k, n in agree.items())
-    return 1 - Fraction(numerator, w.a_size**top * w.b_size)
+    denominator = w.a_size**top * w.b_size
+    return Fraction(denominator - numerator, denominator)
 
 
 def fixed_fraction(w: CoordAction) -> Fraction:

@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
-from .groups import Group, FreeGroup, IntegerGroup, group_from_descriptor
+from .groups import Group, FreeGroup, IntegerGroup, WreathProduct, group_from_descriptor
 from .jsonutil import all_ints, checked, dump_indented, frac_from_json, is_int, is_positive_int, parse_fraction
 from .perm import Permutation, draw_permutation
 from .sofic import (
@@ -22,7 +23,6 @@ from .sofic import (
     quotient_by_images,
     regular_rep,
 )
-from .verify import certificate_from_json, oracle_check, verify_construction
 
 OK, USAGE, CERTIFICATE, ORACLE = 0, 1, 2, 3
 
@@ -64,8 +64,6 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         degree = checked(desc["degree"], is_int, "degree", "an integer")
         images = desc["images"]
         if isinstance(images, dict):
-            import random
-
             rng = random.Random(checked(images.get("seed", seed), is_int, "images seed", "an integer"))
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
         elif isinstance(images, list) and all(isinstance(img, list) and all_ints(img) for img in images):
@@ -121,8 +119,6 @@ def _cmd_build(args) -> int:
         raise ConfigError(f"eps must be positive, got {eps}")
     cap = checked(config.get("expansion_cap", EXPANSION_CAP), is_positive_int, "expansion_cap", "a positive integer")
 
-    from .groups import WreathProduct
-
     wreath = WreathProduct(lamp_group, base_group)
     targets_cfg = config["F"]
     if targets_cfg == "all":
@@ -161,6 +157,9 @@ def _load_artifact(path: str) -> tuple[WreathApprox, int]:
 
 
 def _cmd_verify(args) -> int:
+    # verify is imported by its two commands only, so build never compiles it
+    from .verify import oracle_check, verify_construction
+
     approx, cap = _load_artifact(args.approx)
     certificate = verify_construction(approx)
     # one write: stdout may be unbuffered, and then every piece is a system call
@@ -251,6 +250,8 @@ def _cmd_report(args) -> int:
     """Render a stored certificate.  ``--format json`` keeps ``json.dumps``
     with sorted keys rather than ``dump_indented``: its input is any loaded
     JSON, floats included, and no benchmark path runs it."""
+    from .verify import certificate_from_json
+
     cert = certificate_from_json(_read_json(args.certificate))
     if args.format == "json":
         print(json.dumps(cert, indent=1, sort_keys=True))

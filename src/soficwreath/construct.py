@@ -211,6 +211,7 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
 
 @dataclass(frozen=True)
 class GoodBlockReport:
+    """The good-block lemma's verdict: the good blocks, the base certificate and the bound."""
     carrier_size: int
     block_tolerance: Fraction
     input_tolerance: Fraction

@@ -61,6 +61,7 @@ class Group:
 
 @dataclass(frozen=True)
 class CyclicGroup(Group):
+    """Z/n as the integers 0, ..., n-1 under addition mod n."""
     n: int
 
     def identity(self):
@@ -129,6 +130,7 @@ class SymmetricGroup(Group):
 
 @dataclass(frozen=True)
 class IntegerGroup(Group):
+    """The integers under addition."""
     def identity(self):
         return 0
 

@@ -42,6 +42,7 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SoficApprox:
+    """A rule from a finite window of a group to permutations of one carrier."""
     group: Group
     carrier_size: int
     window: frozenset

@@ -39,6 +39,7 @@ def _worst(pairs):
 
 @dataclass(frozen=True)
 class BulletReport:
+    """One checked bound: the worst defect, its witness and the threshold it must stay under."""
     defect: Fraction
     witness: Any
     threshold: Fraction
@@ -58,6 +59,7 @@ class BulletReport:
 
 @dataclass(frozen=True)
 class AlmostHomReport:
+    """The four splitting hypotheses, checked at eps/6, and the conclusion, checked at eps."""
     eps: Fraction
     lamp_mult: BulletReport
     base_mult: BulletReport
@@ -167,6 +169,7 @@ def check_almost_homomorphism(
 
 @dataclass(frozen=True)
 class FreenessEntry:
+    """How the freeness margin of one non-identity target decomposes."""
     element: WreathElement
     margin: Fraction  # distance of the rule value from the identity
     base_margin: Fraction | None  # d(sigma_B(h), id) when the base part moves
@@ -205,6 +208,7 @@ class FreenessEntry:
 
 @dataclass(frozen=True)
 class MultiplicativityReport:
+    """The splitting defects beside the bounds the construction proves for them."""
     almost_hom: AlmostHomReport
     lamp_bound: Fraction  # block_tolerance + window_size * input_tolerance
     base_bound: Fraction  # input_tolerance
@@ -236,6 +240,7 @@ class MultiplicativityReport:
 
 @dataclass(frozen=True)
 class DetailedReport:
+    """The budget decomposition behind a certificate: multiplicativity and freeness."""
     multiplicativity: MultiplicativityReport
     freeness: tuple[FreenessEntry, ...]
 
@@ -248,6 +253,7 @@ class DetailedReport:
 
 @dataclass(frozen=True)
 class Certificate:
+    """Exact per-pair defects and per-element margins of the assembled rule on its targets."""
     eps: Fraction
     window: tuple[WreathElement, ...]
     identity_pass: bool
@@ -291,9 +297,12 @@ class Certificate:
         return out
 
     def to_json(self, wreath: WreathProduct) -> dict:
-        # every pair and margin names window elements: encode each once and
-        # share its dict, which dump_indented then writes once per depth
+        """The format-1 certificate.  Do not mutate it: it shares one dict per window element and
+        per distinct defect or margin, which ``dump_indented`` writes once per depth.  Values are
+        keyed by their integer ratio, which hashes faster than a Fraction."""
         enc = {u: wreath.encode(u) for u in self.window}
+        values = {x.as_integer_ratio(): x for x in [d for *_, d in self.mult_defects] + [m for _, m in self.free_margins]}
+        fracs = {ratio: frac_to_json(x) for ratio, x in values.items()}
         return {
             "kind": "sofic-certificate",
             "format": 1,
@@ -302,9 +311,9 @@ class Certificate:
             "eps": frac_to_json(self.eps),
             "identity_pass": self.identity_pass,
             "mult_defects": [
-                {"pair": [enc[u], enc[v]], "defect": frac_to_json(d)} for u, v, d in self.mult_defects
+                {"pair": [enc[u], enc[v]], "defect": fracs[d.as_integer_ratio()]} for u, v, d in self.mult_defects
             ],
-            "free_margins": [{"element": enc[u], "margin": frac_to_json(m)} for u, m in self.free_margins],
+            "free_margins": [{"element": enc[u], "margin": fracs[m.as_integer_ratio()]} for u, m in self.free_margins],
             "budget": self.budget.to_json(),
             "details": self.details.to_json(wreath),
             "pass": self.passed,
