@@ -77,24 +77,11 @@ class CoordAction:
     def is_identity(self) -> bool:
         return not self.tau and self.beta.is_identity()
 
-    def carrier_size(self) -> int:
-        return self.a_size**self.b_size * self.b_size
-
     def __mul__(self, other: "CoordAction") -> "CoordAction":
         return compose_actions(self, other)
 
-    def inverse(self) -> "CoordAction":
-        tau = {
-            self.beta(b): {c: p.inverse() for c, p in entries.items()}
-            for b, entries in self.tau.items()
-        }
-        return CoordAction(self.a_size, self.b_size, self.beta.inverse(), tau)
-
     def distance(self, other: "CoordAction") -> Fraction:
         return action_distance(self, other)
-
-    def fixed_fraction(self) -> Fraction:
-        return fixed_fraction(self)
 
 
 def coord_action(a_size: int, b_size: int, beta: Permutation | None = None, tau=None) -> CoordAction:

@@ -27,16 +27,16 @@ from .sofic import (
 OK, USAGE, CERTIFICATE, ORACLE = 0, 1, 2, 3
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _finite(enumerate_, message: str):
-    """``enumerate_()``, which lists a group's elements: a usage error if it is infinite."""
+    """``enumerate_()``, which lists a group's elements: a usage error if it is
+    infinite, or has more elements than an index can count (``OverflowError``
+    from ``sorted`` or ``tuple``, raised before anything is allocated)."""
     try:
         return enumerate_()
     except NotImplementedError:
-        raise ConfigError(message) from None
+        raise ValueError(message) from None
+    except OverflowError:
+        raise ValueError("group too large to enumerate") from None
 
 
 def _radius(desc: dict) -> int:
@@ -46,13 +46,13 @@ def _radius(desc: dict) -> int:
 
 def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     if not isinstance(desc, dict) or "kind" not in desc:
-        raise ConfigError(f"bad approximation descriptor: {desc!r}")
+        raise ValueError(f"bad approximation descriptor: {desc!r}")
     kind = desc["kind"]
     if kind == "regular":
         return _finite(lambda: regular_rep(group), '"regular" approximation needs a finite group')
     if kind == "cyclic-quotient":
         if not isinstance(group, IntegerGroup):
-            raise ConfigError("cyclic-quotient needs the integers as its group")
+            raise ValueError("cyclic-quotient needs the integers as its group")
         size = checked(desc["size"], is_int, "size", "an integer")
         if desc.get("radius") is None:
             return cyclic_quotient(size)
@@ -60,7 +60,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         return cyclic_quotient(size, range(-radius, radius + 1))
     if kind == "free-quotient":
         if not isinstance(group, FreeGroup):
-            raise ConfigError("free-quotient needs a free group")
+            raise ValueError("free-quotient needs a free group")
         degree = checked(desc["degree"], is_int, "degree", "an integer")
         images = desc["images"]
         if isinstance(images, dict):
@@ -69,7 +69,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         elif isinstance(images, list) and all(isinstance(img, list) and all_ints(img) for img in images):
             images = [Permutation(tuple(img)) for img in images]
         else:
-            raise ConfigError("free-quotient images must be lists of integers")
+            raise ValueError("free-quotient images must be lists of integers")
         return quotient_by_images(group, images, group.ball(_radius(desc)))
     if kind == "perturb":
         inner = _approx_from_descriptor(desc["base"], group, seed)
@@ -79,12 +79,12 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
         path = desc["path"]
         # open() would take an int as a file descriptor, and True as stdout
         if not isinstance(path, str):
-            raise ConfigError(f"file approximation path must be a string, got {path!r}")
+            raise ValueError(f"file approximation path must be a string, got {path!r}")
         loaded = SoficApprox.from_json(_read_json(path))
         if loaded.group != group:
-            raise ConfigError(f"approximation file {path} is for a different group")
+            raise ValueError(f"approximation file {path} is for a different group")
         return loaded
-    raise ConfigError(f"unknown approximation kind {kind!r}")
+    raise ValueError(f"unknown approximation kind {kind!r}")
 
 
 def _read_json(path: str):
@@ -93,16 +93,16 @@ def _read_json(path: str):
         try:
             return json.load(fh)
         except RecursionError:
-            raise ConfigError(f"{path}: JSON nested too deeply") from None
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_config(path: str) -> dict:
     config = _read_json(path)
     if not isinstance(config, dict) or config.get("format") != 1:
-        raise ConfigError('config must be an object with "format": 1')
+        raise ValueError('config must be an object with "format": 1')
     for key in ("groups", "approximations", "F", "eps"):
         if key not in config:
-            raise ConfigError(f"config is missing the {key!r} key")
+            raise ValueError(f"config is missing the {key!r} key")
     return config
 
 
@@ -116,7 +116,7 @@ def _cmd_build(args) -> int:
 
     eps = parse_fraction(config["eps"])
     if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
+        raise ValueError(f"eps must be positive, got {eps}")
     cap = checked(config.get("expansion_cap", EXPANSION_CAP), is_positive_int, "expansion_cap", "a positive integer")
 
     wreath = WreathProduct(lamp_group, base_group)
@@ -149,7 +149,7 @@ def _cmd_build(args) -> int:
 def _load_artifact(path: str) -> tuple[WreathApprox, int]:
     data = _read_json(path)
     if not isinstance(data, dict):
-        raise ConfigError("artifact must be a JSON object")
+        raise ValueError("artifact must be a JSON object")
     # an artifact may lower its oracle limit but never raise it
     cap = checked(data.get("expansion_cap", EXPANSION_CAP), is_positive_int, "expansion_cap", "a positive integer")
     cap = min(cap, EXPANSION_CAP)
@@ -293,7 +293,10 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"certificate failure: {exc}", file=sys.stderr)
         return CERTIFICATE
-    except (ConfigError, ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return USAGE
+    except (ValueError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
 

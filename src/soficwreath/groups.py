@@ -169,11 +169,6 @@ class FreeGroup(Group):
     def identity(self):
         return ()
 
-    def generator(self, i: int):
-        if not 0 <= i < self.rank:
-            raise ValueError(f"no generator {i} in rank-{self.rank} free group")
-        return (i + 1,)
-
     def mul(self, a, b):
         out = list(a)
         for letter in b:
@@ -294,12 +289,6 @@ class FinSuppMap:
     def support(self) -> tuple:
         return tuple(x for x, _ in self.entries)
 
-    def get(self, x):
-        for y, g in self.entries:
-            if y == x:
-                return g
-        return None
-
     def is_identity(self) -> bool:
         return not self.entries
 
@@ -320,10 +309,6 @@ class DirectSum(Group):
             if not self.lamp.is_identity(g):
                 out[x] = g
         return FinSuppMap(tuple(sorted(out.items(), key=lambda item: self.index.key(item[0]))))
-
-    def delta(self, x, g) -> FinSuppMap:
-        """The map supported at the single index x with value g."""
-        return self.make({x: g})
 
     def identity(self):
         return FinSuppMap(())
@@ -486,6 +471,6 @@ def group_from_descriptor(desc: dict) -> Group:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ValueError(f"bad group descriptor: {desc!r}")
     kind = desc["kind"]
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
     return _KINDS[kind](desc)

@@ -26,7 +26,7 @@ from operator import eq, itemgetter
 from typing import Any, Callable
 
 from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
-from .construct import Budget, GoodBlockReport, WreathApprox, check_good_block_bound  # noqa: F401
+from .construct import Budget, GoodBlockReport, WindowSets, WreathApprox, check_good_block_bound  # noqa: F401
 from .groups import WreathElement, WreathProduct
 from .jsonutil import frac_to_json, frac_from_json
 from .perm import Permutation
@@ -96,20 +96,14 @@ class AlmostHomReport:
 
 
 def check_almost_homomorphism(
-    rule: Callable[[WreathElement], Any],
-    wreath: WreathProduct,
-    closure,
-    lamp_window,
-    mover_window,
-    eps,
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps
 ) -> AlmostHomReport:
-    """Measure the four splitting hypotheses and, independently, the
-    multiplicativity of the rule on the closure window."""
+    """Measure the four splitting hypotheses on the lamp and mover windows and,
+    independently, the multiplicativity of the rule on the closure window.
+    Pairs run in the windows' sorted order, which fixes every witness."""
     eps = Fraction(eps)
     lamps, base = wreath.lamps, wreath.base
-    lamp_els = tuple(sorted(set(lamp_window), key=lamps.key))
-    mover_els = base.sort(set(mover_window))
-    closure_els = wreath.sort(set(closure))
+    lamp_els, mover_els, closure_els = windows.lamp_window, windows.mover_window, windows.closure
 
     def lamp_only(f):
         return rule(WreathElement(f, base.identity()))
@@ -328,9 +322,7 @@ def detailed_reports(approx: WreathApprox) -> DetailedReport:
     windows = approx.windows
     budget = approx.budget
 
-    almost = check_almost_homomorphism(
-        approx.rule, wreath, windows.closure, windows.lamp_window, windows.mover_window, budget.eps
-    )
+    almost = check_almost_homomorphism(approx.rule, wreath, windows, budget.eps)
     mult = MultiplicativityReport(
         almost_hom=almost,
         lamp_bound=budget.block_tolerance + len(windows.positions) * budget.input_tolerance,

@@ -7,7 +7,8 @@ prunes only real products; ``check_bijection`` is the ``seen``-list walk that
 any faster bijection check in ``Permutation`` must agree with;
 ``check_coord_action`` checks every entry of tau in full, where
 ``CoordAction`` checks each distinct entry object once; ``apply`` acts on one
-explicit point of the carrier.  They follow the definitions term by term and
+explicit point of the carrier; ``inverse_action`` inverts every entry and
+the base, which only tests need.  They follow the definitions term by term and
 are slower.  ``expand_explicit`` computes the image of each carrier point
 digit by digit, where the library builds each block's fiber as a product of
 per-coordinate maps.
@@ -66,6 +67,12 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
             entries[c] = p2 if p1 is None else p2 * p1
         tau[b] = entries
     return coord_action(first.a_size, first.b_size, second.beta * first.beta, tau)
+
+
+def inverse_action(w: CoordAction) -> CoordAction:
+    """The inverse of w: block beta(b) undoes the coordinate maps of block b."""
+    tau = {w.beta(b): {c: p.inverse() for c, p in entries.items()} for b, entries in w.tau.items()}
+    return CoordAction(w.a_size, w.b_size, w.beta.inverse(), tau)
 
 
 def _pair_agreement(p: Permutation | None, q: Permutation | None, a_size: int) -> Fraction:

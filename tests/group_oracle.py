@@ -6,16 +6,15 @@ no code with it.  They evaluate the defining formula
 
     (f * shift_h(g))(y) = f(y) * g(h^{-1} y)
 
-at every index of supp f ∪ h·supp g, reading values with
-``FinSuppMap.get``, and canonicalize through ``DirectSum.make``.
+at every index of supp f ∪ h·supp g, reading values from ``dict(f.entries)``,
+and canonicalize through ``DirectSum.make``.
 """
 from soficwreath.groups import DirectSum, FinSuppMap, WreathElement, WreathProduct
 
 
 def value(lamps: DirectSum, f: FinSuppMap, x):
     """f(x), with the lamp identity off the support."""
-    g = f.get(x)
-    return lamps.lamp.identity() if g is None else g
+    return dict(f.entries).get(x, lamps.lamp.identity())
 
 
 def mul_shift(lamps: DirectSum, f: FinSuppMap, h, g: FinSuppMap) -> FinSuppMap:

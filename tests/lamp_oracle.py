@@ -44,8 +44,9 @@ def block_lamp_action(
     if not set(f.support()) <= set(positions):
         raise ValueError(f"support {f.support()!r} escapes the positions window")
     out = identity_action(sigma_A.carrier_size, sigma_B.carrier_size)
+    values = dict(f.entries)
     for x in positions:
-        g = f.get(x)
+        g = values.get(x)
         if g is not None:
             out = out * lamp_factor(sigma_A, sigma_B, g, x, b)
     return out

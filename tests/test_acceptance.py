@@ -93,14 +93,7 @@ def test_criterion_4_almost_homomorphism_reproduction():
         eps = Fraction(1, 7)  # one transposition per value: 4 * 2/384 < eps/6
         for seed in range(200):
             noisy = sw.perturb(exact, Fraction(1, 2), seed=seed)
-            report = check_almost_homomorphism(
-                noisy.evaluate,
-                wreath,
-                windows.closure,
-                windows.lamp_window,
-                windows.mover_window,
-                eps,
-            )
+            report = check_almost_homomorphism(noisy.evaluate, wreath, windows, eps)
             assert report.hypotheses_pass  # the four bullets hold at eps/6
             assert report.conclusion.passed  # and multiplicativity at eps follows
 

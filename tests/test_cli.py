@@ -63,7 +63,7 @@ class TestBuild:
         assert "good blocks: 3/3" in stdout
         assert "targets: 24" in stdout
         assert "eps = 1/2" in stdout
-        artifact = json.loads(open(out).read())
+        artifact = json.loads(pathlib.Path(out).read_text())
         assert artifact["kind"] == "wreath-approx"
         assert artifact["expansion_cap"] == 1000000
 
@@ -357,7 +357,7 @@ class TestVerify:
         assert "oracle unavailable" in capsys.readouterr().err
 
     def test_tampered_rule_table_is_exit_two(self, built_artifact, tmp_path, capsys):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         # corrupt one stored lamp permutation: 0 <-> 1 swap on the value at
         # the lamp generator, breaking the stored approximation's certificate
         key, perm = artifact["lamp_approx"]["rule"][1]
@@ -368,7 +368,7 @@ class TestVerify:
         assert "certificate failure" in err
 
     def test_tampered_derived_data_is_exit_two(self, built_artifact, tmp_path, capsys):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         artifact["derived"]["block"]["good"] = artifact["derived"]["block"]["good"][:-1]
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == CERTIFICATE
@@ -404,14 +404,14 @@ class TestVerify:
         "eps", [{"num": 1, "den": 0}, {"num": True, "den": 2}], ids=["zero_den", "bool_num"]
     )
     def test_zero_denominator_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys, eps):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         artifact["eps"] = eps
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == USAGE
         assert "not a rational" in capsys.readouterr().err
 
     def test_non_integer_stored_cap_is_usage_error(self, built_artifact, tmp_path, capsys):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         artifact["expansion_cap"] = "big"
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered, "--oracle"]) == USAGE
@@ -432,7 +432,7 @@ class TestVerify:
         assert "carrier 2228224 exceeds cap 1000000" in capsys.readouterr().err
 
     def test_boolean_permutation_entries_are_usage_error(self, built_artifact, tmp_path, capsys):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         for _, perm in artifact["lamp_approx"]["rule"]:
             perm["image"] = [x == 1 for x in perm["image"]]
         tampered = write(tmp_path / "tampered.json", artifact)
@@ -441,7 +441,7 @@ class TestVerify:
         assert err == "error: permutation degree and image entries must be JSON integers\n"
 
     def test_boolean_group_order_in_artifact_is_usage_error(self, built_artifact, tmp_path, capsys):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         artifact["group"]["lamp"]["n"] = True
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == USAGE
@@ -458,7 +458,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("carrier_size", ["3", True, 3.0, 0, -3])
     def test_bad_stored_carrier_size_is_usage_error(self, built_artifact, tmp_path, capsys, carrier_size):
-        artifact = json.loads(open(built_artifact).read())
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
         artifact["base_approx"]["carrier_size"] = carrier_size
         tampered = write(tmp_path / "tampered.json", artifact)
         assert main(["verify", "--approx", tampered]) == USAGE
@@ -488,7 +488,7 @@ class TestReport:
     def test_json_report_round_trips(self, certificate_file, capsys):
         assert main(["report", "--certificate", certificate_file, "--format", "json"]) == OK
         emitted = json.loads(capsys.readouterr().out)
-        assert emitted == json.loads(open(certificate_file).read())
+        assert emitted == json.loads(pathlib.Path(certificate_file).read_text())
 
     def test_identity_only_window_renders(self, tmp_path, capsys):
         config = write(tmp_path / "config.json", small_config(F=[{"left": [], "right": 0}]))
@@ -549,10 +549,142 @@ class TestDeterminism:
         out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
         assert main(["build", "--config", config, "--out", out1]) == OK
         assert main(["build", "--config", config, "--out", out2]) == OK
-        assert open(out1).read() == open(out2).read()
+        assert pathlib.Path(out1).read_text() == pathlib.Path(out2).read_text()
 
     def test_verify_output_stable(self, built_artifact, capsys):
         assert main(["verify", "--approx", built_artifact]) == OK
         first = capsys.readouterr().out
         assert main(["verify", "--approx", built_artifact]) == OK
         assert capsys.readouterr().out == first
+
+
+class TestUsageMessages:
+    """Malformed configs, artifacts and certificates exit 1 with one ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"approximations": {"lamp": {"kind": "regular"}, "base": {"kind": "perturb", "rate": "0"}}}, "base"),
+            (
+                {"approximations": {"lamp": {"kind": "regular"}, "base": {"kind": "perturb", "base": {"kind": "regular"}}}},
+                "rate",
+            ),
+            (
+                {
+                    "groups": {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "integers"}},
+                    "approximations": {"lamp": {"kind": "regular"}, "base": {"kind": "cyclic-quotient"}},
+                    "F": [{"left": [], "right": 1}],
+                },
+                "size",
+            ),
+            (
+                {
+                    "groups": {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+                    "approximations": {
+                        "lamp": {"kind": "regular"},
+                        "base": {"kind": "free-quotient", "degree": 2, "images": [[1, 0]]},
+                    },
+                    "F": [{"left": [], "right": [1]}],
+                },
+                "radius",
+            ),
+            ({"groups": {"base": {"kind": "cyclic", "n": 3}}}, "lamp"),
+            ({"F": [{"left": []}]}, "right"),
+        ],
+        ids=["perturb_base", "perturb_rate", "cyclic_quotient_size", "free_quotient_radius", "groups_lamp", "F_right"],
+    )
+    def test_missing_config_key_names_itself(self, tmp_path, capsys, overrides, key):
+        path = write(tmp_path / "config.json", small_config(**overrides))
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: missing key {key!r}\n"
+
+    def test_missing_artifact_key_names_itself(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        del artifact["lamp_approx"]
+        assert main(["verify", "--approx", write(tmp_path / "artifact.json", artifact)]) == USAGE
+        assert capsys.readouterr().err == "error: missing key 'lamp_approx'\n"
+
+    @pytest.mark.parametrize("key", ["eps", "details"])
+    def test_missing_certificate_key_names_itself(self, tmp_path, capsys, key):
+        cert = json.loads((pathlib.Path(__file__).parent / "data" / "small_certificate.json").read_text())
+        del cert[key]
+        assert main(["report", "--certificate", write(tmp_path / "certificate.json", cert)]) == USAGE
+        assert capsys.readouterr().err == f"error: missing key {key!r}\n"
+
+    @pytest.mark.parametrize("order", [2**63, 2**64], ids=["2**63", "2**64"])
+    @pytest.mark.parametrize("via", ["regular", "F_all"])
+    def test_group_too_large_to_enumerate(self, tmp_path, capsys, order, via):
+        # orders from 2**63 up overflow an index before anything is allocated
+        big = {"kind": "cyclic", "n": order}
+        if via == "regular":
+            config = small_config(groups={"lamp": big, "base": {"kind": "cyclic", "n": 3}})
+        else:
+            stored = {"group": big, "carrier_size": 1, "window": [0], "rule": [[0, {"degree": 1, "image": [0]}]]}
+            base = {"kind": "file", "path": write(tmp_path / "base.json", stored)}
+            config = small_config(
+                groups={"lamp": {"kind": "cyclic", "n": 2}, "base": big},
+                approximations={"lamp": {"kind": "regular"}, "base": base},
+            )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: group too large to enumerate\n"
+
+    @pytest.mark.parametrize("kind", [[1], {"kind": "cyclic"}], ids=["list", "object"])
+    def test_unhashable_group_kind(self, tmp_path, capsys, kind):
+        config = small_config(groups={"lamp": {"kind": kind, "n": 2}, "base": {"kind": "cyclic", "n": 3}})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: unknown group kind {kind!r}\n"
+
+
+def fields(node, path=()):
+    """The path of every value below the root of a JSON tree, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield (*path, key)
+        yield from fields(child, (*path, key))
+
+
+DELETE = object()
+
+
+def edited(tree, path, value):
+    """A deep copy of tree with the field at path replaced by value, or deleted
+    when value is ``DELETE``."""
+    tree = json.loads(json.dumps(tree))
+    parent = tree
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return tree
+
+
+class TestTamperCorpus:
+    def test_every_single_field_edit_is_rejected_or_verifies_the_same(self, tmp_path, capsys):
+        """Replace each field of a valid Z/2 wr Z/3 artifact, scalar or not,
+        with null, true, -1, 2 or "x", or delete it, one edit at a time: verify
+        exits 1 or 2, or prints the byte-identical certificate."""
+        config = write(tmp_path / "config.json", small_config(F=[{"left": [[0, 1]], "right": 1}]))
+        out = tmp_path / "artifact.json"
+        assert main(["build", "--config", config, "--out", str(out)]) == OK
+        capsys.readouterr()
+        assert main(["verify", "--approx", str(out)]) == OK
+        certificate = capsys.readouterr().out
+        artifact = json.loads(out.read_text())
+        paths = list(fields(artifact))
+        assert len(paths) == 149
+        failures = []
+        for path in paths:
+            for value in (None, True, -1, 2, "x", DELETE):
+                tampered = write(tmp_path / "tampered.json", edited(artifact, path, value))
+                try:
+                    code = main(["verify", "--approx", tampered])
+                except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                    code = f"{type(exc).__name__}: {exc}"
+                captured = capsys.readouterr()
+                if code not in (USAGE, CERTIFICATE) and (code, captured.out) != (OK, certificate):
+                    failures.append((path, "delete" if value is DELETE else value, code))
+        assert failures == []

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
 import sofic_oracle
@@ -21,7 +21,44 @@ from soficwreath.perm import Permutation
 from soficwreath.sofic import SoficApprox
 
 
+S3 = sw.symmetric(3)
+BASES_AND_INDICES = [
+    (sw.cyclic(5), tuple(range(5))),
+    (sw.integers(), tuple(range(-3, 4))),
+    (sw.free(2), sw.free(2).ball(1)),
+    (S3, S3.sort(S3.elements())),
+]
+
+
+@st.composite
+def wreath_targets(draw):
+    """A wreath product over an abelian, free or non-abelian base, and one to
+    three targets with up to two lit lamps each."""
+    lamp = draw(st.sampled_from([sw.cyclic(2), sw.cyclic(3), S3]))
+    base, indices = draw(st.sampled_from(BASES_AND_INDICES))
+    wreath = sw.wreath_product(lamp, base)
+    lamps = st.dictionaries(st.sampled_from(indices), st.sampled_from(lamp.sort(lamp.elements())), max_size=2)
+    targets = st.lists(st.builds(wreath.element, lamps, st.sampled_from(indices)), min_size=1, max_size=3)
+    return wreath, draw(targets)
+
+
 class TestDeriveWindows:
+    @settings(max_examples=150, deadline=None)
+    @given(wreath_targets())
+    def test_window_invariants(self, case):
+        """Positions hold the identity and every shifted support; the base
+        window holds the positions, their inverses and their quotients."""
+        wreath, targets = case
+        base, w = wreath.base, derive_windows(wreath, targets)
+        positions, base_window = set(w.positions), set(w.base_window)
+        assert base.identity() in positions
+        assert positions <= base_window
+        assert {base.inv(h) for h in positions} <= base_window
+        assert {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions} <= base_window
+        for f in w.lamp_window:
+            for h in w.mover_window:
+                assert {base.mul(h, x) for x in f.support()} <= positions
+
     def test_identity_only_target(self):
         wreath = sw.wreath_product(sw.cyclic(2), sw.cyclic(2))
         w = derive_windows(wreath, [wreath.identity()])
@@ -211,20 +248,20 @@ class TestBlockLampAction:
         block = compute_good_blocks(collapsed, positions)
         sums = sw.DirectSum(group, group)
         with pytest.raises(ValueError, match="not good"):
-            block_lamp_action(sigma_A, collapsed, positions, block, sums.delta(0, 1), 0)
+            block_lamp_action(sigma_A, collapsed, positions, block, sums.make({0: 1}), 0)
 
     def test_rejects_support_escape(self, mod2_setup):
         sigma_A, sigma_B, _, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
         with pytest.raises(ValueError, match="escapes"):
-            block_lamp_action(sigma_A, sigma_B, (0,), block, sums.delta(1, 1), 0)
+            block_lamp_action(sigma_A, sigma_B, (0,), block, sums.make({1: 1}), 0)
 
 
 class TestLampAction:
     def test_support_outside_positions_acts_trivially(self, mod2_setup):
         sigma_A, sigma_B, _, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
-        action = lamp_action(sigma_A, sigma_B, (0,), block, sums.delta(1, 1))
+        action = lamp_action(sigma_A, sigma_B, (0,), block, sums.make({1: 1}))
         assert action == identity_action(2, 2)
 
     def test_empty_configuration(self, mod2_setup):
@@ -235,7 +272,7 @@ class TestLampAction:
     def test_per_block_writes(self, mod2_setup):
         sigma_A, sigma_B, positions, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
-        action = lamp_action(sigma_A, sigma_B, positions, block, sums.delta(0, 1))
+        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({0: 1}))
         swap = Permutation((1, 0))
         assert action.tau_map() == {0: {0: swap}, 1: {1: swap}}
         assert action.beta.is_identity()

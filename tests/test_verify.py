@@ -28,9 +28,7 @@ def wreath24():
 class TestAlmostHomomorphism:
     def test_exact_rule_has_zero_defects(self, wreath24):
         wreath, windows, exact = wreath24
-        report = check_almost_homomorphism(
-            exact.evaluate, wreath, windows.closure, windows.lamp_window, windows.mover_window, Fraction(1, 10)
-        )
+        report = check_almost_homomorphism(exact.evaluate, wreath, windows, Fraction(1, 10))
         for bullet in (report.lamp_mult, report.base_mult, report.split, report.intertwine):
             assert bullet.defect == 0 and bullet.passed
         assert report.conclusion.defect == 0 and report.conclusion.passed
@@ -47,14 +45,7 @@ class TestAlmostHomomorphism:
         rule = dict(exact.rule)
         rule[victim] = transposition(24, 0, 1) * rule[victim]
 
-        report = check_almost_homomorphism(
-            rule.__getitem__,
-            wreath,
-            windows.closure,
-            windows.lamp_window,
-            windows.mover_window,
-            Fraction(1, 10),
-        )
+        report = check_almost_homomorphism(rule.__getitem__, wreath, windows, Fraction(1, 10))
         assert report.split.defect == Fraction(2, 24)
         assert not report.split.passed
         assert report.split.witness == (victim.left, victim.right)
@@ -71,23 +62,13 @@ class TestAlmostHomomorphism:
         eps = Fraction(1, 7)
         for seed in range(50):
             noisy = sw.perturb(exact, Fraction(1, 2), seed=seed)
-            report = check_almost_homomorphism(
-                noisy.evaluate, wreath, windows.closure, windows.lamp_window, windows.mover_window, eps
-            )
+            report = check_almost_homomorphism(noisy.evaluate, wreath, windows, eps)
             assert report.hypotheses_pass
             assert report.conclusion.passed
 
     def test_coord_action_rule_dispatch(self, small_wreath):
         approx = small_wreath
-        windows = approx.windows
-        report = check_almost_homomorphism(
-            approx.rule,
-            approx.wreath,
-            windows.closure,
-            windows.lamp_window,
-            windows.mover_window,
-            approx.budget.eps,
-        )
+        report = check_almost_homomorphism(approx.rule, approx.wreath, approx.windows, approx.budget.eps)
         assert report.split.defect == 0  # exact by construction, not just small
         assert report.conclusion.defect == 0
         assert report.hypotheses_pass
@@ -106,9 +87,7 @@ class TestWitnessTies:
         rule = dict(exact.rule)
         for victim in mixed[1:3]:  # two equal split defects, neither at the first mixed pair
             rule[victim] = transposition(24, 0, 1) * rule[victim]
-        report = check_almost_homomorphism(
-            rule.__getitem__, wreath, windows.closure, windows.lamp_window, windows.mover_window, Fraction(1, 10)
-        )
+        report = check_almost_homomorphism(rule.__getitem__, wreath, windows, Fraction(1, 10))
         assert report.split.defect == Fraction(2, 24)
         assert report.split.witness == (mixed[1].left, mixed[1].right)
 
