@@ -13,7 +13,7 @@ import sys
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, WreathProduct, group_from_descriptor
-from .jsonutil import all_ints, checked, dump_indented, frac_from_json, is_int, is_positive_int, parse_fraction
+from .jsonutil import all_ints, checked, dump_indented, frac_from_json, is_int, is_positive_int, parse_fraction, same_json
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -98,7 +98,7 @@ def _read_json(path: str):
 
 def _load_config(path: str) -> dict:
     config = _read_json(path)
-    if not isinstance(config, dict) or config.get("format") != 1:
+    if not isinstance(config, dict) or not same_json(config.get("format"), 1):
         raise ValueError('config must be an object with "format": 1')
     for key in ("groups", "approximations", "F", "eps"):
         if key not in config:
@@ -156,17 +156,22 @@ def _load_artifact(path: str) -> tuple[WreathApprox, int]:
     return wreath_approx_from_json(data), cap
 
 
+def _print_json(obj) -> None:
+    """Print ``obj`` through ``dump_indented`` in one write: stdout may be
+    unbuffered, and then every piece is a system call."""
+    pieces = []
+    dump_indented(obj, pieces.append)
+    pieces.append("\n")
+    sys.stdout.write("".join(pieces))
+
+
 def _cmd_verify(args) -> int:
-    # verify is imported by its two commands only, so build never compiles it
+    # only verify imports verify, so build and report never compile it
     from .verify import oracle_check, verify_construction
 
     approx, cap = _load_artifact(args.approx)
     certificate = verify_construction(approx)
-    # one write: stdout may be unbuffered, and then every piece is a system call
-    pieces = []
-    dump_indented(certificate.to_json(approx.wreath), pieces.append)
-    pieces.append("\n")
-    sys.stdout.write("".join(pieces))
+    _print_json(certificate.to_json(approx.wreath))
     if args.oracle:
         if approx.carrier_size() > cap:
             print(
@@ -246,15 +251,22 @@ def _render_text(cert: dict) -> str:
     return "\n".join(lines)
 
 
-def _cmd_report(args) -> int:
-    """Render a stored certificate.  ``--format json`` keeps ``json.dumps``
-    with sorted keys rather than ``dump_indented``: its input is any loaded
-    JSON, floats included, and no benchmark path runs it."""
-    from .verify import certificate_from_json
+def _load_certificate(path: str) -> dict:
+    """A stored certificate, checked only as far as ``report`` reads it."""
+    cert = _read_json(path)
+    if not isinstance(cert, dict) or cert.get("kind") != "sofic-certificate" or not same_json(cert.get("format"), 1):
+        raise ValueError("not a sofic certificate")
+    frac_from_json(cert["eps"])  # validates shape
+    return cert
 
-    cert = certificate_from_json(_read_json(args.certificate))
+
+def _cmd_report(args) -> int:
+    """Render a stored certificate; ``--format json`` re-emits it in the
+    layout ``verify`` prints, so a certificate ``verify`` wrote comes back
+    byte for byte."""
+    cert = _load_certificate(args.certificate)
     if args.format == "json":
-        print(json.dumps(cert, indent=1, sort_keys=True))
+        _print_json(cert)
     else:
         print(_render_text(cert))
     return OK

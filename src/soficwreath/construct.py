@@ -31,7 +31,7 @@ from operator import eq, ne
 
 from .bigperm import CoordAction, coord_action, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
-from .jsonutil import frac_to_json, frac_from_json
+from .jsonutil import frac_to_json, frac_from_json, same_json
 from .perm import Permutation, _gather
 from .sofic import CertificateError, DefectReport, SoficApprox, _require_window, require_sofic
 
@@ -383,7 +383,7 @@ def wreath_approx_from_json(data: dict) -> WreathApprox:
     derivation; a mismatch means the artifact was edited and is reported as
     a certificate failure.
     """
-    if data.get("kind") != "wreath-approx" or data.get("format") != 1:
+    if data.get("kind") != "wreath-approx" or not same_json(data.get("format"), 1):
         raise ValueError("not a wreath-approx artifact")
     wreath = group_from_descriptor(data["group"])
     if not isinstance(wreath, WreathProduct):
@@ -394,6 +394,6 @@ def wreath_approx_from_json(data: dict) -> WreathApprox:
     eps = frac_from_json(data["eps"])
     approx = build(sigma_A, sigma_B, targets, eps)
     stored = data.get("derived")
-    if stored is not None and stored != approx.derived_json():
+    if stored is not None and not same_json(stored, approx.derived_json()):
         raise CertificateError("artifact derived data does not match a fresh derivation")
     return approx

@@ -24,7 +24,8 @@ class Group:
 
     ``key`` must be injective on any finite window and stable across runs;
     it fixes enumeration order everywhere downstream.  ``elements`` is only
-    available for finite groups.
+    available for finite groups.  ``key`` and ``encode`` default to the
+    element itself.
     """
 
     def identity(self):
@@ -37,14 +38,14 @@ class Group:
         raise NotImplementedError
 
     def key(self, a):
-        raise NotImplementedError
+        return a
 
     def elements(self) -> Iterator:
         raise NotImplementedError(f"{type(self).__name__} is not finitely enumerable")
 
     def encode(self, a):
         """JSON-compatible canonical form of an element."""
-        raise NotImplementedError
+        return a
 
     def decode(self, data):
         raise NotImplementedError
@@ -64,6 +65,10 @@ class CyclicGroup(Group):
     """Z/n as the integers 0, ..., n-1 under addition mod n."""
     n: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("cyclic group order must be >= 1")
+
     def identity(self):
         return 0
 
@@ -73,14 +78,8 @@ class CyclicGroup(Group):
     def inv(self, a):
         return (-a) % self.n
 
-    def key(self, a):
-        return a
-
     def elements(self):
         return iter(range(self.n))
-
-    def encode(self, a):
-        return a
 
     def decode(self, data):
         if not is_int(data) or not 0 <= data < self.n:
@@ -97,6 +96,10 @@ class SymmetricGroup(Group):
 
     k: int
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("symmetric group degree must be >= 1")
+
     def identity(self):
         return tuple(range(self.k))
 
@@ -108,9 +111,6 @@ class SymmetricGroup(Group):
         for i, x in enumerate(a):
             out[x] = i
         return tuple(out)
-
-    def key(self, a):
-        return a
 
     def elements(self):
         return itertools.permutations(range(self.k))
@@ -140,12 +140,6 @@ class IntegerGroup(Group):
     def inv(self, a):
         return -a
 
-    def key(self, a):
-        return a
-
-    def encode(self, a):
-        return a
-
     def decode(self, data):
         if not is_int(data):
             raise ValueError(f"not an integer: {data!r}")
@@ -165,6 +159,10 @@ class FreeGroup(Group):
     """
 
     rank: int
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("free group rank must be >= 1")
 
     def identity(self):
         return ()
@@ -218,11 +216,13 @@ class FreeGroup(Group):
 
 @dataclass(frozen=True)
 class TableGroup(Group):
-    """Finite group given by its Cayley table: table[a][b] = a*b."""
+    """Finite group given by its Cayley table: table[a][b] = a*b.  Any
+    iterable of rows is accepted and stored as a tuple of tuples."""
 
     table: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "table", tuple(tuple(row) for row in self.table))
         n = len(self.table)
         full = set(range(n))
         for i, row in enumerate(self.table):
@@ -256,14 +256,8 @@ class TableGroup(Group):
                 return b
         raise ValueError(f"no inverse for {a}")  # unreachable: rows are bijections
 
-    def key(self, a):
-        return a
-
     def elements(self):
         return iter(range(len(self.table)))
-
-    def encode(self, a):
-        return a
 
     def decode(self, data):
         if not is_int(data) or not 0 <= data < len(self.table):
@@ -422,34 +416,9 @@ class WreathProduct(Group):
         return {"kind": "wreath", "lamp": self.lamp.descriptor(), "base": self.base.descriptor()}
 
 
-def cyclic(n: int) -> CyclicGroup:
-    if n < 1:
-        raise ValueError("cyclic group order must be >= 1")
-    return CyclicGroup(n)
-
-
-def symmetric(k: int) -> SymmetricGroup:
-    if k < 1:
-        raise ValueError("symmetric group degree must be >= 1")
-    return SymmetricGroup(k)
-
-
-def integers() -> IntegerGroup:
-    return IntegerGroup()
-
-
-def free(rank: int) -> FreeGroup:
-    if rank < 1:
-        raise ValueError("free group rank must be >= 1")
-    return FreeGroup(rank)
-
-
-def finite_from_table(table) -> TableGroup:
-    return TableGroup(tuple(tuple(row) for row in table))
-
-
-def wreath_product(lamp: Group, base: Group) -> WreathProduct:
-    return WreathProduct(lamp, base)
+# the public names are the classes, which check their own arguments
+cyclic, symmetric, integers, free = CyclicGroup, SymmetricGroup, IntegerGroup, FreeGroup
+finite_from_table, wreath_product = TableGroup, WreathProduct
 
 
 def _is_table(table) -> bool:

@@ -7,6 +7,7 @@ certificate, without the stdlib's pure-Python indenting encoder.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -31,6 +32,16 @@ def checked(value, valid, name: str, what: str):
     if not valid(value):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
+
+
+def same_json(a, b) -> bool:
+    """Equality of decoded JSON that, unlike ``==``, tells ``true`` and ``1.0``
+    from the integer 1: the one check of a stored value against the expected one.
+
+    >>> same_json({"format": 1}, {"format": 1}), same_json(True, 1), same_json([1.0], [1])
+    (True, False, False)
+    """
+    return a == b and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def all_ints(values) -> bool:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Mapping
 
-from .groups import Group, FreeGroup, group_from_descriptor
+from .groups import Group, FreeGroup, group_from_descriptor, integers
 from .jsonutil import checked, frac_to_json, is_positive_int
 from .perm import Permutation, product_agreement, transposition
 
@@ -79,9 +79,21 @@ class SoficApprox:
     def from_json(cls, data: dict) -> "SoficApprox":
         group = group_from_descriptor(data["group"])
         carrier_size = checked(data["carrier_size"], is_positive_int, "carrier_size", "a positive integer")
-        rule = {group.decode(k): Permutation.from_json(p) for k, p in data["rule"]}
-        window = frozenset(group.decode(k) for k in data["window"])
-        return cls(group, carrier_size, window, rule)
+        rule, window = {}, set()
+        for k, p in data["rule"]:
+            rule[_new_element(group, k, rule, "rule")] = Permutation.from_json(p)
+        for k in data["window"]:
+            window.add(_new_element(group, k, window, "window"))
+        return cls(group, carrier_size, frozenset(window), rule)
+
+
+def _new_element(group: Group, data, seen, what: str):
+    """Decode an element that ``seen`` must not hold yet: a rule listing one
+    twice would otherwise keep its last entry without a word."""
+    g = group.decode(data)
+    if g in seen:
+        raise ValueError(f"element {data!r} is listed twice in an approximation's {what}")
+    return g
 
 
 @dataclass(frozen=True)
@@ -241,8 +253,6 @@ def cyclic_quotient(n: int, window=None) -> SoficApprox:
         window = range(-(n - 1), n)
     window = frozenset(window)
     rule = {k: Permutation((*range(k % n, n), *range(k % n))) for k in window}
-    from .groups import integers
-
     return SoficApprox(integers(), n, window, rule)
 
 

@@ -15,8 +15,8 @@ Three layers of checks, all exact:
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
 both compose with ``*`` and measure with ``.distance``.  The good-block
-lemma, ``check_good_block_bound`` with its ``GoodBlockReport``, lives in
-``construct``, whose ``build`` runs it; this module re-exports both names.
+lemma, ``check_good_block_bound``, lives in ``construct``, whose ``build``
+runs it.
 """
 from __future__ import annotations
 
@@ -26,9 +26,9 @@ from operator import eq, itemgetter
 from typing import Any, Callable
 
 from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
-from .construct import Budget, GoodBlockReport, WindowSets, WreathApprox, check_good_block_bound  # noqa: F401
+from .construct import Budget, WindowSets, WreathApprox
 from .groups import WreathElement, WreathProduct
-from .jsonutil import frac_to_json, frac_from_json
+from .jsonutil import frac_to_json
 from .perm import Permutation
 
 
@@ -382,14 +382,6 @@ def verify_construction(approx: WreathApprox) -> Certificate:
         budget=approx.budget,
         details=detailed_reports(approx),
     )
-
-
-def certificate_from_json(data: dict) -> dict:
-    """Light validation for stored certificates (used by the report command)."""
-    if not isinstance(data, dict) or data.get("kind") != "sofic-certificate" or data.get("format") != 1:
-        raise ValueError("not a sofic certificate")
-    frac_from_json(data["eps"])  # validates shape
-    return data
 
 
 def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPANSION_CAP) -> list[str]:

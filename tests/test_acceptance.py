@@ -10,10 +10,10 @@ from fractions import Fraction
 import soficwreath as sw
 from helpers import random_coord_action
 from soficwreath.bigperm import expand_explicit
+from soficwreath.construct import check_good_block_bound
 from soficwreath.perm import Permutation, draw_permutation, hamming
 from soficwreath.verify import (
     check_almost_homomorphism,
-    check_good_block_bound,
     oracle_check,
     verify_construction,
 )

@@ -486,9 +486,9 @@ class TestReport:
         assert "conclusion defect 0 (eps 1/2)" in out
 
     def test_json_report_round_trips(self, certificate_file, capsys):
+        # byte for byte: the same keys in the same order, in the layout verify prints
         assert main(["report", "--certificate", certificate_file, "--format", "json"]) == OK
-        emitted = json.loads(capsys.readouterr().out)
-        assert emitted == json.loads(pathlib.Path(certificate_file).read_text())
+        assert capsys.readouterr().out == pathlib.Path(certificate_file).read_text()
 
     def test_identity_only_window_renders(self, tmp_path, capsys):
         config = write(tmp_path / "config.json", small_config(F=[{"left": [], "right": 0}]))
@@ -635,6 +635,71 @@ class TestUsageMessages:
         path = write(tmp_path / "config.json", config)
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == f"error: unknown group kind {kind!r}\n"
+
+
+SMALL_CERTIFICATE = pathlib.Path(__file__).parent / "data" / "small_certificate.json"
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+class TestStoredIntegerOne:
+    """``true`` and ``1.0`` equal 1 in Python but not in JSON: each is rejected
+    where a document stores the integer 1."""
+
+    def test_config_format(self, tmp_path, capsys, value):
+        path = write(tmp_path / "config.json", small_config(format=value))
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == 'error: config must be an object with "format": 1\n'
+
+    def test_artifact_format(self, built_artifact, tmp_path, capsys, value):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        artifact["format"] = value
+        assert main(["verify", "--approx", write(tmp_path / "artifact.json", artifact)]) == USAGE
+        assert capsys.readouterr().err == "error: not a wreath-approx artifact\n"
+
+    @pytest.mark.parametrize("format_", ["text", "json"])
+    def test_certificate_format(self, tmp_path, capsys, value, format_):
+        cert = json.loads(SMALL_CERTIFICATE.read_text())
+        cert["format"] = value
+        path = write(tmp_path / "certificate.json", cert)
+        assert main(["report", "--certificate", path, "--format", format_]) == USAGE
+        assert capsys.readouterr().err == "error: not a sofic certificate\n"
+
+    @pytest.mark.parametrize(
+        "field",
+        [("windows", "lamp_values", 1), ("block", "good", 1), ("budget", "eps", "num")],
+        ids=["lamp_value", "good_block", "eps_num"],
+    )
+    def test_derived_integer(self, built_artifact, tmp_path, capsys, value, field):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        tampered = edited(artifact, ("derived", *field), value)
+        assert main(["verify", "--approx", write(tmp_path / "artifact.json", tampered)]) == CERTIFICATE
+        assert "artifact derived data does not match a fresh derivation" in capsys.readouterr().err
+
+
+def repeat_element(stored: dict, where: str) -> dict:
+    """List element 0 of a stored Z/2 approximation twice: in ``rule`` the
+    first entry is wrong and the last, the identity, would win."""
+    if where == "rule":
+        stored["rule"].insert(0, [0, {"degree": 2, "image": [1, 0]}])
+    else:
+        stored["window"].append(0)
+    return stored
+
+
+@pytest.mark.parametrize("where", ["rule", "window"])
+class TestRepeatedElements:
+    def test_file_approximation(self, tmp_path, capsys, where):
+        stored = repeat_element(sw.regular_rep(sw.cyclic(2)).to_json(), where)
+        lamp = {"kind": "file", "path": write(tmp_path / "lamp.json", stored)}
+        path = write(tmp_path / "config.json", small_config(approximations={"lamp": lamp, "base": {"kind": "regular"}}))
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: element 0 is listed twice in an approximation's {where}\n"
+
+    def test_artifact(self, built_artifact, tmp_path, capsys, where):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        repeat_element(artifact["lamp_approx"], where)
+        assert main(["verify", "--approx", write(tmp_path / "artifact.json", artifact)]) == USAGE
+        assert capsys.readouterr().err == f"error: element 0 is listed twice in an approximation's {where}\n"
 
 
 def fields(node, path=()):

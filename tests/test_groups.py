@@ -113,6 +113,20 @@ class TestConcreteGroups:
             with pytest.raises(ValueError):
                 bad()
 
+    @pytest.mark.parametrize(
+        "cls, arg, message",
+        [
+            (sw.groups.CyclicGroup, 0, "cyclic group order must be >= 1"),
+            (sw.groups.CyclicGroup, -3, "cyclic group order must be >= 1"),
+            (sw.groups.SymmetricGroup, 0, "symmetric group degree must be >= 1"),
+            (sw.groups.FreeGroup, 0, "free group rank must be >= 1"),
+        ],
+        ids=["cyclic0", "cyclic-3", "symmetric0", "free0"],
+    )
+    def test_built_directly_the_class_checks_its_argument(self, cls, arg, message):
+        with pytest.raises(ValueError, match=message):
+            cls(arg)
+
 
 class TestFinSuppMaps:
     def setup_method(self):

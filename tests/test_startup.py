@@ -1,7 +1,8 @@
 """What a process loads at start-up, and the package's public names.
 
-``build`` checks no certificate, so it must not load ``soficwreath.verify``;
-the package resolves the names it exports from ``verify`` on first access.
+``build`` checks no certificate and ``report`` only renders one, so neither
+may load ``soficwreath.verify``; the package resolves the names it exports
+from ``verify`` on first access.
 """
 import json
 import os
@@ -30,10 +31,10 @@ PUBLIC = [
     "wreath_approx_from_json", "wreath_product",
 ]
 
-BUILD_THEN_LIST_MODULES = """
+RUN_THEN_LIST_MODULES = """
 import json, sys
 import soficwreath.cli
-code = soficwreath.cli.main(["build", "--config", sys.argv[1], "--out", sys.argv[2]])
+code = soficwreath.cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "verify_loaded": "soficwreath.verify" in sys.modules}))
 """
 
@@ -56,7 +57,7 @@ def test_build_never_loads_verify_and_verify_still_runs(tmp_path):
     }))
     artifact, certificate = tmp_path / "artifact.json", tmp_path / "certificate.json"
 
-    build = run(["-c", BUILD_THEN_LIST_MODULES, str(config), str(artifact)], tmp_path)
+    build = run(["-c", RUN_THEN_LIST_MODULES, "build", "--config", str(config), "--out", str(artifact)], tmp_path)
     assert build.returncode == 0, build.stderr
     assert json.loads(build.stdout.splitlines()[-1]) == {"code": 0, "verify_loaded": False}
 
@@ -64,9 +65,11 @@ def test_build_never_loads_verify_and_verify_still_runs(tmp_path):
     assert verify.returncode == 0, verify.stderr
     certificate.write_text(verify.stdout)
     assert json.loads(verify.stdout)["pass"] is True
-    report = run(["-m", "soficwreath", "report", "--certificate", str(certificate)], tmp_path)
-    assert report.returncode == 0, report.stderr
-    assert report.stdout.startswith("sofic certificate: PASS")
+    for format_, starts in (("text", "sofic certificate: PASS"), ("json", verify.stdout)):
+        report = run(["-c", RUN_THEN_LIST_MODULES, "report", "--certificate", str(certificate), "--format", format_], tmp_path)
+        assert report.returncode == 0, report.stderr
+        assert report.stdout.startswith(starts)
+        assert json.loads(report.stdout.splitlines()[-1]) == {"code": 0, "verify_loaded": False}
 
 
 class TestPublicNames:

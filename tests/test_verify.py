@@ -6,11 +6,10 @@ import pytest
 import soficwreath as sw
 from helpers import random_rule
 from soficwreath import bigperm
-from soficwreath.construct import GoodBlock
+from soficwreath.construct import GoodBlock, check_good_block_bound
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
     check_almost_homomorphism,
-    check_good_block_bound,
     detailed_reports,
     oracle_check,
     verify_construction,
