@@ -60,7 +60,6 @@ from .construct import (
     GoodBlockReport,
     WindowSets,
     WreathApprox,
-    base_action,
     build,
     check_good_block_bound,
     compute_good_blocks,

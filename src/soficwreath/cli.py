@@ -9,6 +9,7 @@ import argparse
 import json
 import random
 import sys
+from fractions import Fraction
 
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
@@ -22,6 +23,7 @@ from .sofic import (
     perturb,
     quotient_by_images,
     regular_rep,
+    sofic_verdict,
 )
 
 OK, USAGE, CERTIFICATE, ORACLE = 0, 1, 2, 3
@@ -196,21 +198,16 @@ def _frac_str(data) -> str:
     return str(frac_from_json(data))
 
 
-def _render_text(cert: dict) -> str:
+def _render_text(cert: dict, defects: list[Fraction], margins: list[Fraction]) -> str:
     lines = []
     lines.append(f"sofic certificate: {'PASS' if cert['pass'] else 'FAIL'}")
     lines.append(f"window: {len(cert['window'])} elements, eps = {_frac_str(cert['eps'])}")
     lines.append(f"identity value is identity: {'yes' if cert['identity_pass'] else 'NO'}")
 
-    worst = max(cert["mult_defects"], key=lambda e: frac_from_json(e["defect"]), default=None)
-    if worst is not None:
-        lines.append(
-            f"multiplicativity: {len(cert['mult_defects'])} pairs, worst defect {_frac_str(worst['defect'])}"
-        )
-    margins = cert["free_margins"]
+    if defects:
+        lines.append(f"multiplicativity: {len(defects)} pairs, worst defect {max(defects)}")
     if margins:
-        least = min(margins, key=lambda e: frac_from_json(e["margin"]))
-        lines.append(f"freeness: {len(margins)} elements, least margin {_frac_str(least['margin'])}")
+        lines.append(f"freeness: {len(margins)} elements, least margin {min(margins)}")
     else:
         lines.append("freeness: vacuous (no non-identity targets)")
 
@@ -251,24 +248,37 @@ def _render_text(cert: dict) -> str:
     return "\n".join(lines)
 
 
-def _load_certificate(path: str) -> dict:
-    """A stored certificate, checked only as far as ``report`` reads it."""
+def _load_certificate(path: str) -> tuple[dict, list[Fraction], list[Fraction]]:
+    """A stored certificate with its pair defects and freeness margins,
+    checked as far as ``report`` reads it: its verdicts are booleans, it lists
+    a defect for every pair of its window, and ``pass`` is the verdict of
+    ``sofic_verdict`` on what it lists."""
     cert = _read_json(path)
     if not isinstance(cert, dict) or cert.get("kind") != "sofic-certificate" or not same_json(cert.get("format"), 1):
         raise ValueError("not a sofic certificate")
-    frac_from_json(cert["eps"])  # validates shape
-    return cert
+    eps = frac_from_json(cert["eps"])
+    if eps <= 0:
+        raise ValueError(f"certificate eps must be positive, got {eps}")
+    for key in ("pass", "identity_pass"):
+        checked(cert[key], lambda x: type(x) is bool, key, "a boolean")
+    if len(cert["mult_defects"]) != len(cert["window"]) ** 2:
+        raise ValueError(f"certificate lists {len(cert['mult_defects'])} pairs for a window of {len(cert['window'])}")
+    defects = [frac_from_json(entry["defect"]) for entry in cert["mult_defects"]]
+    margins = [frac_from_json(entry["margin"]) for entry in cert["free_margins"]]
+    if cert["pass"] != sofic_verdict(cert["identity_pass"], defects, margins, eps):
+        raise CertificateError(f'stored "pass": {json.dumps(cert["pass"])} disagrees with the listed checks')
+    return cert, defects, margins
 
 
 def _cmd_report(args) -> int:
     """Render a stored certificate; ``--format json`` re-emits it in the
     layout ``verify`` prints, so a certificate ``verify`` wrote comes back
     byte for byte."""
-    cert = _load_certificate(args.certificate)
+    cert, defects, margins = _load_certificate(args.certificate)
     if args.format == "json":
         _print_json(cert)
     else:
-        print(_render_text(cert))
+        print(_render_text(cert, defects, margins))
     return OK
 
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import compress, count
 from operator import eq, ne
 
-from .bigperm import CoordAction, coord_action, identity_action
+from .bigperm import CoordAction, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
 from .perm import Permutation, _gather
@@ -253,36 +253,43 @@ def lamp_action(
     positions,
     block: GoodBlock,
     f: FinSuppMap,
+    beta: Permutation,
 ) -> CoordAction:
-    """The lamp-side action: at every good block b, for each position x in the
-    support of f, coordinate sigma_B(x)^{-1} b gets sigma_A(f(x)).
+    """The value of (f, h), with beta = sigma_B(h), in one step: beta moves the
+    block, and at each block b with beta(b) good, for each position x in the
+    support of f, coordinate sigma_B(x)^{-1} beta(b) gets sigma_A(f(x)).  The
+    identity beta gives the lamp-only value, and a support outside the
+    positions window leaves only the base move.  On a good block distinct
+    positions anchor distinct coordinates, so the writes commute, and tau is
+    canonical as built.  The value is the lamp-only one after the base move:
 
-    On a good block distinct positions anchor distinct coordinates, so the
-    writes commute, and dropping the identity values before the loop leaves
-    tau canonical as built.  Total: configurations supported outside the
-    positions window act as the identity.
+    >>> from .groups import DirectSum, cyclic
+    >>> from .sofic import regular_rep
+    >>> sigma_A, sigma_B = regular_rep(cyclic(2)), regular_rep(cyclic(3))
+    >>> block, f = compute_good_blocks(sigma_B, range(3)), DirectSum(cyclic(2), cyclic(3)).make({0: 1, 2: 1})
+    >>> def value(h): return lamp_action(sigma_A, sigma_B, range(3), block, f, sigma_B.evaluate(h))
+    >>> value(1) == value(0) * CoordAction(2, 3, sigma_B.evaluate(1), {})
+    True
     """
     a_size, b_size = sigma_A.carrier_size, sigma_B.carrier_size
     if not set(f.support()) <= set(positions):
-        return identity_action(a_size, b_size)
+        return CoordAction(a_size, b_size, beta, {})
     writes = []
     for x, g in f.entries:
         if not (p := sigma_A.evaluate(g)).is_identity():
             writes.append((sigma_B.evaluate(x).inverse().image, p))
-    tau = {b: {q[b]: p for q, p in writes} for b in block.good} if writes else {}
-    return CoordAction(a_size, b_size, Permutation.identity(b_size), tau)
-
-
-def base_action(sigma_B: SoficApprox, h, a_size: int) -> CoordAction:
-    """The base-side action: move the block by sigma_B(h), touch no lamps."""
-    return coord_action(a_size, sigma_B.carrier_size, beta=sigma_B.evaluate(h))
+    good = block.good
+    tau = {b: {q[i]: p for q, p in writes} for b, i in enumerate(beta.image) if i in good} if writes else {}
+    return CoordAction(a_size, b_size, beta, tau)
 
 
 @dataclass(frozen=True)
 class WreathApprox:
     """The assembled approximation of the wreath product.
 
-    ``rule`` composes the lamp action after the base action; values are
+    ``rule`` builds the value of (f, h) in one step with ``lamp_action``:
+    sigma_B(h) moves the block, and the lamps of f rewrite the anchored
+    coordinates at each block that it moves onto a good one.  Values are
     cached per element.  The rule is evaluable on the closure window and all
     its pairwise products.
     """
@@ -306,15 +313,11 @@ class WreathApprox:
     def carrier_size(self) -> int:
         return self.a_size**self.b_size * self.b_size
 
-    def lamp(self, f: FinSuppMap) -> CoordAction:
-        return lamp_action(self.sigma_A, self.sigma_B, self.windows.positions, self.block, f)
-
-    def base(self, h) -> CoordAction:
-        return base_action(self.sigma_B, h, self.a_size)
-
     def rule(self, u: WreathElement) -> CoordAction:
         if (value := self._cache.get(u)) is None:
-            value = self._cache[u] = self.lamp(u.left) * self.base(u.right)
+            beta = self.sigma_B.evaluate(u.right)
+            value = lamp_action(self.sigma_A, self.sigma_B, self.windows.positions, self.block, u.left, beta)
+            self._cache[u] = value
         return value
 
     def identity_value(self) -> CoordAction:

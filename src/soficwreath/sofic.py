@@ -147,6 +147,12 @@ class DefectReport:
         }
 
 
+def sofic_verdict(identity_pass: bool, defects, margins, eps: Fraction) -> bool:
+    """The one pass rule of a certificate on its measured numbers: rule(1) =
+    id, every pair defect < eps and every freeness margin > 1 - eps."""
+    return identity_pass and all(d < eps for d in defects) and all(m > 1 - eps for m in margins)
+
+
 def _require_window(s: SoficApprox, needed, what: str):
     missing = [g for g in needed if g not in s.window]
     if missing:

@@ -9,14 +9,13 @@ Three layers of checks, all exact:
   and the conclusion (at eps) independently and reports both.
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
-  element freeness margins, and the budget decomposition behind them.
+  element freeness margins, and the budget decomposition behind them; each
+  margin is measured once and then broken down.
 * ``oracle_check``: on carriers small enough to expand, a certificate's
   distances and the rule's products agree with explicit permutations.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
-both compose with ``*`` and measure with ``.distance``.  The good-block
-lemma, ``check_good_block_bound``, lives in ``construct``, whose ``build``
-runs it.
+both compose with ``*`` and measure with ``.distance``.
 """
 from __future__ import annotations
 
@@ -30,6 +29,7 @@ from .construct import Budget, WindowSets, WreathApprox
 from .groups import WreathElement, WreathProduct
 from .jsonutil import frac_to_json
 from .perm import Permutation
+from .sofic import sofic_verdict
 
 
 def _worst(pairs):
@@ -72,26 +72,19 @@ class AlmostHomReport:
         return all(b.passed for b in (self.lamp_mult, self.base_mult, self.split, self.intertwine))
 
     def to_json(self, wreath: WreathProduct) -> dict:
-        def enc_pair(w):
-            return [wreath.encode(u) for u in w]
+        lamps, base = wreath.lamps.encode, wreath.base.encode
 
-        def enc_lamp_pair(w):
-            return [wreath.lamps.encode(f) for f in w]
-
-        def enc_base_pair(w):
-            return [wreath.base.encode(h) for h in w]
-
-        def enc_mixed(w):
-            return [wreath.lamps.encode(w[0]), wreath.base.encode(w[1])]
+        def pair(first, second):  # the encoder of a witness pair
+            return lambda w: [first(w[0]), second(w[1])]
 
         return {
             "eps": frac_to_json(self.eps),
-            "lamp_mult": self.lamp_mult.to_json(enc_lamp_pair),
-            "base_mult": self.base_mult.to_json(enc_base_pair),
-            "split": self.split.to_json(enc_mixed),
-            "intertwine": self.intertwine.to_json(enc_mixed),
+            "lamp_mult": self.lamp_mult.to_json(pair(lamps, lamps)),
+            "base_mult": self.base_mult.to_json(pair(base, base)),
+            "split": self.split.to_json(pair(lamps, base)),
+            "intertwine": self.intertwine.to_json(pair(lamps, base)),
             "hypotheses_pass": self.hypotheses_pass,
-            "conclusion": self.conclusion.to_json(enc_pair),
+            "conclusion": self.conclusion.to_json(pair(wreath.encode, wreath.encode)),
         }
 
 
@@ -168,22 +161,23 @@ class FreenessEntry:
     margin: Fraction  # distance of the rule value from the identity
     base_margin: Fraction | None  # d(sigma_B(h), id) when the base part moves
     anchor_position: Any  # chosen support position when only lamps act
-    fixed_fraction: Fraction | None
-    bound: Fraction | None  # block_tolerance + input_tolerance
+    bound: Fraction | None  # block_tolerance + input_tolerance when only lamps act
+
+    @property
+    def fixed_fraction(self) -> Fraction | None:
+        """The fraction of points the value fixes, 1 - margin, when only lamps act."""
+        return None if self.base_margin is not None else 1 - self.margin
 
     @property
     def base_dominated(self) -> bool | None:
-        if self.base_margin is None:
-            return None
-        return self.margin >= self.base_margin
+        return None if self.base_margin is None else self.margin >= self.base_margin
 
     @property
     def within_bound(self) -> bool | None:
-        if self.fixed_fraction is None:
-            return None
-        return self.fixed_fraction <= self.bound
+        return None if self.base_margin is not None else self.fixed_fraction <= self.bound
 
     def to_json(self, wreath: WreathProduct) -> dict:
+        fixed = self.fixed_fraction
         return {
             "element": wreath.encode(self.element),
             "margin": frac_to_json(self.margin),
@@ -191,9 +185,7 @@ class FreenessEntry:
             "anchor_position": wreath.base.encode(self.anchor_position)
             if self.anchor_position is not None
             else None,
-            "fixed_fraction": frac_to_json(self.fixed_fraction)
-            if self.fixed_fraction is not None
-            else None,
+            "fixed_fraction": frac_to_json(fixed) if fixed is not None else None,
             "bound": frac_to_json(self.bound) if self.bound is not None else None,
             "base_dominated": self.base_dominated,
             "within_bound": self.within_bound,
@@ -201,46 +193,41 @@ class FreenessEntry:
 
 
 @dataclass(frozen=True)
-class MultiplicativityReport:
-    """The splitting defects beside the bounds the construction proves for them."""
+class DetailedReport:
+    """The budget decomposition behind a certificate: the four splitting
+    defects beside the bounds the construction proves for them, read from the
+    budget, and the per-element freeness decompositions."""
     almost_hom: AlmostHomReport
-    lamp_bound: Fraction  # block_tolerance + window_size * input_tolerance
-    base_bound: Fraction  # input_tolerance
-    split_bound: Fraction  # exactly zero by construction
-    intertwine_bound: Fraction  # 2 * block_tolerance
+    budget: Budget
+    freeness: tuple[FreenessEntry, ...]
+
+    @property
+    def bounds(self) -> dict[str, Fraction]:
+        b = self.budget
+        return {
+            "lamp": b.block_tolerance + b.window_size * b.input_tolerance,
+            "base": b.input_tolerance,
+            "split": Fraction(0),
+            "intertwine": 2 * b.block_tolerance,
+        }
 
     @property
     def within_bounds(self) -> bool:
-        a = self.almost_hom
+        a, bounds = self.almost_hom, self.bounds
         return (
-            a.lamp_mult.defect <= self.lamp_bound
-            and a.base_mult.defect <= self.base_bound
-            and a.split.defect == self.split_bound == 0
-            and a.intertwine.defect <= self.intertwine_bound
+            a.lamp_mult.defect <= bounds["lamp"]
+            and a.base_mult.defect <= bounds["base"]
+            and a.split.defect == bounds["split"]
+            and a.intertwine.defect <= bounds["intertwine"]
         )
 
     def to_json(self, wreath: WreathProduct) -> dict:
         return {
-            "almost_hom": self.almost_hom.to_json(wreath),
-            "bounds": {
-                "lamp": frac_to_json(self.lamp_bound),
-                "base": frac_to_json(self.base_bound),
-                "split": frac_to_json(self.split_bound),
-                "intertwine": frac_to_json(self.intertwine_bound),
+            "multiplicativity": {
+                "almost_hom": self.almost_hom.to_json(wreath),
+                "bounds": {name: frac_to_json(bound) for name, bound in self.bounds.items()},
+                "within_bounds": self.within_bounds,
             },
-            "within_bounds": self.within_bounds,
-        }
-
-
-@dataclass(frozen=True)
-class DetailedReport:
-    """The budget decomposition behind a certificate: multiplicativity and freeness."""
-    multiplicativity: MultiplicativityReport
-    freeness: tuple[FreenessEntry, ...]
-
-    def to_json(self, wreath: WreathProduct) -> dict:
-        return {
-            "multiplicativity": self.multiplicativity.to_json(wreath),
             "freeness": [e.to_json(wreath) for e in self.freeness],
         }
 
@@ -248,13 +235,16 @@ class DetailedReport:
 @dataclass(frozen=True)
 class Certificate:
     """Exact per-pair defects and per-element margins of the assembled rule on its targets."""
-    eps: Fraction
     window: tuple[WreathElement, ...]
     identity_pass: bool
     mult_defects: tuple[tuple[WreathElement, WreathElement, Fraction], ...]
     free_margins: tuple[tuple[WreathElement, Fraction], ...]
     budget: Budget
     details: DetailedReport
+
+    @property
+    def eps(self) -> Fraction:
+        return self.budget.eps
 
     @property
     def worst_defect(self) -> tuple[Fraction, Any]:
@@ -266,17 +256,9 @@ class Certificate:
         return margin, witness
 
     @property
-    def mult_pass(self) -> bool:
-        return self.worst_defect[0] < self.eps
-
-    @property
-    def free_pass(self) -> bool:
-        margin, _ = self.min_margin
-        return margin is None or margin > 1 - self.eps
-
-    @property
     def passed(self) -> bool:
-        return self.identity_pass and self.mult_pass and self.free_pass
+        defects = (d for *_, d in self.mult_defects)
+        return sofic_verdict(self.identity_pass, defects, (m for _, m in self.free_margins), self.eps)
 
     def violations(self, wreath: WreathProduct) -> list[str]:
         out = []
@@ -315,72 +297,60 @@ class Certificate:
         }
 
 
-def detailed_reports(approx: WreathApprox) -> DetailedReport:
+def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
-    bounds, and per-element freeness decompositions."""
+    bounds, and the decomposition of each freeness margin in ``free_margins``,
+    the (element, margin) pairs that ``verify_construction`` measured."""
     wreath = approx.wreath
-    windows = approx.windows
     budget = approx.budget
-
-    almost = check_almost_homomorphism(approx.rule, wreath, windows, budget.eps)
-    mult = MultiplicativityReport(
-        almost_hom=almost,
-        lamp_bound=budget.block_tolerance + len(windows.positions) * budget.input_tolerance,
-        base_bound=budget.input_tolerance,
-        split_bound=Fraction(0),
-        intertwine_bound=2 * budget.block_tolerance,
-    )
-
-    ident = approx.identity_value()
+    almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps)
     base_ident = Permutation.identity(approx.b_size)
     entries = []
-    for u in windows.targets:
-        if u == wreath.identity():
-            continue
-        margin = approx.rule(u).distance(ident)
+    for u, margin in free_margins:
         if not wreath.base.is_identity(u.right):
             base_margin = approx.sigma_B.evaluate(u.right).distance(base_ident)
-            entries.append(FreenessEntry(u, margin, base_margin, None, None, None))
+            entries.append(FreenessEntry(u, margin, base_margin, None, None))
         else:
             support = u.left.support()
             anchor = min(support, key=wreath.base.key) if support else None
-            # the fixed fraction is 1 - d(rule(u), id), and margin is that distance
-            entries.append(
-                FreenessEntry(
-                    u,
-                    margin,
-                    None,
-                    anchor,
-                    1 - margin,
-                    budget.block_tolerance + budget.input_tolerance,
-                )
-            )
-    return DetailedReport(multiplicativity=mult, freeness=tuple(entries))
+            entries.append(FreenessEntry(u, margin, None, anchor, budget.block_tolerance + budget.input_tolerance))
+    return DetailedReport(almost_hom=almost, budget=budget, freeness=tuple(entries))
 
 
 def verify_construction(approx: WreathApprox) -> Certificate:
-    """Exhaustive exact certificate of the assembled rule on its targets."""
+    """Exhaustive exact certificate of the assembled rule on its targets.
+
+    >>> from .construct import build
+    >>> from .groups import WreathProduct, cyclic
+    >>> from .sofic import regular_rep
+    >>> wreath = WreathProduct(cyclic(2), cyclic(2))
+    >>> approx = build(regular_rep(cyclic(2)), regular_rep(cyclic(2)), list(wreath.elements()), Fraction(1, 2))
+    >>> certificate = verify_construction(approx)
+    >>> certificate.passed, certificate.worst_defect[0], certificate.min_margin[0]
+    (True, Fraction(0, 1), Fraction(1, 1))
+    >>> [entry.margin for entry in certificate.details.freeness] == [m for _, m in certificate.free_margins]
+    True
+    """
     wreath = approx.wreath
     targets = approx.windows.targets
 
-    identity_pass = approx.rule(wreath.identity()) == approx.identity_value()
+    ident = approx.identity_value()
+    identity_pass = approx.rule(wreath.identity()) == ident
     mult_defects = tuple(
         (u, v, (approx.rule(u) * approx.rule(v)).distance(approx.rule(wreath.mul(u, v))))
         for u in targets
         for v in targets
     )
-    ident = approx.identity_value()
     free_margins = tuple(
         (u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity()
     )
     return Certificate(
-        eps=approx.budget.eps,
         window=targets,
         identity_pass=identity_pass,
         mult_defects=mult_defects,
         free_margins=free_margins,
         budget=approx.budget,
-        details=detailed_reports(approx),
+        details=detailed_reports(approx, free_margins),
     )
 
 

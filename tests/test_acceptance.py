@@ -156,6 +156,10 @@ def test_criterion_7_metric_and_structure(small_wreath, lamplighter):
         for approx in (small_wreath, lamplighter):
             lamps = approx.wreath.lamps
             windows = approx.windows
+
+            def lamp(f):
+                return approx.rule(sw.WreathElement(f, approx.wreath.base.identity()))
+
             for f in windows.lamp_window:
                 for h in windows.mover_window:
                     shifted = lamps.shift(h, f)
@@ -164,7 +168,7 @@ def test_criterion_7_metric_and_structure(small_wreath, lamplighter):
                         b_image = mover(b)
                         if b_image not in approx.block.good:
                             continue
-                        assert approx.lamp(shifted).tau.get(b_image, {}) == approx.lamp(f).tau.get(b, {})
+                        assert lamp(shifted).tau.get(b_image, {}) == lamp(f).tau.get(b, {})
 
 
 def test_criterion_8_freeness_decomposition(small_wreath, lamplighter):

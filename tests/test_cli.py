@@ -533,6 +533,46 @@ class TestReport:
         assert main(["report", "--certificate", path]) == USAGE
         assert capsys.readouterr().err == "error: not a sofic certificate\n"
 
+    @pytest.mark.parametrize(
+        "edit, error",
+        [
+            (lambda cert: cert.update({"pass": "no"}), "pass must be a boolean, got 'no'"),
+            (lambda cert: cert.update({"identity_pass": 1}), "identity_pass must be a boolean, got 1"),
+            (lambda cert: cert.update({"eps": {"num": -1, "den": 2}}), "certificate eps must be positive, got -1/2"),
+            (lambda cert: cert.update({"eps": {"num": 0, "den": 1}}), "certificate eps must be positive, got 0"),
+            (lambda cert: cert["mult_defects"].pop(), "certificate lists 575 pairs for a window of 24"),
+        ],
+        ids=["pass_string", "identity_pass_int", "eps_negative", "eps_zero", "pair_missing"],
+    )
+    @pytest.mark.parametrize("format_", ["text", "json"])
+    def test_malformed_verdict_eps_or_pairs_is_usage_error(self, tmp_path, capsys, edit, error, format_):
+        cert = json.loads(SMALL_CERTIFICATE.read_text())
+        edit(cert)
+        path = write(tmp_path / "certificate.json", cert)
+        assert main(["report", "--certificate", path, "--format", format_]) == USAGE
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("defect", {"num": 1, "den": 1}), ("margin", {"num": 0, "den": 1}), ("identity_pass", False), ("pass", False)],
+        ids=["defects_one", "margins_zero", "identity_fails", "pass_false"],
+    )
+    def test_stored_pass_disagreeing_with_the_checks_is_certificate_failure(self, tmp_path, capsys, field, value):
+        cert = json.loads(SMALL_CERTIFICATE.read_text())
+        if field in cert:
+            cert[field] = value
+        else:
+            for entry in cert["mult_defects" if field == "defect" else "free_margins"]:
+                entry[field] = value
+        path = write(tmp_path / "certificate.json", cert)
+        assert main(["report", "--certificate", path]) == CERTIFICATE
+        stored = json.dumps(cert["pass"])
+        assert capsys.readouterr().err == f'certificate failure: stored "pass": {stored} disagrees with the listed checks\n'
+        # the other verdict agrees, and the certificate renders
+        cert["pass"] = not cert["pass"]
+        assert main(["report", "--certificate", write(tmp_path / "certificate.json", cert)]) == OK
+        assert capsys.readouterr().out.startswith(f"sofic certificate: {'PASS' if cert['pass'] else 'FAIL'}\n")
+
     def test_golden_certificate_and_report(self, built_artifact, capsys):
         # frozen outputs for the exact 24-element fixture
         data = pathlib.Path(__file__).parent / "data"

@@ -10,7 +10,7 @@ from helpers import windowed_approximations
 from lamp_oracle import block_lamp_action, lamp_factor
 from soficwreath.bigperm import identity_action
 from soficwreath.construct import (
-    base_action,
+    WreathApprox,
     compute_good_blocks,
     derive_windows,
     lamp_action,
@@ -261,18 +261,19 @@ class TestLampAction:
     def test_support_outside_positions_acts_trivially(self, mod2_setup):
         sigma_A, sigma_B, _, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
-        action = lamp_action(sigma_A, sigma_B, (0,), block, sums.make({1: 1}))
+        action = lamp_action(sigma_A, sigma_B, (0,), block, sums.make({1: 1}), Permutation.identity(2))
         assert action == identity_action(2, 2)
 
     def test_empty_configuration(self, mod2_setup):
         sigma_A, sigma_B, positions, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
-        assert lamp_action(sigma_A, sigma_B, positions, block, sums.identity()) == identity_action(2, 2)
+        action = lamp_action(sigma_A, sigma_B, positions, block, sums.identity(), Permutation.identity(2))
+        assert action == identity_action(2, 2)
 
     def test_per_block_writes(self, mod2_setup):
         sigma_A, sigma_B, positions, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
-        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({0: 1}))
+        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({0: 1}), Permutation.identity(2))
         swap = Permutation((1, 0))
         assert action.tau_map() == {0: {0: swap}, 1: {1: swap}}
         assert action.beta.is_identity()
@@ -283,7 +284,7 @@ class TestLampAction:
         positions = (-1, 0, 1)
         block = compute_good_blocks(sigma_B, positions)
         sums = sw.DirectSum(sw.cyclic(2), sw.integers())
-        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({-1: 1, 1: 1}))
+        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({-1: 1, 1: 1}), Permutation.identity(16))
         assert set(action.tau_map()) <= set(block.good)
 
     def test_agrees_with_block_oracle_on_every_good_block(self):
@@ -300,29 +301,51 @@ class TestLampAction:
             block = compute_good_blocks(sigma_B, positions)
             assert block.good
             for f in configurations:
-                action = lamp_action(sigma_A, sigma_B, positions, block, f)
+                action = lamp_action(sigma_A, sigma_B, positions, block, f, Permutation.identity(16))
                 assert action.beta.is_identity()
                 for b in block.good:
                     oracle = block_lamp_action(sigma_A, sigma_B, positions, block, f, b)
                     assert set(oracle.tau) <= {b}
                     assert action.tau.get(b, {}) == oracle.tau.get(b, {})
 
+    def test_one_step_value_is_lamps_after_base_move(self):
+        # block 10 is not good, so the moves by -1 and 1 carry good blocks onto bad ones
+        sigma_A, positions = sw.regular_rep(sw.cyclic(3)), (-1, 0, 1)
+        sigma_B = sw.perturb(sw.cyclic_quotient(16), Fraction(1, 2), seed=4)
+        block = compute_good_blocks(sigma_B, positions)
+        f = sw.DirectSum(sw.cyclic(3), sw.integers()).make({-1: 1, 1: 2})
+        lamp_only = lamp_action(sigma_A, sigma_B, positions, block, f, Permutation.identity(16))
+        for h in positions:
+            beta = sigma_B.evaluate(h)
+            one_step = lamp_action(sigma_A, sigma_B, positions, block, f, beta)
+            assert one_step == lamp_only * sw.CoordAction(3, 16, beta, {})
+
+
+def base_only(sigma_A: SoficApprox, sigma_B: SoficApprox):
+    """h -> rule((1, h)) of the assembly of sigma_A and sigma_B, for any
+    inputs: the approximation is put together without certifying them."""
+    wreath = sw.wreath_product(sigma_A.group, sigma_B.group)
+    windows = derive_windows(wreath, [wreath.identity()])
+    block = compute_good_blocks(sigma_B, windows.positions)
+    approx = WreathApprox(wreath, sigma_A, sigma_B, windows, block, make_budget(1, len(windows.positions)))
+    return lambda h: approx.rule(wreath.element({}, h))
+
 
 class TestBaseAction:
     def test_identity(self):
-        sigma_B = sw.regular_rep(sw.cyclic(3))
-        assert base_action(sigma_B, 0, a_size=2) == identity_action(2, 3)
+        rule = base_only(sw.regular_rep(sw.cyclic(2)), sw.regular_rep(sw.cyclic(3)))
+        assert rule(0) == identity_action(2, 3)
 
     def test_shift(self):
-        sigma_B = sw.regular_rep(sw.cyclic(3))
-        action = base_action(sigma_B, 1, a_size=2)
+        action = base_only(sw.regular_rep(sw.cyclic(2)), sw.regular_rep(sw.cyclic(3)))(1)
         assert action.beta == Permutation((1, 2, 0))
         assert action.tau == {}
 
     def test_distance_to_identity_matches_base_rule(self):
         sigma_B = sw.perturb(sw.cyclic_quotient(12), Fraction(1, 2), seed=8)
+        rule = base_only(sw.regular_rep(sw.cyclic(5)), sigma_B)
         for h in (-2, 0, 1, 3):
-            action = base_action(sigma_B, h, a_size=5)
+            action = rule(h)
             assert action.distance(identity_action(5, 12)) == sigma_B.evaluate(h).distance(
                 Permutation.identity(12)
             )
@@ -358,6 +381,10 @@ class TestEquivariance:
         approx = lamplighter
         lamps = approx.wreath.lamps
         windows = approx.windows
+
+        def lamp(f):
+            return approx.rule(sw.WreathElement(f, 0))
+
         mover = {h: approx.sigma_B.evaluate(h) for h in windows.mover_window}
         for f in windows.lamp_window:
             for h in windows.mover_window:
@@ -366,7 +393,7 @@ class TestEquivariance:
                     b2 = mover[h](b)
                     if b2 not in approx.block.good:
                         continue
-                    assert approx.lamp(shifted).tau.get(b2, {}) == approx.lamp(f).tau.get(b, {})
+                    assert lamp(shifted).tau.get(b2, {}) == lamp(f).tau.get(b, {})
 
 
 class TestBuild:
@@ -434,9 +461,13 @@ class TestBuild:
         budget = approx.budget
         bound = budget.block_tolerance + len(approx.windows.positions) * budget.input_tolerance
         lamps = approx.wreath.lamps
+
+        def lamp(f):
+            return approx.rule(sw.WreathElement(f, 0))
+
         for f in approx.windows.lamp_window:
             for g in approx.windows.lamp_window:
-                defect = (approx.lamp(f) * approx.lamp(g)).distance(approx.lamp(lamps.mul(f, g)))
+                defect = (lamp(f) * lamp(g)).distance(lamp(lamps.mul(f, g)))
                 assert defect <= bound
 
 

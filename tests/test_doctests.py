@@ -18,6 +18,6 @@ def test_module_doctests_pass(name):
     assert result.failed == 0
 
 
-@pytest.mark.parametrize("name", ["perm", "bigperm", "jsonutil", "groups", "construct"])
+@pytest.mark.parametrize("name", ["perm", "bigperm", "jsonutil", "groups", "construct", "verify"])
 def test_module_has_doctests(name):
     assert doctest.testmod(importlib.import_module(f"soficwreath.{name}")).attempted > 0

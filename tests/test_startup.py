@@ -20,7 +20,7 @@ PUBLIC = [
     "AlmostHomReport", "Budget", "Certificate", "CertificateError", "CoordAction", "DefectReport",
     "DetailedReport", "DirectSum", "EXPANSION_CAP", "FinSuppMap", "GoodBlock", "GoodBlockReport",
     "Group", "Permutation", "SoficApprox", "WindowSets", "WindowViolationError", "WreathApprox",
-    "WreathElement", "WreathProduct", "action_distance", "agreement_fraction", "base_action",
+    "WreathElement", "WreathProduct", "action_distance", "agreement_fraction",
     "bigperm", "build", "check_almost_homomorphism", "check_good_block_bound", "compose",
     "compose_actions", "compute_good_blocks", "construct", "coord_action", "cyclic",
     "cyclic_quotient", "derive_windows", "detailed_reports", "expand_explicit", "finite_from_table",

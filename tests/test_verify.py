@@ -215,21 +215,26 @@ class TestVerifyConstruction:
 
 
 class TestDetailedReports:
-    def test_split_defect_exactly_zero(self, small_wreath):
-        report = detailed_reports(small_wreath)
-        assert report.multiplicativity.almost_hom.split.defect == 0
-        assert report.multiplicativity.within_bounds
+    # one block short of good, a filter on b in the good set in place of its
+    # image sigma_B(h) b gives split defects of 2/3 and 1
+    @pytest.mark.parametrize("short", [None, (2, 3), (3, 2)], ids=["exact", "z2_wr_z3_short", "z3_wr_z2_short"])
+    def test_split_defect_exactly_zero(self, small_wreath, short):
+        approx = one_block_short(*short) if short else small_wreath
+        report = verify_construction(approx).details
+        assert report.almost_hom.split.defect == 0
+        if not short:
+            assert report.within_bounds
 
     def test_exact_inputs_have_zero_defects_within_budgets(self, lamplighter):
-        report = detailed_reports(lamplighter)
-        hom = report.multiplicativity.almost_hom
+        report = verify_construction(lamplighter).details
+        hom = report.almost_hom
         assert hom.lamp_mult.defect == 0
         assert hom.base_mult.defect == 0
         assert hom.intertwine.defect == 0
-        assert report.multiplicativity.within_bounds
+        assert report.within_bounds
 
     def test_lamp_only_entries_have_tiny_fixed_fraction(self, small_wreath):
-        report = detailed_reports(small_wreath)
+        report = verify_construction(small_wreath).details
         lamp_entries = [e for e in report.freeness if e.fixed_fraction is not None]
         assert lamp_entries
         for entry in lamp_entries:
@@ -239,15 +244,23 @@ class TestDetailedReports:
 
     def test_base_moving_entries_dominate_base_margin(self, small_wreath, lamplighter):
         for approx in (small_wreath, lamplighter):
-            report = detailed_reports(approx)
+            report = verify_construction(approx).details
             base_entries = [e for e in report.freeness if e.base_margin is not None]
             assert base_entries
             for entry in base_entries:
                 assert entry.margin >= entry.base_margin
                 assert entry.base_dominated
 
+    def test_breaks_down_the_margins_it_is_given(self, small_wreath):
+        # the margins verify_construction measured are read, not measured again
+        margins = [(u, m / 2) for u, m in verify_construction(small_wreath).free_margins]
+        report = detailed_reports(small_wreath, margins)
+        assert [(e.element, e.margin) for e in report.freeness] == margins
+        for entry in report.freeness:
+            assert entry.fixed_fraction == (None if entry.base_margin is not None else 1 - entry.margin)
+
     def test_report_json_round_trip_shape(self, small_wreath):
-        data = detailed_reports(small_wreath).to_json(small_wreath.wreath)
+        data = verify_construction(small_wreath).details.to_json(small_wreath.wreath)
         assert set(data) == {"multiplicativity", "freeness"}
         assert data["multiplicativity"]["within_bounds"] is True
 
