@@ -1,22 +1,22 @@
 """Windowed permutation rules and their exact defect reports.
 
 A rule maps each element of a finite window to a permutation of a carrier.
-Checkers measure how close it is to a free action by a homomorphism:
-multiplicative defect on pairs, freeness margin against the identity.
+One checker measures how close it is to a free action by a homomorphism:
+the worst multiplicative defect over pairs, the least freeness margin
+against the identity, and whether rule(1) is the identity.
 """
-import json
 from fractions import Fraction
 
 from soficwreath import (
+    CertificateError,
     cyclic,
     cyclic_quotient,
-    is_free,
-    is_multiplicative,
     is_sofic_approx,
     perturb,
     regular_rep,
     symmetric,
 )
+from soficwreath.sofic import require_sofic
 
 # A finite group acting on itself by left multiplication is exact: defect 0,
 # margin 1, for every tolerance.
@@ -34,15 +34,20 @@ report = is_sofic_approx(shifts, window, Fraction(1, 100))
 print("shifts mod 8 on a small window:")
 print("  defect:", report.mult_defect, " margin:", report.free_margin, " pass:", report.passed)
 
-multiple = is_free(cyclic_quotient(8, window=range(-8, 9)), [8], Fraction(1, 2))
-print("  ...but shift by 8 is the identity: margin", multiple.free_margin)
+# The check evaluates 8 + 8 too, so the rule must cover 16.
+multiple = is_sofic_approx(cyclic_quotient(8, window=range(-16, 17)), [8], Fraction(1, 2))
+print("  ...but shift by 8 is the identity: margin", multiple.free_margin, " pass:", multiple.passed)
 
 # Perturbation damages a rule by one random transposition per hit value;
 # each hit moves the value by exactly 2/carrier.
 noisy = perturb(regular_rep(cyclic(5)), rate=Fraction(1, 2), seed=7)
-report = is_multiplicative(noisy, [1, 2], Fraction(1, 10))
+report = is_sofic_approx(noisy, [1, 2], Fraction(1, 10))
 print("perturbed shifts on 5 points:")
 print("  worst defect", report.mult_defect, "at pair", report.mult_witness)
+print("  least margin", report.free_margin, "at", report.free_witness)
 
-# Reports serialize with exact rationals and witnesses.
-print(json.dumps(report.to_json(cyclic(5)), indent=2))
+# A required certificate names each part that fails, with its witness.
+try:
+    require_sofic(noisy, [1, 2], Fraction(1, 10), "perturbed shifts")
+except CertificateError as exc:
+    print("  certificate failure:", exc)

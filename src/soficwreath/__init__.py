@@ -37,8 +37,6 @@ from .sofic import (
     SoficApprox,
     WindowViolationError,
     cyclic_quotient,
-    is_free,
-    is_multiplicative,
     is_sofic_approx,
     perturb,
     quotient_by_images,
@@ -57,7 +55,6 @@ from .bigperm import (
 from .construct import (
     Budget,
     GoodBlock,
-    GoodBlockReport,
     WindowSets,
     WreathApprox,
     build,

@@ -251,8 +251,10 @@ def _render_text(cert: dict, defects: list[Fraction], margins: list[Fraction]) -
 def _load_certificate(path: str) -> tuple[dict, list[Fraction], list[Fraction]]:
     """A stored certificate with its pair defects and freeness margins,
     checked as far as ``report`` reads it: its verdicts are booleans, it lists
-    a defect for every pair of its window, and ``pass`` is the verdict of
-    ``sofic_verdict`` on what it lists."""
+    a defect for every pair of its window in row-major order and a margin for
+    every non-identity element in window order, its ``details.freeness``
+    repeats those margins, and ``pass`` is the verdict of ``sofic_verdict`` on
+    what it lists."""
     cert = _read_json(path)
     if not isinstance(cert, dict) or cert.get("kind") != "sofic-certificate" or not same_json(cert.get("format"), 1):
         raise ValueError("not a sofic certificate")
@@ -261,10 +263,23 @@ def _load_certificate(path: str) -> tuple[dict, list[Fraction], list[Fraction]]:
         raise ValueError(f"certificate eps must be positive, got {eps}")
     for key in ("pass", "identity_pass"):
         checked(cert[key], lambda x: type(x) is bool, key, "a boolean")
-    if len(cert["mult_defects"]) != len(cert["window"]) ** 2:
-        raise ValueError(f"certificate lists {len(cert['mult_defects'])} pairs for a window of {len(cert['window'])}")
+    window, listed = cert["window"], cert["free_margins"]
+    if len(cert["mult_defects"]) != len(window) ** 2:
+        raise ValueError(f"certificate lists {len(cert['mult_defects'])} pairs for a window of {len(window)}")
+    if not same_json([entry["pair"] for entry in cert["mult_defects"]], [[u, v] for u in window for v in window]):
+        raise ValueError("certificate pairs are not the window's pairs in row-major order")
+    group = group_from_descriptor(cert["group"])
+    identity = group.encode(group.identity())
+    if not same_json([entry["element"] for entry in listed], [u for u in window if not same_json(u, identity)]):
+        raise ValueError("certificate free_margins are not the window's non-identity elements in order")
     defects = [frac_from_json(entry["defect"]) for entry in cert["mult_defects"]]
-    margins = [frac_from_json(entry["margin"]) for entry in cert["free_margins"]]
+    margins = [frac_from_json(entry["margin"]) for entry in listed]
+    details = cert["details"]["freeness"]
+    if len(details) != len(listed) or any(
+        not same_json(entry["element"], margin_entry["element"]) or frac_from_json(entry["margin"]) != margin
+        for entry, margin_entry, margin in zip(details, listed, margins)
+    ):
+        raise ValueError("certificate details.freeness differs from its free_margins")
     if cert["pass"] != sofic_verdict(cert["identity_pass"], defects, margins, eps):
         raise CertificateError(f'stored "pass": {json.dumps(cert["pass"])} disagrees with the listed checks')
     return cert, defects, margins

@@ -33,7 +33,7 @@ from .bigperm import CoordAction, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
 from .perm import Permutation, _gather
-from .sofic import CertificateError, DefectReport, SoficApprox, _require_window, require_sofic
+from .sofic import CertificateError, SoficApprox, _require_window, require_sofic
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,9 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
     lamp_values = {g for f in lamp_window for _, g in f.entries}
     lamp_values.add(wreath.lamp.identity())  # freeness bookkeeping needs rule(1) = id certified
 
+    base_window = {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
+    base_window |= positions | {base.inv(h) for h in positions}
+
     return WindowSets(
         targets=targets,
         closure=wreath.sort(closure),
@@ -86,14 +89,8 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
         mover_window=base.sort(mover),
         positions=base.sort(positions),
         lamp_values=wreath.lamp.sort(lamp_values),
-        base_window=base.sort(derive_base_window(base, positions)),
+        base_window=base.sort(base_window),
     )
-
-
-def derive_base_window(base, positions) -> set:
-    """What sigma_B must certify: positions, inverses, quotients h1^{-1} h2."""
-    window = {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
-    return window | set(positions) | {base.inv(h) for h in positions}
 
 
 @dataclass(frozen=True)
@@ -196,51 +193,27 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
     )
 
 
-@dataclass(frozen=True)
-class GoodBlockReport:
-    """The good-block lemma's verdict: the good blocks, the base certificate and the bound."""
-    carrier_size: int
-    block_tolerance: Fraction
-    input_tolerance: Fraction
-    block: GoodBlock
-    certificate: DefectReport
+def check_good_block_bound(sigma_B: SoficApprox, windows: WindowSets, budget: Budget) -> GoodBlock:
+    """The good-block lemma: certify sigma_B on the base window at the input
+    tolerance, then return the good blocks of the positions window.  As
+    ``Budget`` keeps input_tolerance < block_tolerance / (4 w^2), the
+    certificate forces at least (1 - block_tolerance) |B| good blocks; fewer
+    would be a library bug.
 
-    @property
-    def bound_pass(self) -> bool:
-        return len(self.block.good) >= (1 - self.block_tolerance) * self.carrier_size
-
-
-def check_good_block_bound(
-    sigma_B: SoficApprox, positions, block_tolerance, input_tolerance
-) -> GoodBlockReport:
-    """Certify sigma_B on the derived base window, then check the good-block
-    count against (1 - block_tolerance) |B|, which the certificate forces when
-    input_tolerance < block_tolerance / (4 w^2), w the number of positions.
-
+    >>> from .groups import cyclic, integers, wreath_product
     >>> from .sofic import cyclic_quotient
-    >>> report = check_good_block_bound(cyclic_quotient(64), range(-2, 3), Fraction(1, 10), Fraction(1, 1024))
-    >>> len(report.block.good), report.bound_pass, report.certificate.passed
-    (64, True, True)
+    >>> wreath = wreath_product(cyclic(2), integers())
+    >>> windows = derive_windows(wreath, [wreath.element({}, 2)])
+    >>> windows.positions, windows.base_window
+    ((-2, 0, 2), (-4, -2, 0, 2, 4))
+    >>> len(check_good_block_bound(cyclic_quotient(64), windows, make_budget(1, 3)).good)
+    64
     """
-    block_tolerance = Fraction(block_tolerance)
-    input_tolerance = Fraction(input_tolerance)
-    base = sigma_B.group
-    positions = base.sort(set(positions))
-    w2 = len(positions) ** 2
-    if not input_tolerance < block_tolerance / (4 * w2):
-        raise ValueError(
-            f"input tolerance {input_tolerance} not < block tolerance/(4 w^2) = {block_tolerance / (4 * w2)}"
-        )
-    base_window = derive_base_window(base, positions)
-    certificate = require_sofic(sigma_B, base_window, input_tolerance, "base approximation")
-    block = compute_good_blocks(sigma_B, positions)
-    return GoodBlockReport(
-        carrier_size=sigma_B.carrier_size,
-        block_tolerance=block_tolerance,
-        input_tolerance=input_tolerance,
-        block=block,
-        certificate=certificate,
-    )
+    require_sofic(sigma_B, windows.base_window, budget.input_tolerance, "base approximation")
+    block = compute_good_blocks(sigma_B, windows.positions)
+    if len(block.good) < (1 - budget.block_tolerance) * sigma_B.carrier_size:
+        raise AssertionError("good-block bound violated despite certified inputs")
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -364,17 +337,12 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
     budget = make_budget(eps, len(windows.positions))
 
     require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
-    good = check_good_block_bound(sigma_B, windows.positions, budget.block_tolerance, budget.input_tolerance)
-    # certified inputs force this bound; a violation would be a library bug
-    if not good.bound_pass:
-        raise AssertionError("good-block bound violated despite certified inputs")
-
     return WreathApprox(
         wreath=wreath,
         sigma_A=sigma_A,
         sigma_B=sigma_B,
         windows=windows,
-        block=good.block,
+        block=check_good_block_bound(sigma_B, windows, budget),
         budget=budget,
     )
 

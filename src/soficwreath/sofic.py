@@ -5,15 +5,17 @@ permutation of a common carrier.  Evaluating outside the window is an error,
 never a silent identity; the one place the theory extends by the identity is
 the lamp action in ``construct`` and it does so explicitly.
 
-The three checkers measure, with exact rationals, how far a rule is from a
-free action by a homomorphism on a given window:
+The one checker, ``is_sofic_approx``, measures with exact rationals how far
+a rule is from a free action by a homomorphism on a given window, and
+``sofic_verdict`` is the one pass rule on what it measures:
 
 * multiplicative: max over pairs of d(rule(g) rule(h), rule(gh)) < eps;
 * free: min over non-identity g of d(rule(g), id) > 1 - eps;
-* sofic: both of the above plus rule(1) = id.
+* rule(1) = id.
 
 All inequalities are strict and compared as exact ``Fraction`` values.  The
-multiplicative check counts agreeing points per pair and builds no product.
+pair defects are counted as agreeing points and build no product.
+``require_sofic`` raises ``CertificateError`` naming each part that fails.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from operator import itemgetter
 from typing import Any, Mapping
 
 from .groups import Group, FreeGroup, group_from_descriptor, integers
-from .jsonutil import checked, frac_to_json, is_positive_int
+from .jsonutil import checked, is_positive_int
 from .perm import Permutation, product_agreement, transposition
 
 
@@ -34,10 +36,6 @@ class WindowViolationError(ValueError):
 
 class CertificateError(RuntimeError):
     """An approximation failed a certificate it was required to hold."""
-
-    def __init__(self, message: str, report: "DefectReport | None" = None):
-        super().__init__(message)
-        self.report = report
 
 
 @dataclass(frozen=True)
@@ -98,53 +96,25 @@ def _new_element(group: Group, data, seen, what: str):
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Exact evidence for (window, eps) checks, with witnesses.
+    """Exact evidence for a (window, eps) sofic check, with witnesses.
 
-    Fields for a condition that was not checked stay ``None``.  The
-    multiplicative defect is the worst pair distance, the freeness margin the
-    smallest distance to the identity over non-identity elements.
+    The multiplicative defect is the worst pair distance, the freeness margin
+    the smallest distance to the identity over non-identity elements (None
+    when the window holds none).
     """
 
     eps: Fraction
     window: tuple
-    mult_defect: Fraction | None = None
-    mult_witness: tuple | None = None
-    mult_pass: bool | None = None
-    free_margin: Fraction | None = None
-    free_witness: Any = None
-    free_pass: bool | None = None
-    identity_pass: bool | None = None
+    mult_defect: Fraction
+    mult_witness: tuple | None
+    free_margin: Fraction | None
+    free_witness: Any
+    identity_pass: bool
 
     @property
     def passed(self) -> bool:
-        flags = [self.mult_pass, self.free_pass, self.identity_pass]
-        return all(f for f in flags if f is not None)
-
-    def to_json(self, group: Group) -> dict:
-        def opt_frac(x):
-            return frac_to_json(x) if x is not None else None
-
-        return {
-            "kind": "defect-report",
-            "eps": frac_to_json(self.eps),
-            "window": [group.encode(g) for g in self.window],
-            "mult": None
-            if self.mult_pass is None
-            else {
-                "defect": opt_frac(self.mult_defect),
-                "witness": [group.encode(g) for g in self.mult_witness] if self.mult_witness else None,
-                "pass": self.mult_pass,
-            },
-            "free": None
-            if self.free_pass is None
-            else {
-                "margin": opt_frac(self.free_margin),
-                "witness": group.encode(self.free_witness) if self.free_witness is not None else None,
-                "pass": self.free_pass,
-            },
-            "identity_pass": self.identity_pass,
-            "pass": self.passed,
-        }
+        margins = () if self.free_margin is None else (self.free_margin,)
+        return sofic_verdict(self.identity_pass, (self.mult_defect,), margins, self.eps)
 
 
 def sofic_verdict(identity_pass: bool, defects, margins, eps: Fraction) -> bool:
@@ -159,68 +129,39 @@ def _require_window(s: SoficApprox, needed, what: str):
         raise WindowViolationError(f"{what} needs elements outside the window: {missing[:5]!r}")
 
 
-def is_multiplicative(s: SoficApprox, window, eps: Fraction) -> DefectReport:
-    """Worst defect d(rule(g) rule(h), rule(gh)) over the window; pass iff < eps.
+def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
+    """Measure the rule on the window: the worst d(rule(g) rule(h), rule(gh))
+    over pairs, the least d(rule(g), id) over non-identity g, and rule(1) = id.
 
-    Each pair is counted with ``product_agreement``, which builds no product;
-    the witness is the first pair in sorted order with the fewest agreements.
+    Each pair is counted with ``product_agreement``, which builds no product.
+    On a tie the witness is the first extreme in sorted order.
     """
     eps = Fraction(eps)
-    els = s.group.sort(window)
-    _require_window(s, els, "multiplicativity check")
-    products = [(g, h, s.group.mul(g, h)) for g in els for h in els]
-    _require_window(s, (gh for _, _, gh in products), "multiplicativity check (products)")
-    fewest, witness = min(
+    group, ident = s.group, s.group.identity()
+    if ident not in s.window:
+        raise WindowViolationError("sofic check needs the identity inside the window")
+    els = group.sort(window)
+    _require_window(s, els, "sofic check")
+    products = [(g, h, group.mul(g, h)) for g in els for h in els]
+    _require_window(s, (gh for _, _, gh in products), "sofic check (products)")
+    fewest, mult_witness = min(
         ((product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh)), (g, h)) for g, h, gh in products),
+        key=itemgetter(0),
+        default=(s.carrier_size, None),
+    )
+    identity = Permutation.identity(s.carrier_size)
+    free_margin, free_witness = min(
+        ((s.evaluate(g).distance(identity), g) for g in els if not group.is_identity(g)),
         key=itemgetter(0),
         default=(None, None),
     )
-    worst = Fraction(0) if witness is None else 1 - Fraction(fewest, s.carrier_size)
     return DefectReport(
         eps=eps,
         window=els,
-        mult_defect=worst,
-        mult_witness=witness,
-        mult_pass=worst < eps,
-    )
-
-
-def is_free(s: SoficApprox, window, eps: Fraction) -> DefectReport:
-    """Smallest distance to the identity over non-identity window elements;
-    the witness is the first element in sorted order at that distance.
-
-    An empty range (window contains at most the identity) passes vacuously.
-    """
-    eps = Fraction(eps)
-    els = s.group.sort(window)
-    _require_window(s, els, "freeness check")
-    ident = Permutation.identity(s.carrier_size)
-    margin, witness = min(
-        ((s.evaluate(g).distance(ident), g) for g in els if not s.group.is_identity(g)),
-        key=itemgetter(0),
-        default=(None, None),
-    )
-    ok = True if margin is None else margin > 1 - eps
-    return DefectReport(eps=eps, window=els, free_margin=margin, free_witness=witness, free_pass=ok)
-
-
-def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
-    """Conjunction: multiplicative, free, and rule(1) = id."""
-    eps = Fraction(eps)
-    ident = s.group.identity()
-    if ident not in s.window:
-        raise WindowViolationError("sofic check needs the identity inside the window")
-    mult = is_multiplicative(s, window, eps)
-    freeness = is_free(s, window, eps)
-    return DefectReport(
-        eps=eps,
-        window=mult.window,
-        mult_defect=mult.mult_defect,
-        mult_witness=mult.mult_witness,
-        mult_pass=mult.mult_pass,
-        free_margin=freeness.free_margin,
-        free_witness=freeness.free_witness,
-        free_pass=freeness.free_pass,
+        mult_defect=1 - Fraction(fewest, s.carrier_size),
+        mult_witness=mult_witness,
+        free_margin=free_margin,
+        free_witness=free_witness,
         identity_pass=s.evaluate(ident).is_identity(),
     )
 
@@ -229,13 +170,13 @@ def require_sofic(s: SoficApprox, window, eps: Fraction, label: str) -> DefectRe
     report = is_sofic_approx(s, window, eps)
     if not report.passed:
         parts = []
-        if report.mult_pass is False:
+        if not report.mult_defect < report.eps:
             parts.append(f"multiplicative defect {report.mult_defect} at pair {report.mult_witness!r}")
-        if report.free_pass is False:
+        if report.free_margin is not None and not report.free_margin > 1 - report.eps:
             parts.append(f"freeness margin {report.free_margin} at {report.free_witness!r}")
-        if report.identity_pass is False:
+        if not report.identity_pass:
             parts.append("rule(identity) is not the identity")
-        raise CertificateError(f"{label} fails its ({len(report.window)}-element window, {eps}) certificate: " + "; ".join(parts), report)
+        raise CertificateError(f"{label} fails its ({len(report.window)}-element window, {eps}) certificate: " + "; ".join(parts))
     return report
 
 

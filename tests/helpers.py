@@ -23,6 +23,19 @@ def random_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
     return SoficApprox(group, degree, frozenset(window), rule)
 
 
+def good_block_inputs(base: Group, positions, block_tolerance, input_tolerance):
+    """The windows and budget of a build over ``base`` whose positions window
+    is exactly ``positions``: the targets are the base moves (1, h), h in
+    ``positions``, which must hold the identity and each inverse.  The budget
+    carries the two tolerances at eps = 13 block_tolerance, which ``Budget``
+    accepts whenever input_tolerance < block_tolerance / (4 w^2)."""
+    wreath = sw.wreath_product(sw.cyclic(2), base)
+    windows = sw.derive_windows(wreath, [wreath.element({}, h) for h in positions])
+    assert list(windows.positions) == list(positions)
+    budget = sw.Budget(13 * block_tolerance, block_tolerance, input_tolerance, len(positions))
+    return windows, budget
+
+
 def collapsed_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
     """Each non-identity element goes to the identity or to one shared
     permutation, so distinct elements collide and most products are wrong."""

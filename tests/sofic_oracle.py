@@ -1,21 +1,21 @@
 """Reference oracles for the ``sofic`` checkers and the good-block lemma,
 computed point by point.
 
-``sofic.is_multiplicative`` counts the points where rule(g) rule(h) agrees
-with rule(gh) through one C-level gather and never builds the product.  This
-module composes each product point by point, ``s.image[t.image[i]]``, and
-measures its distance as the definition reads, so it shares no kernel with
-``perm``.  ``compute_good_blocks`` inverts every rule value point by point
+``sofic.is_sofic_approx`` counts the points where rule(g) rule(h) agrees
+with rule(gh) through one C-level gather and never builds the product, and
+measures margins with ``Permutation.distance``.  This module composes each
+product point by point, ``s.image[t.image[i]]``, and counts the moved points
+of each value and of rule(1) as the definitions read, so it shares no kernel
+with ``perm``.  ``compute_good_blocks`` inverts every rule value point by point
 and tests each block of the carrier with one set comprehension per pair of
 positions, where ``construct.compute_good_blocks`` drops blocks in bulk and
 skips a pair whose images are equal.  Tests compare the results field by
 field.
 """
-from dataclasses import replace
 from fractions import Fraction
 
 from soficwreath.construct import GoodBlock
-from soficwreath.sofic import DefectReport, SoficApprox, is_free
+from soficwreath.sofic import DefectReport, SoficApprox
 
 
 def product_image(s, t) -> tuple:
@@ -29,26 +29,34 @@ def product_distance(s, t, u) -> Fraction:
     return Fraction(sum(1 for i, x in enumerate(image) if x != u.image[i]), len(image))
 
 
-def is_multiplicative(s: SoficApprox, window, eps) -> DefectReport:
-    eps = Fraction(eps)
-    els = s.group.sort(window)
-    worst, witness = Fraction(0), None
-    for g in els:
-        for h in els:
-            d = product_distance(s.evaluate(g), s.evaluate(h), s.evaluate(s.group.mul(g, h)))
-            if witness is None or d > worst:
-                worst, witness = d, (g, h)
-    return DefectReport(eps=eps, window=els, mult_defect=worst, mult_witness=witness, mult_pass=worst < eps)
+def moved_fraction(p) -> Fraction:
+    """d(p, id): the fraction of points i with p(i) != i."""
+    return Fraction(sum(1 for i, x in enumerate(p.image) if x != i), len(p.image))
 
 
 def is_sofic_approx(s: SoficApprox, window, eps) -> DefectReport:
-    freeness = is_free(s, window, eps)
-    return replace(
-        is_multiplicative(s, window, eps),
-        free_margin=freeness.free_margin,
-        free_witness=freeness.free_witness,
-        free_pass=freeness.free_pass,
-        identity_pass=s.evaluate(s.group.identity()).is_identity(),
+    eps = Fraction(eps)
+    els = s.group.sort(window)
+    worst, mult_witness = Fraction(0), None
+    for g in els:
+        for h in els:
+            d = product_distance(s.evaluate(g), s.evaluate(h), s.evaluate(s.group.mul(g, h)))
+            if mult_witness is None or d > worst:
+                worst, mult_witness = d, (g, h)
+    margin, free_witness = None, None
+    for g in els:
+        if not s.group.is_identity(g):
+            d = moved_fraction(s.evaluate(g))
+            if margin is None or d < margin:
+                margin, free_witness = d, g
+    return DefectReport(
+        eps=eps,
+        window=els,
+        mult_defect=worst,
+        mult_witness=mult_witness,
+        free_margin=margin,
+        free_witness=free_witness,
+        identity_pass=moved_fraction(s.evaluate(s.group.identity())) == 0,
     )
 
 

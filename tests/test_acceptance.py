@@ -8,7 +8,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import soficwreath as sw
-from helpers import random_coord_action
+from helpers import good_block_inputs, random_coord_action
 from soficwreath.bigperm import expand_explicit
 from soficwreath.construct import check_good_block_bound
 from soficwreath.perm import Permutation, draw_permutation, hamming
@@ -76,12 +76,12 @@ def test_criterion_3_good_block_bound_reproduction():
         input_tolerance = Fraction(1, 320)
         positions = [-1, 0, 1]
         assert input_tolerance < block_tolerance / (4 * len(positions) ** 2)
+        windows, budget = good_block_inputs(sw.integers(), positions, block_tolerance, input_tolerance)
         clean = sw.cyclic_quotient(2048, window=range(-4, 5))
         for seed in range(200):
             noisy = sw.perturb(clean, Fraction(1, 2), seed=seed)
-            report = check_good_block_bound(noisy, positions, block_tolerance, input_tolerance)
-            assert report.certificate.passed
-            assert report.bound_pass  # |good| >= (1 - tolerance) * 2048
+            block = check_good_block_bound(noisy, windows, budget)  # raises unless sigma_B is certified
+            assert len(block.good) >= (1 - block_tolerance) * 2048
 
 
 def test_criterion_4_almost_homomorphism_reproduction():

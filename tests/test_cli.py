@@ -541,8 +541,32 @@ class TestReport:
             (lambda cert: cert.update({"eps": {"num": -1, "den": 2}}), "certificate eps must be positive, got -1/2"),
             (lambda cert: cert.update({"eps": {"num": 0, "den": 1}}), "certificate eps must be positive, got 0"),
             (lambda cert: cert["mult_defects"].pop(), "certificate lists 575 pairs for a window of 24"),
+            (
+                lambda cert: cert["mult_defects"].insert(1, cert["mult_defects"].pop(0)),
+                "certificate pairs are not the window's pairs in row-major order",
+            ),
+            (
+                lambda cert: cert.update({"free_margins": []}),
+                "certificate free_margins are not the window's non-identity elements in order",
+            ),
+            (
+                lambda cert: cert["free_margins"].reverse(),
+                "certificate free_margins are not the window's non-identity elements in order",
+            ),
+            (
+                lambda cert: [entry.update({"margin": {"num": 0, "den": 1}}) for entry in cert["details"]["freeness"]],
+                "certificate details.freeness differs from its free_margins",
+            ),
+            (
+                lambda cert: cert["details"]["freeness"][0].update({"element": cert["window"][0]}),
+                "certificate details.freeness differs from its free_margins",
+            ),
         ],
-        ids=["pass_string", "identity_pass_int", "eps_negative", "eps_zero", "pair_missing"],
+        ids=[
+            "pass_string", "identity_pass_int", "eps_negative", "eps_zero", "pair_missing",
+            "pairs_out_of_order", "margins_empty", "margins_out_of_order", "details_margins_zero",
+            "details_element_other",
+        ],
     )
     @pytest.mark.parametrize("format_", ["text", "json"])
     def test_malformed_verdict_eps_or_pairs_is_usage_error(self, tmp_path, capsys, edit, error, format_):
@@ -561,8 +585,11 @@ class TestReport:
         cert = json.loads(SMALL_CERTIFICATE.read_text())
         if field in cert:
             cert[field] = value
-        else:
-            for entry in cert["mult_defects" if field == "defect" else "free_margins"]:
+        elif field == "defect":
+            for entry in cert["mult_defects"]:
+                entry[field] = value
+        else:  # details.freeness repeats each margin
+            for entry in cert["free_margins"] + cert["details"]["freeness"]:
                 entry[field] = value
         path = write(tmp_path / "certificate.json", cert)
         assert main(["report", "--certificate", path]) == CERTIFICATE

@@ -9,8 +9,6 @@ from soficwreath.perm import Permutation, hamming, transposition
 from soficwreath.sofic import (
     SoficApprox,
     WindowViolationError,
-    is_free,
-    is_multiplicative,
     is_sofic_approx,
     require_sofic,
 )
@@ -93,19 +91,18 @@ class TestSoficApproxInvariants:
 class TestMultiplicative:
     def test_regular_rep_has_zero_defect(self):
         approx = sw.regular_rep(sw.cyclic(3))
-        report = is_multiplicative(approx, [0, 1, 2], Fraction(1, 100))
+        report = is_sofic_approx(approx, [0, 1, 2], Fraction(1, 100))
         assert report.mult_defect == 0
-        assert report.mult_pass
+        assert report.passed
 
     def test_constant_identity_rule_is_multiplicative_but_not_free(self):
         group = sw.cyclic(2)
         approx = SoficApprox(
             group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
         )
-        mult = is_multiplicative(approx, [0, 1], Fraction(1, 2))
-        assert mult.mult_defect == 0 and mult.mult_pass
-        freeness = is_free(approx, [0, 1], Fraction(1, 2))
-        assert freeness.free_margin == 0 and not freeness.free_pass
+        report = is_sofic_approx(approx, [0, 1], Fraction(1, 2))
+        assert report.mult_defect == 0 < report.eps
+        assert report.free_margin == 0 and not report.passed
 
     def test_perturbed_shift_defect_matches_enumeration(self):
         group = sw.cyclic(5)
@@ -113,7 +110,7 @@ class TestMultiplicative:
         rule = dict(approx.rule)
         rule[1] = transposition(5, 0, 1) * rule[1]  # swap two outputs of the generator
         noisy = SoficApprox(group, 5, approx.window, rule)
-        report = is_multiplicative(noisy, [1, 2], Fraction(1, 2))
+        report = is_sofic_approx(noisy, [1, 2], Fraction(1, 2))
         expected = max(
             hamming(noisy.evaluate(g) * noisy.evaluate(h), noisy.evaluate((g + h) % 5))
             for g in (1, 2)
@@ -128,42 +125,42 @@ class TestMultiplicative:
         a, b = Permutation((1, 0, 2)), Permutation((0, 2, 1))
         rule = {0: Permutation.identity(3), 1: a, 2: b, 3: a * b}
         approx = SoficApprox(group, 3, frozenset(rule), rule)
-        report = is_multiplicative(approx, [1, 2], Fraction(1, 2))
+        report = is_sofic_approx(approx, [1, 2], Fraction(1, 2))
         assert hamming(rule[1] * rule[2], rule[3]) == 0 < hamming(rule[2] * rule[1], rule[3])
-        assert report == sofic_oracle.is_multiplicative(approx, [1, 2], Fraction(1, 2))
+        assert report == sofic_oracle.is_sofic_approx(approx, [1, 2], Fraction(1, 2))
 
     @given(windowed_approximations(), tolerances)
     def test_matches_built_product_oracle(self, case, eps):
         approx, window = case
-        assert is_multiplicative(approx, window, eps) == sofic_oracle.is_multiplicative(approx, window, eps)
         assert is_sofic_approx(approx, window, eps) == sofic_oracle.is_sofic_approx(approx, window, eps)
 
     def test_window_violation_never_extends(self):
         approx = sw.cyclic_quotient(8, window=range(-2, 3))
         with pytest.raises(WindowViolationError, match="products"):
-            is_multiplicative(approx, [-2, 2], Fraction(1, 2))
+            is_sofic_approx(approx, [-2, 2], Fraction(1, 2))
 
 
 class TestFree:
     def test_regular_rep_margin_one(self):
-        report = is_free(sw.regular_rep(sw.cyclic(3)), [1, 2], Fraction(1, 100))
+        report = is_sofic_approx(sw.regular_rep(sw.cyclic(3)), [1, 2], Fraction(1, 100))
         assert report.free_margin == 1
-        assert report.free_pass
+        assert report.passed
 
     def test_identity_valued_element_fails(self):
         group = sw.cyclic(2)
         approx = SoficApprox(
             group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
         )
-        report = is_free(approx, [1], Fraction(1, 2))
+        report = is_sofic_approx(approx, [1], Fraction(1, 2))
+        assert report.mult_defect == 0
         assert report.free_margin == 0
         assert report.free_witness == 1
-        assert not report.free_pass
+        assert not report.passed
 
     def test_identity_only_window_passes_vacuously(self):
-        report = is_free(sw.regular_rep(sw.cyclic(3)), [0], Fraction(1, 2))
+        report = is_sofic_approx(sw.regular_rep(sw.cyclic(3)), [0], Fraction(1, 2))
         assert report.free_margin is None
-        assert report.free_pass
+        assert report.passed
 
 
 class TestWitnessTies:
@@ -178,7 +175,7 @@ class TestWitnessTies:
 
     def test_is_free_names_first_least_margin(self):
         approx = SoficApprox(sw.cyclic(4), 4, frozenset(self.RULE), self.RULE)
-        report = is_free(approx, [3, 2, 1, 0], Fraction(1, 2))
+        report = is_sofic_approx(approx, [3, 2, 1, 0], Fraction(1, 2))
         assert report.free_margin == Fraction(1, 2)  # at 2 and at 3
         assert report.free_witness == 2
 
@@ -186,7 +183,7 @@ class TestWitnessTies:
         swap = transposition(4, 0, 1)
         rule = {0: Permutation.identity(4), 1: swap, 2: transposition(4, 2, 3), 3: swap}
         approx = SoficApprox(sw.cyclic(4), 4, frozenset(rule), rule)
-        report = is_multiplicative(approx, [3, 2, 1, 0], Fraction(1, 2))
+        report = is_sofic_approx(approx, [3, 2, 1, 0], Fraction(1, 2))
         pairs = [(g, h) for g in range(4) for h in range(4)]
         defects = [hamming(rule[g] * rule[h], rule[(g + h) % 4]) for g, h in pairs]
         worst = max(defects)
@@ -211,9 +208,9 @@ class TestSoficCheck:
         assert report.free_margin == 1
 
     def test_shift_quotient_fails_on_multiples(self):
-        approx = sw.cyclic_quotient(8, window=range(-8, 9))
-        report = is_free(approx, [8], Fraction(1, 2))
-        assert report.free_margin == 0 and not report.free_pass
+        approx = sw.cyclic_quotient(8, window=range(-16, 17))
+        report = is_sofic_approx(approx, [8], Fraction(1, 2))
+        assert report.free_margin == 0 and not report.passed
 
     def test_random_free_rule_report_is_internally_consistent(self):
         group = sw.free(2)
@@ -247,6 +244,20 @@ class TestSoficCheck:
         with pytest.raises(sw.CertificateError, match="freeness margin"):
             require_sofic(approx, [0, 1], Fraction(1, 2), "test approximation")
 
+    def test_require_sofic_names_every_failing_part(self):
+        # rule(1) = id makes rule(1) rule(1) miss rule(2) everywhere and gives
+        # 1 no margin: both parts fail, at the first pair and element in order
+        swap = Permutation((1, 0))
+        ident = Permutation.identity(2)
+        rule = {0: ident, 1: ident, 2: swap, 3: ident}
+        approx = SoficApprox(sw.cyclic(4), 2, frozenset(rule), rule)
+        with pytest.raises(sw.CertificateError) as raised:
+            require_sofic(approx, [0, 1, 2, 3], Fraction(1, 2), "test approximation")
+        assert str(raised.value) == (
+            "test approximation fails its (4-element window, 1/2) certificate: "
+            "multiplicative defect 1 at pair (1, 1); freeness margin 0 at 1"
+        )
+
 
 class TestSerialization:
     def test_round_trip(self):
@@ -260,16 +271,6 @@ class TestSerialization:
         images = [Permutation((1, 2, 0)), Permutation((0, 2, 1))]
         approx = sw.quotient_by_images(group, images, group.ball(1))
         assert SoficApprox.from_json(approx.to_json()) == approx
-
-    def test_defect_report_json_uses_exact_rationals(self):
-        group = sw.cyclic(3)
-        report = is_sofic_approx(sw.regular_rep(group), [0, 1, 2], Fraction(1, 3))
-        data = report.to_json(group)
-        assert data["kind"] == "defect-report"
-        assert data["eps"] == {"num": 1, "den": 3}
-        assert data["mult"]["defect"] == {"num": 0, "den": 1}
-        assert data["free"]["margin"] == {"num": 1, "den": 1}
-        assert data["pass"] is True
 
     def test_report_witnesses_belong_to_window(self):
         group = sw.cyclic(5)

@@ -18,14 +18,14 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 PUBLIC = [
     "AlmostHomReport", "Budget", "Certificate", "CertificateError", "CoordAction", "DefectReport",
-    "DetailedReport", "DirectSum", "EXPANSION_CAP", "FinSuppMap", "GoodBlock", "GoodBlockReport",
+    "DetailedReport", "DirectSum", "EXPANSION_CAP", "FinSuppMap", "GoodBlock",
     "Group", "Permutation", "SoficApprox", "WindowSets", "WindowViolationError", "WreathApprox",
     "WreathElement", "WreathProduct", "action_distance", "agreement_fraction",
     "bigperm", "build", "check_almost_homomorphism", "check_good_block_bound", "compose",
     "compose_actions", "compute_good_blocks", "construct", "coord_action", "cyclic",
     "cyclic_quotient", "derive_windows", "detailed_reports", "expand_explicit", "finite_from_table",
     "fixed_fraction", "free", "group_from_descriptor", "groups", "hamming", "identity_action",
-    "integers", "is_free", "is_multiplicative", "is_sofic_approx", "jsonutil", "lamp_action",
+    "integers", "is_sofic_approx", "jsonutil", "lamp_action",
     "make_budget", "oracle_check", "perm", "perturb", "quotient_by_images", "random_permutation",
     "regular_rep", "sofic", "symmetric", "transposition", "verify", "verify_construction",
     "wreath_approx_from_json", "wreath_product",

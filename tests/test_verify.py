@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 import soficwreath as sw
-from helpers import random_rule
+from helpers import good_block_inputs, random_rule
 from soficwreath import bigperm
 from soficwreath.construct import GoodBlock, check_good_block_bound
 from soficwreath.perm import Permutation, transposition
@@ -105,37 +105,32 @@ class TestWitnessTies:
 
 class TestGoodBlockBound:
     def test_regular_rep_has_full_slack(self):
-        report = check_good_block_bound(
-            sw.regular_rep(sw.cyclic(3)), [0, 1, 2], Fraction(1, 8), Fraction(1, 300)
-        )
-        assert len(report.block.good) == 3
-        assert report.bound_pass
+        windows, budget = good_block_inputs(sw.cyclic(3), [0, 1, 2], Fraction(1, 8), Fraction(1, 300))
+        block = check_good_block_bound(sw.regular_rep(sw.cyclic(3)), windows, budget)
+        assert len(block.good) == 3
 
     def test_shift_quotient_all_blocks(self):
-        report = check_good_block_bound(
-            sw.cyclic_quotient(64), range(-2, 3), Fraction(1, 10), Fraction(1, 1024)
-        )
-        assert len(report.block.good) == 64
-        assert report.bound_pass
+        windows, budget = good_block_inputs(sw.integers(), range(-2, 3), Fraction(1, 10), Fraction(1, 1024))
+        block = check_good_block_bound(sw.cyclic_quotient(64), windows, budget)
+        assert len(block.good) == 64
 
     def test_perturbed_quotients_meet_bound(self):
+        windows, budget = good_block_inputs(sw.integers(), [-1, 0, 1], Fraction(1, 8), Fraction(1, 320))
         window = range(-4, 5)
         for seed in range(50):
             noisy = sw.perturb(sw.cyclic_quotient(2048, window), Fraction(1, 2), seed=seed)
-            report = check_good_block_bound(noisy, [-1, 0, 1], Fraction(1, 8), Fraction(1, 320))
-            assert report.bound_pass
-            assert report.certificate.passed
+            block = check_good_block_bound(noisy, windows, budget)
+            assert len(block.good) >= (1 - Fraction(1, 8)) * 2048
 
     def test_tolerance_hypothesis_enforced(self):
-        with pytest.raises(ValueError, match="not <"):
-            check_good_block_bound(
-                sw.cyclic_quotient(64), range(-2, 3), Fraction(1, 10), Fraction(1, 100)
-            )
+        with pytest.raises(ValueError, match=r"not < block/\(4 w\^2\)"):
+            sw.Budget(Fraction(100), Fraction(1, 10), Fraction(1, 100), 5)
 
     def test_failing_certificate_raises(self):
         junk = random_rule(sw.integers(), range(-4, 5), degree=16, seed=3)
-        with pytest.raises(sw.CertificateError):
-            check_good_block_bound(junk, [-1, 0, 1], Fraction(1, 2), Fraction(1, 200))
+        windows, budget = good_block_inputs(sw.integers(), [-1, 0, 1], Fraction(1, 2), Fraction(1, 200))
+        with pytest.raises(sw.CertificateError, match="base approximation"):
+            check_good_block_bound(junk, windows, budget)
 
 
 class TestVerifyConstruction:
