@@ -14,7 +14,8 @@ carriers of size |A|^|B| * |B| that could never be materialized.
 
 Sparsity is canonical: tau is a mapping block -> coordinate -> permutation
 that stores no identity permutations and no empty blocks, so structural
-equality is semantic equality.
+equality is semantic equality.  ``CoordAction(...)`` checks all of this;
+``compose_actions`` skips it, as it stores no identity product or empty block.
 
 In the construction a few lamp permutations recur at most coordinates, so
 each kernel does its per-permutation work once per distinct permutation
@@ -145,7 +146,9 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
                 entries[c] = p
         if entries:
             tau[b] = entries
-    return CoordAction(first.a_size, first.b_size, second.beta * first.beta, tau)
+    w = object.__new__(CoordAction)  # canonical by construction: skip the check
+    vars(w).update(a_size=first.a_size, b_size=first.b_size, beta=second.beta * first.beta, tau=tau)
+    return w
 
 
 def action_distance(w: CoordAction, v: CoordAction) -> Fraction:

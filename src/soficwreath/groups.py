@@ -250,11 +250,7 @@ class TableGroup(Group):
         return self.table[a][b]
 
     def inv(self, a):
-        e = self._identity_index
-        for b in range(len(self.table)):
-            if self.table[a][b] == e:
-                return b
-        raise ValueError(f"no inverse for {a}")  # unreachable: rows are bijections
+        return self.table[a].index(self._identity_index)  # rows are bijections
 
     def elements(self):
         return iter(range(len(self.table)))

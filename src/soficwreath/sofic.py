@@ -11,7 +11,7 @@ a rule is from a free action by a homomorphism on a given window, and
 
 * multiplicative: max over pairs of d(rule(g) rule(h), rule(gh)) < eps;
 * free: min over non-identity g of d(rule(g), id) > 1 - eps;
-* rule(1) = id.
+* rule(1) = id, which ``SoficApprox`` enforces on a window that holds 1.
 
 All inequalities are strict and compared as exact ``Fraction`` values.  The
 pair defects are counted as agreeing points and build no product.
@@ -109,12 +109,11 @@ class DefectReport:
     mult_witness: tuple | None
     free_margin: Fraction | None
     free_witness: Any
-    identity_pass: bool
 
     @property
     def passed(self) -> bool:
         margins = () if self.free_margin is None else (self.free_margin,)
-        return sofic_verdict(self.identity_pass, (self.mult_defect,), margins, self.eps)
+        return sofic_verdict(True, (self.mult_defect,), margins, self.eps)
 
 
 def sofic_verdict(identity_pass: bool, defects, margins, eps: Fraction) -> bool:
@@ -131,18 +130,17 @@ def _require_window(s: SoficApprox, needed, what: str):
 
 def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     """Measure the rule on the window: the worst d(rule(g) rule(h), rule(gh))
-    over pairs, the least d(rule(g), id) over non-identity g, and rule(1) = id.
+    over pairs and the least d(rule(g), id) over non-identity g.
 
     Each pair is counted with ``product_agreement``, which builds no product.
     On a tie the witness is the first extreme in sorted order.
     """
     eps = Fraction(eps)
-    group, ident = s.group, s.group.identity()
-    if ident not in s.window:
+    if s.group.identity() not in s.window:
         raise WindowViolationError("sofic check needs the identity inside the window")
-    els = group.sort(window)
+    els = s.group.sort(window)
     _require_window(s, els, "sofic check")
-    products = [(g, h, group.mul(g, h)) for g in els for h in els]
+    products = [(g, h, s.group.mul(g, h)) for g in els for h in els]
     _require_window(s, (gh for _, _, gh in products), "sofic check (products)")
     fewest, mult_witness = min(
         ((product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh)), (g, h)) for g, h, gh in products),
@@ -151,7 +149,7 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     )
     identity = Permutation.identity(s.carrier_size)
     free_margin, free_witness = min(
-        ((s.evaluate(g).distance(identity), g) for g in els if not group.is_identity(g)),
+        ((s.evaluate(g).distance(identity), g) for g in els if not s.group.is_identity(g)),
         key=itemgetter(0),
         default=(None, None),
     )
@@ -162,7 +160,6 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
         mult_witness=mult_witness,
         free_margin=free_margin,
         free_witness=free_witness,
-        identity_pass=s.evaluate(ident).is_identity(),
     )
 
 
@@ -174,8 +171,6 @@ def require_sofic(s: SoficApprox, window, eps: Fraction, label: str) -> DefectRe
             parts.append(f"multiplicative defect {report.mult_defect} at pair {report.mult_witness!r}")
         if report.free_margin is not None and not report.free_margin > 1 - report.eps:
             parts.append(f"freeness margin {report.free_margin} at {report.free_witness!r}")
-        if not report.identity_pass:
-            parts.append("rule(identity) is not the identity")
         raise CertificateError(f"{label} fails its ({len(report.window)}-element window, {eps}) certificate: " + "; ".join(parts))
     return report
 

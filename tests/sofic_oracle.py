@@ -5,7 +5,7 @@ computed point by point.
 with rule(gh) through one C-level gather and never builds the product, and
 measures margins with ``Permutation.distance``.  This module composes each
 product point by point, ``s.image[t.image[i]]``, and counts the moved points
-of each value and of rule(1) as the definitions read, so it shares no kernel
+of each value as the definitions read, so it shares no kernel
 with ``perm``.  ``compute_good_blocks`` inverts every rule value point by point
 and tests each block of the carrier with one set comprehension per pair of
 positions, where ``construct.compute_good_blocks`` drops blocks in bulk and
@@ -56,7 +56,6 @@ def is_sofic_approx(s: SoficApprox, window, eps) -> DefectReport:
         mult_witness=mult_witness,
         free_margin=margin,
         free_witness=free_witness,
-        identity_pass=moved_fraction(s.evaluate(s.group.identity())) == 0,
     )
 
 

@@ -337,6 +337,39 @@ class TestSharedEntries:
         )
 
 
+@st.composite
+def action_families(draw) -> list[CoordAction]:
+    """Canonical actions on one carrier, the identity among them: either
+    random ones with |A| and |B| from 1 (so degree-1 lamps and bases, and
+    actions with no lamp entries) or three from ``pooled_actions``, whose
+    block dicts are shared."""
+    if draw(st.booleans()):
+        actions = draw(pooled_actions())
+    else:
+        a_size, b_size = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=4))
+        rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+        actions = [random_coord_action(a_size, b_size, rng) for _ in range(3)]
+    w, v, u = actions
+    return [w, v, u, identity_action(w.a_size, w.b_size), w * v, (w * v) * u]
+
+
+class TestTrustedCompose:
+    """``compose_actions`` builds its result without ``CoordAction``'s check;
+    every result must pass that check, hold checked permutations, and equal
+    the product that ``coord_oracle`` canonicalizes after the fact."""
+
+    @settings(max_examples=150)
+    @given(action_families())
+    def test_results_pass_the_checked_constructors(self, family):
+        for second in family:
+            for first in family:
+                w = compose_actions(second, first)
+                assert CoordAction(w.a_size, w.b_size, w.beta, w.tau) == w
+                assert w == coord_oracle.compose_actions(second, first)
+                for p in [w.beta, *(p for entries in w.tau.values() for p in entries.values())]:
+                    assert Permutation(p.image) == p
+
+
 class TestPerformance:
     def test_large_sparse_carrier_under_a_second(self):
         rng = random.Random(5)

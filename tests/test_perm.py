@@ -77,6 +77,27 @@ class TestCompose:
         assert s.inverse() * s == Permutation.identity(s.degree)
 
 
+class TestTrustedResults:
+    """``compose`` and ``inverse`` build their results without the bijection
+    check, so the check runs here: each result must pass ``Permutation``, be
+    the product or inverse point by point, and equal and hash like the checked
+    value with its image."""
+
+    @given(same_degree_perms(2))
+    def test_products_and_inverses_pass_the_check(self, pair):
+        s, t = pair
+        built = [
+            (product_image(s, t), s * t),
+            (product_image(t, s), compose(t, s)),
+            (inverse_image(s), s.inverse()),
+            (inverse_image(Permutation(product_image(s, t))), (s * t).inverse()),
+        ]
+        for image, p in built:
+            checked = Permutation(p.image)
+            assert type(p.image) is tuple and p.image == image
+            assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+
+
 class TestHamming:
     def test_identical(self):
         assert hamming(perm(2, 0, 1), perm(2, 0, 1)) == 0
