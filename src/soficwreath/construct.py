@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import compress, count
 from operator import eq, ne
 
@@ -134,8 +135,6 @@ def make_budget(eps, window_size: int) -> Budget:
     eps/(48 w^2) and (eps/13)/(4 w^2) = eps/(52 w^2).
     """
     eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if window_size < 1:
         raise ValueError("window size must be >= 1")
     return Budget(eps, eps / 13, eps / (96 * window_size**2), window_size)
@@ -264,16 +263,19 @@ class WreathApprox:
     sigma_B(h) moves the block, and the lamps of f rewrite the anchored
     coordinates at each block that it moves onto a good one.  Values are
     cached per element.  The rule is evaluable on the closure window and all
-    its pairwise products.
+    its pairwise products.  Its group ``wreath`` is derived from the inputs' groups.
     """
 
-    wreath: WreathProduct
     sigma_A: SoficApprox
     sigma_B: SoficApprox
     windows: WindowSets
     block: GoodBlock
     budget: Budget
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def wreath(self) -> WreathProduct:
+        return WreathProduct(self.sigma_A.group, self.sigma_B.group)
 
     @property
     def a_size(self) -> int:
@@ -332,13 +334,11 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
     The input approximations must hold their certificates at the derived
     input tolerance; a failed certificate is an error, not a warning.
     """
-    wreath = WreathProduct(sigma_A.group, sigma_B.group)
-    windows = derive_windows(wreath, targets)
+    windows = derive_windows(WreathProduct(sigma_A.group, sigma_B.group), targets)
     budget = make_budget(eps, len(windows.positions))
 
     require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
     return WreathApprox(
-        wreath=wreath,
         sigma_A=sigma_A,
         sigma_B=sigma_B,
         windows=windows,
@@ -352,15 +352,15 @@ def wreath_approx_from_json(data: dict) -> WreathApprox:
 
     The stored derived sections are cross-checked against the fresh
     derivation; a mismatch means the artifact was edited and is reported as
-    a certificate failure.
+    a certificate failure.  The stored ``group`` must be the one ``build`` uses.
     """
     if data.get("kind") != "wreath-approx" or not same_json(data.get("format"), 1):
         raise ValueError("not a wreath-approx artifact")
     wreath = group_from_descriptor(data["group"])
-    if not isinstance(wreath, WreathProduct):
-        raise ValueError("artifact group is not a wreath product")
     sigma_A = SoficApprox.from_json(data["lamp_approx"])
     sigma_B = SoficApprox.from_json(data["base_approx"])
+    if wreath != WreathProduct(sigma_A.group, sigma_B.group):
+        raise ValueError("artifact group is not the wreath product of its lamp_approx and base_approx groups")
     targets = [wreath.decode(u) for u in data["targets"]]
     eps = frac_from_json(data["eps"])
     approx = build(sigma_A, sigma_B, targets, eps)

@@ -1,9 +1,9 @@
 """Sofic approximations: windowed rules group -> Sym(carrier) and their checkers.
 
-A ``SoficApprox`` maps each element of an explicit finite window to a
-permutation of a common carrier.  Evaluating outside the window is an error,
-never a silent identity; the one place the theory extends by the identity is
-the lamp action in ``construct`` and it does so explicitly.
+A ``SoficApprox`` maps each element of an explicit finite window, the key set
+of its ``rule``, to a permutation of a common carrier.  Evaluating outside the
+window is an error, never a silent identity; the one place the theory extends
+by the identity is the lamp action in ``construct`` and it does so explicitly.
 
 The one checker, ``is_sofic_approx``, measures with exact rationals how far
 a rule is from a free action by a homomorphism on a given window, and
@@ -40,29 +40,27 @@ class CertificateError(RuntimeError):
 
 @dataclass(frozen=True)
 class SoficApprox:
-    """A rule from a finite window of a group to permutations of one carrier."""
+    """A rule from a finite window of a group, the keys of ``rule``, to permutations of one carrier."""
     group: Group
     carrier_size: int
-    window: frozenset
     rule: Mapping[Any, Permutation]
 
     def __post_init__(self):
-        if set(self.rule) != set(self.window):
-            raise ValueError("rule must be defined exactly on the window")
         for g, p in self.rule.items():
             if p.degree != self.carrier_size:
                 raise ValueError(f"carrier mismatch: rule({g!r}) has degree {p.degree}, expected {self.carrier_size}")
         ident = self.group.identity()
-        if ident in self.window and not self.rule[ident].is_identity():
+        if ident in self.rule and not self.rule[ident].is_identity():
             raise ValueError("rule(identity) must be the identity permutation")
 
     def evaluate(self, g) -> Permutation:
-        if g not in self.window:
-            raise WindowViolationError(f"element {g!r} outside the declared window")
-        return self.rule[g]
+        try:
+            return self.rule[g]
+        except KeyError:
+            raise WindowViolationError(f"element {g!r} outside the declared window") from None
 
     def sorted_window(self) -> tuple:
-        return self.group.sort(self.window)
+        return self.group.sort(self.rule)
 
     def to_json(self) -> dict:
         window = self.sorted_window()
@@ -82,7 +80,9 @@ class SoficApprox:
             rule[_new_element(group, k, rule, "rule")] = Permutation.from_json(p)
         for k in data["window"]:
             window.add(_new_element(group, k, window, "window"))
-        return cls(group, carrier_size, frozenset(window), rule)
+        if window != rule.keys():
+            raise ValueError("rule must be defined exactly on the window")
+        return cls(group, carrier_size, rule)
 
 
 def _new_element(group: Group, data, seen, what: str):
@@ -123,7 +123,7 @@ def sofic_verdict(identity_pass: bool, defects, margins, eps: Fraction) -> bool:
 
 
 def _require_window(s: SoficApprox, needed, what: str):
-    missing = [g for g in needed if g not in s.window]
+    missing = [g for g in needed if g not in s.rule]
     if missing:
         raise WindowViolationError(f"{what} needs elements outside the window: {missing[:5]!r}")
 
@@ -136,7 +136,7 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     On a tie the witness is the first extreme in sorted order.
     """
     eps = Fraction(eps)
-    if s.group.identity() not in s.window:
+    if s.group.identity() not in s.rule:
         raise WindowViolationError("sofic check needs the identity inside the window")
     els = s.group.sort(window)
     _require_window(s, els, "sofic check")
@@ -184,7 +184,7 @@ def regular_rep(group: Group) -> SoficApprox:
     els = group.sort(group.elements())
     index = {g: i for i, g in enumerate(els)}
     rule = {g: Permutation(tuple(index[group.mul(g, x)] for x in els)) for g in els}
-    return SoficApprox(group, len(els), frozenset(els), rule)
+    return SoficApprox(group, len(els), rule)
 
 
 def cyclic_quotient(n: int, window=None) -> SoficApprox:
@@ -193,9 +193,8 @@ def cyclic_quotient(n: int, window=None) -> SoficApprox:
         raise ValueError("carrier size must be >= 1")
     if window is None:
         window = range(-(n - 1), n)
-    window = frozenset(window)
     rule = {k: Permutation((*range(k % n, n), *range(k % n))) for k in window}
-    return SoficApprox(integers(), n, window, rule)
+    return SoficApprox(integers(), n, rule)
 
 
 def quotient_by_images(group: FreeGroup, images, window) -> SoficApprox:
@@ -215,8 +214,8 @@ def quotient_by_images(group: FreeGroup, images, window) -> SoficApprox:
             out = out * (images[letter - 1] if letter > 0 else inverses[-letter - 1])
         return out
 
-    window = frozenset(group.decode(list(w)) for w in window)
-    return SoficApprox(group, degree, window, {w: value(w) for w in window})
+    words = {group.decode(list(w)) for w in window}
+    return SoficApprox(group, degree, {w: value(w) for w in words})
 
 
 def perturb(s: SoficApprox, rate, seed: int) -> SoficApprox:
@@ -237,4 +236,4 @@ def perturb(s: SoficApprox, rate, seed: int) -> SoficApprox:
             i, j = rng.sample(range(s.carrier_size), 2)
             p = transposition(s.carrier_size, i, j) * p
         rule[g] = p
-    return SoficApprox(s.group, s.carrier_size, s.window, rule)
+    return SoficApprox(s.group, s.carrier_size, rule)

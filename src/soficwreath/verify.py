@@ -10,7 +10,8 @@ Three layers of checks, all exact:
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them; each
-  margin is measured once and then broken down.
+  margin is measured once and then broken down.  A ``Certificate`` reads its
+  budget, eps and (element, margin) pairs ``free_margins`` from ``details``.
 * ``oracle_check``: on carriers small enough to expand, a certificate's
   distances and the rule's products agree with explicit permutations.
 
@@ -238,13 +239,15 @@ class Certificate:
     window: tuple[WreathElement, ...]
     identity_pass: bool
     mult_defects: tuple[tuple[WreathElement, WreathElement, Fraction], ...]
-    free_margins: tuple[tuple[WreathElement, Fraction], ...]
-    budget: Budget
     details: DetailedReport
 
     @property
     def eps(self) -> Fraction:
-        return self.budget.eps
+        return self.details.budget.eps
+
+    @property
+    def free_margins(self) -> tuple[tuple[WreathElement, Fraction], ...]:
+        return tuple((e.element, e.margin) for e in self.details.freeness)
 
     @property
     def worst_defect(self) -> tuple[Fraction, Any]:
@@ -277,7 +280,8 @@ class Certificate:
         per distinct defect or margin, which ``dump_indented`` writes once per depth.  Values are
         keyed by their integer ratio, which hashes faster than a Fraction."""
         enc = {u: wreath.encode(u) for u in self.window}
-        values = {x.as_integer_ratio(): x for x in [d for *_, d in self.mult_defects] + [m for _, m in self.free_margins]}
+        margins = self.free_margins
+        values = {x.as_integer_ratio(): x for x in [d for *_, d in self.mult_defects] + [m for _, m in margins]}
         fracs = {ratio: frac_to_json(x) for ratio, x in values.items()}
         return {
             "kind": "sofic-certificate",
@@ -289,8 +293,8 @@ class Certificate:
             "mult_defects": [
                 {"pair": [enc[u], enc[v]], "defect": fracs[d.as_integer_ratio()]} for u, v, d in self.mult_defects
             ],
-            "free_margins": [{"element": enc[u], "margin": fracs[m.as_integer_ratio()]} for u, m in self.free_margins],
-            "budget": self.budget.to_json(),
+            "free_margins": [{"element": enc[u], "margin": fracs[m.as_integer_ratio()]} for u, m in margins],
+            "budget": self.details.budget.to_json(),
             "details": self.details.to_json(wreath),
             "pass": self.passed,
             "seed": None,  # format 1 keeps the key; nothing seeds a certificate
@@ -328,8 +332,6 @@ def verify_construction(approx: WreathApprox) -> Certificate:
     >>> certificate = verify_construction(approx)
     >>> certificate.passed, certificate.worst_defect[0], certificate.min_margin[0]
     (True, Fraction(0, 1), Fraction(1, 1))
-    >>> [entry.margin for entry in certificate.details.freeness] == [m for _, m in certificate.free_margins]
-    True
     """
     wreath = approx.wreath
     targets = approx.windows.targets
@@ -348,8 +350,6 @@ def verify_construction(approx: WreathApprox) -> Certificate:
         window=targets,
         identity_pass=identity_pass,
         mult_defects=mult_defects,
-        free_margins=free_margins,
-        budget=approx.budget,
         details=detailed_reports(approx, free_margins),
     )
 

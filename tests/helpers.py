@@ -20,7 +20,7 @@ def random_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
         rule[g] = (
             Permutation.identity(degree) if group.is_identity(g) else draw_permutation(degree, rng)
         )
-    return SoficApprox(group, degree, frozenset(window), rule)
+    return SoficApprox(group, degree, rule)
 
 
 def good_block_inputs(base: Group, positions, block_tolerance, input_tolerance):
@@ -43,7 +43,7 @@ def collapsed_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
     shared = draw_permutation(degree, rng)
     ident = Permutation.identity(degree)
     rule = {g: ident if group.is_identity(g) else rng.choice((ident, shared)) for g in group.sort(window)}
-    return SoficApprox(group, degree, frozenset(window), rule)
+    return SoficApprox(group, degree, rule)
 
 
 @st.composite

@@ -447,6 +447,27 @@ class TestVerify:
         assert main(["verify", "--approx", tampered]) == USAGE
         assert capsys.readouterr().err == "error: group n must be an integer, got True\n"
 
+    @pytest.mark.parametrize(
+        "part, group",
+        [("lamp", {"kind": "cyclic", "n": 5}), ("lamp", {"kind": "symmetric", "k": 2}), ("base", {"kind": "integers"})],
+        ids=["lamp_cyclic_5", "lamp_symmetric_2", "base_integers"],
+    )
+    def test_artifact_group_must_be_that_of_its_approximations(self, built_artifact, tmp_path, capsys, part, group):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        artifact["group"][part] = group
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        assert capsys.readouterr().err == (
+            "error: artifact group is not the wreath product of its lamp_approx and base_approx groups\n"
+        )
+
+    def test_window_other_than_the_rule_elements_is_usage_error(self, built_artifact, tmp_path, capsys):
+        artifact = json.loads(pathlib.Path(built_artifact).read_text())
+        artifact["lamp_approx"]["window"].pop()
+        tampered = write(tmp_path / "tampered.json", artifact)
+        assert main(["verify", "--approx", tampered]) == USAGE
+        assert capsys.readouterr().err == "error: rule must be defined exactly on the window\n"
+
     def test_missing_file_is_usage(self, tmp_path):
         assert main(["verify", "--approx", str(tmp_path / "nope.json")]) == USAGE
 

@@ -146,7 +146,7 @@ class TestGoodBlocks:
             1: Permutation.identity(3),
             2: Permutation((1, 2, 0)),
         }
-        collapsed = SoficApprox(group, 3, frozenset({0, 1, 2}), rule)
+        collapsed = SoficApprox(group, 3, rule)
         block = compute_good_blocks(collapsed, [0, 1])
         assert block.injective == frozenset()
         assert block.good == frozenset()
@@ -242,9 +242,7 @@ class TestBlockLampAction:
     def test_rejects_bad_block(self, mod2_setup):
         sigma_A, _, positions, _ = mod2_setup
         group = sw.cyclic(2)
-        collapsed = SoficApprox(
-            group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
-        )
+        collapsed = SoficApprox(group, 2, {0: Permutation.identity(2), 1: Permutation.identity(2)})
         block = compute_good_blocks(collapsed, positions)
         sums = sw.DirectSum(group, group)
         with pytest.raises(ValueError, match="not good"):
@@ -327,7 +325,7 @@ def base_only(sigma_A: SoficApprox, sigma_B: SoficApprox):
     wreath = sw.wreath_product(sigma_A.group, sigma_B.group)
     windows = derive_windows(wreath, [wreath.identity()])
     block = compute_good_blocks(sigma_B, windows.positions)
-    approx = WreathApprox(wreath, sigma_A, sigma_B, windows, block, make_budget(1, len(windows.positions)))
+    approx = WreathApprox(sigma_A, sigma_B, windows, block, make_budget(1, len(windows.positions)))
     return lambda h: approx.rule(wreath.element({}, h))
 
 
@@ -434,7 +432,7 @@ class TestBuild:
             1: Permutation.identity(3),
             2: Permutation((1, 2, 0)),
         }
-        collapsed = SoficApprox(group, 3, frozenset({0, 1, 2}), rule)
+        collapsed = SoficApprox(group, 3, rule)
         wreath = sw.wreath_product(lamp, group)
         with pytest.raises(sw.CertificateError):
             sw.build(

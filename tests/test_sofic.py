@@ -67,20 +67,11 @@ class TestGenerators:
 class TestSoficApproxInvariants:
     def test_identity_rule_must_be_identity(self):
         with pytest.raises(ValueError, match="identity"):
-            SoficApprox(sw.cyclic(2), 2, frozenset({0, 1}), {0: Permutation((1, 0)), 1: Permutation((1, 0))})
-
-    def test_rule_window_must_agree(self):
-        with pytest.raises(ValueError, match="window"):
-            SoficApprox(sw.cyclic(2), 2, frozenset({0, 1}), {0: Permutation.identity(2)})
+            SoficApprox(sw.cyclic(2), 2, {0: Permutation((1, 0)), 1: Permutation((1, 0))})
 
     def test_degrees_must_agree(self):
         with pytest.raises(ValueError, match="carrier mismatch"):
-            SoficApprox(
-                sw.cyclic(2),
-                2,
-                frozenset({0, 1}),
-                {0: Permutation.identity(2), 1: Permutation((1, 2, 0))},
-            )
+            SoficApprox(sw.cyclic(2), 2, {0: Permutation.identity(2), 1: Permutation((1, 2, 0))})
 
     def test_evaluate_outside_window(self):
         approx = sw.cyclic_quotient(8, window=range(-2, 3))
@@ -97,9 +88,7 @@ class TestMultiplicative:
 
     def test_constant_identity_rule_is_multiplicative_but_not_free(self):
         group = sw.cyclic(2)
-        approx = SoficApprox(
-            group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
-        )
+        approx = SoficApprox(group, 2, {0: Permutation.identity(2), 1: Permutation.identity(2)})
         report = is_sofic_approx(approx, [0, 1], Fraction(1, 2))
         assert report.mult_defect == 0 < report.eps
         assert report.free_margin == 0 and not report.passed
@@ -109,7 +98,7 @@ class TestMultiplicative:
         approx = sw.regular_rep(group)
         rule = dict(approx.rule)
         rule[1] = transposition(5, 0, 1) * rule[1]  # swap two outputs of the generator
-        noisy = SoficApprox(group, 5, approx.window, rule)
+        noisy = SoficApprox(group, 5, rule)
         report = is_sofic_approx(noisy, [1, 2], Fraction(1, 2))
         expected = max(
             hamming(noisy.evaluate(g) * noisy.evaluate(h), noisy.evaluate((g + h) % 5))
@@ -124,7 +113,7 @@ class TestMultiplicative:
         group = sw.cyclic(4)
         a, b = Permutation((1, 0, 2)), Permutation((0, 2, 1))
         rule = {0: Permutation.identity(3), 1: a, 2: b, 3: a * b}
-        approx = SoficApprox(group, 3, frozenset(rule), rule)
+        approx = SoficApprox(group, 3, rule)
         report = is_sofic_approx(approx, [1, 2], Fraction(1, 2))
         assert hamming(rule[1] * rule[2], rule[3]) == 0 < hamming(rule[2] * rule[1], rule[3])
         assert report == sofic_oracle.is_sofic_approx(approx, [1, 2], Fraction(1, 2))
@@ -148,9 +137,7 @@ class TestFree:
 
     def test_identity_valued_element_fails(self):
         group = sw.cyclic(2)
-        approx = SoficApprox(
-            group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
-        )
+        approx = SoficApprox(group, 2, {0: Permutation.identity(2), 1: Permutation.identity(2)})
         report = is_sofic_approx(approx, [1], Fraction(1, 2))
         assert report.mult_defect == 0
         assert report.free_margin == 0
@@ -174,7 +161,7 @@ class TestWitnessTies:
     }
 
     def test_is_free_names_first_least_margin(self):
-        approx = SoficApprox(sw.cyclic(4), 4, frozenset(self.RULE), self.RULE)
+        approx = SoficApprox(sw.cyclic(4), 4, self.RULE)
         report = is_sofic_approx(approx, [3, 2, 1, 0], Fraction(1, 2))
         assert report.free_margin == Fraction(1, 2)  # at 2 and at 3
         assert report.free_witness == 2
@@ -182,7 +169,7 @@ class TestWitnessTies:
     def test_is_multiplicative_names_first_worst_pair(self):
         swap = transposition(4, 0, 1)
         rule = {0: Permutation.identity(4), 1: swap, 2: transposition(4, 2, 3), 3: swap}
-        approx = SoficApprox(sw.cyclic(4), 4, frozenset(rule), rule)
+        approx = SoficApprox(sw.cyclic(4), 4, rule)
         report = is_sofic_approx(approx, [3, 2, 1, 0], Fraction(1, 2))
         pairs = [(g, h) for g in range(4) for h in range(4)]
         defects = [hamming(rule[g] * rule[h], rule[(g + h) % 4]) for g, h in pairs]
@@ -238,9 +225,7 @@ class TestSoficCheck:
 
     def test_require_sofic_raises_with_witness(self):
         group = sw.cyclic(2)
-        approx = SoficApprox(
-            group, 2, frozenset({0, 1}), {0: Permutation.identity(2), 1: Permutation.identity(2)}
-        )
+        approx = SoficApprox(group, 2, {0: Permutation.identity(2), 1: Permutation.identity(2)})
         with pytest.raises(sw.CertificateError, match="freeness margin"):
             require_sofic(approx, [0, 1], Fraction(1, 2), "test approximation")
 
@@ -250,7 +235,7 @@ class TestSoficCheck:
         swap = Permutation((1, 0))
         ident = Permutation.identity(2)
         rule = {0: ident, 1: ident, 2: swap, 3: ident}
-        approx = SoficApprox(sw.cyclic(4), 2, frozenset(rule), rule)
+        approx = SoficApprox(sw.cyclic(4), 2, rule)
         with pytest.raises(sw.CertificateError) as raised:
             require_sofic(approx, [0, 1, 2, 3], Fraction(1, 2), "test approximation")
         assert str(raised.value) == (
@@ -271,6 +256,14 @@ class TestSerialization:
         images = [Permutation((1, 2, 0)), Permutation((0, 2, 1))]
         approx = sw.quotient_by_images(group, images, group.ball(1))
         assert SoficApprox.from_json(approx.to_json()) == approx
+
+    def test_rule_window_must_agree(self):
+        # the window is the rule's key set: a stored window list naming other
+        # elements, in either direction, is rejected on load
+        data = sw.cyclic_quotient(6, window=range(-2, 3)).to_json()
+        for window in ([-2, -1, 0, 1, 2, 3], [-2, -1, 0, 1]):
+            with pytest.raises(ValueError, match="^rule must be defined exactly on the window$"):
+                SoficApprox.from_json({**data, "window": window})
 
     def test_report_witnesses_belong_to_window(self):
         group = sw.cyclic(5)

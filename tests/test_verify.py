@@ -9,11 +9,18 @@ from soficwreath import bigperm
 from soficwreath.construct import GoodBlock, check_good_block_bound
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
+    FreenessEntry,
     check_almost_homomorphism,
     detailed_reports,
     oracle_check,
     verify_construction,
 )
+
+
+def with_freeness(cert, freeness):
+    """``cert`` with ``freeness`` as its details' freeness entries, and so as
+    the source of its ``free_margins``."""
+    return dataclasses.replace(cert, details=dataclasses.replace(cert.details, freeness=tuple(freeness)))
 
 
 @pytest.fixture(scope="module")
@@ -94,10 +101,12 @@ class TestWitnessTies:
         cert = verify_construction(small_wreath)
         u0, u1, u2, u3 = cert.window[:4]
         third, half = Fraction(1, 3), Fraction(1, 2)
-        tied = dataclasses.replace(
-            cert,
-            mult_defects=((u0, u0, Fraction(0)), (u0, u1, third), (u1, u0, third), (u1, u1, Fraction(1, 4))),
-            free_margins=((u1, Fraction(1)), (u2, half), (u3, half)),
+        tied = with_freeness(
+            dataclasses.replace(
+                cert,
+                mult_defects=((u0, u0, Fraction(0)), (u0, u1, third), (u1, u0, third), (u1, u1, Fraction(1, 4))),
+            ),
+            (FreenessEntry(u, m, None, None, None) for u, m in ((u1, Fraction(1)), (u2, half), (u3, half))),
         )
         assert tied.worst_defect == (third, (u0, u1))
         assert tied.min_margin == (half, u2)
@@ -301,9 +310,10 @@ class TestOracleCheck:
     def test_tampered_margin_and_identity_are_reported(self):
         approx = one_block_short(2, 3)
         cert = verify_construction(approx)
-        u, m = cert.free_margins[0]
-        tampered = dataclasses.replace(
-            cert, identity_pass=False, free_margins=((u, m / 2),) + cert.free_margins[1:]
+        first, *rest = cert.details.freeness
+        u, m = first.element, first.margin
+        tampered = with_freeness(
+            dataclasses.replace(cert, identity_pass=False), (dataclasses.replace(first, margin=m / 2), *rest)
         )
         assert oracle_check(approx, tampered) == [
             "identity mismatch: certificate says False",
@@ -341,7 +351,7 @@ class TestOracleCheck:
         cert = verify_construction(approx)
         for shorter in (
             dataclasses.replace(cert, mult_defects=cert.mult_defects[:-1]),
-            dataclasses.replace(cert, free_margins=cert.free_margins[1:]),
+            with_freeness(cert, cert.details.freeness[1:]),
         ):
             with pytest.raises(ValueError, match="not for the approximation's target window"):
                 oracle_check(approx, shorter)
