@@ -1,7 +1,9 @@
 """Command-line surface: build artifacts, verify them, render reports.
 
-Exit codes: 0 success, 1 usage or malformed input, 2 certificate failure,
-3 oracle unavailable (carrier too large to expand).
+``report`` renders the ``Certificate`` that ``verify.certificate_from_json``
+reads; ``build`` never imports ``verify``.  Exit codes: 0 success, 1 usage or
+malformed input, 2 certificate failure, 3 oracle unavailable (carrier too
+large to expand).
 """
 from __future__ import annotations
 
@@ -9,12 +11,11 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .bigperm import EXPANSION_CAP
 from .construct import WreathApprox, build, wreath_approx_from_json
 from .groups import Group, FreeGroup, IntegerGroup, WreathProduct, group_from_descriptor
-from .jsonutil import all_ints, checked, dump_indented, frac_from_json, is_int, is_positive_int, parse_fraction, same_json
+from .jsonutil import all_ints, checked, dump_indented, is_int, is_positive_int, parse_fraction, same_json
 from .perm import Permutation, draw_permutation
 from .sofic import (
     CertificateError,
@@ -23,7 +24,6 @@ from .sofic import (
     perturb,
     quotient_by_images,
     regular_rep,
-    sofic_verdict,
 )
 
 OK, USAGE, CERTIFICATE, ORACLE = 0, 1, 2, 3
@@ -168,7 +168,6 @@ def _print_json(obj) -> None:
 
 
 def _cmd_verify(args) -> int:
-    # only verify imports verify, so build and report never compile it
     from .verify import oracle_check, verify_construction
 
     approx, cap = _load_artifact(args.approx)
@@ -194,106 +193,44 @@ def _cmd_verify(args) -> int:
     return OK
 
 
-def _frac_str(data) -> str:
-    return str(frac_from_json(data))
-
-
-def _render_text(cert: dict, defects: list[Fraction], margins: list[Fraction]) -> str:
-    lines = []
-    lines.append(f"sofic certificate: {'PASS' if cert['pass'] else 'FAIL'}")
-    lines.append(f"window: {len(cert['window'])} elements, eps = {_frac_str(cert['eps'])}")
-    lines.append(f"identity value is identity: {'yes' if cert['identity_pass'] else 'NO'}")
-
-    if defects:
-        lines.append(f"multiplicativity: {len(defects)} pairs, worst defect {max(defects)}")
-    if margins:
-        lines.append(f"freeness: {len(margins)} elements, least margin {min(margins)}")
-    else:
-        lines.append("freeness: vacuous (no non-identity targets)")
-
-    details = cert["details"]
-    mult = details["multiplicativity"]
-    hom = mult["almost_hom"]
-    lines.append("multiplicativity report (hypothesis threshold eps/6):")
-    for name, bound_key in (
-        ("lamp_mult", "lamp"),
-        ("base_mult", "base"),
-        ("split", "split"),
-        ("intertwine", "intertwine"),
-    ):
-        bullet = hom[name]
-        lines.append(
-            f"  {name:10s} defect {_frac_str(bullet['defect']):>8s}"
-            f"  bound {_frac_str(mult['bounds'][bound_key]):>8s}"
-            f"  threshold {_frac_str(bullet['threshold'])}"
-        )
-    lines.append(
-        f"  conclusion defect {_frac_str(hom['conclusion']['defect'])} (eps {_frac_str(cert['eps'])})"
-    )
+def _render_text(certificate) -> str:
+    details = certificate.details
+    almost, bounds = details.almost_hom, details.bounds
+    lines = [
+        f"sofic certificate: {'PASS' if certificate.passed else 'FAIL'}",
+        f"window: {len(certificate.window)} elements, eps = {certificate.eps}",
+        f"identity value is identity: {'yes' if certificate.identity_pass else 'NO'}",
+        f"multiplicativity: {len(certificate.mult_defects)} pairs, worst defect {certificate.worst_defect[0]}",
+        f"freeness: {len(details.freeness)} elements, least margin {certificate.min_margin[0]}"
+        if details.freeness
+        else "freeness: vacuous (no non-identity targets)",
+        "multiplicativity report (hypothesis threshold eps/6):",
+    ]
+    for name, bound in zip(("lamp_mult", "base_mult", "split", "intertwine"), bounds.values()):
+        bullet = getattr(almost, name)
+        lines.append(f"  {name:10s} defect {bullet.defect!s:>8}  bound {bound!s:>8}  threshold {bullet.threshold}")
+    lines.append(f"  conclusion defect {almost.conclusion.defect} (eps {certificate.eps})")
     lines.append("freeness report:")
-    if not details["freeness"]:
-        lines.append("  (empty)")
-    for entry in details["freeness"]:
-        if entry["base_margin"] is not None:
-            lines.append(
-                f"  base moves: margin {_frac_str(entry['margin'])}"
-                f" >= base margin {_frac_str(entry['base_margin'])}"
-            )
-        else:
-            lines.append(
-                f"  lamps only: margin {_frac_str(entry['margin'])},"
-                f" fixed fraction {_frac_str(entry['fixed_fraction'])}"
-                f" <= bound {_frac_str(entry['bound'])}"
-            )
+    lines += [
+        f"  base moves: margin {e.margin} >= base margin {e.base_margin}"
+        if e.base_margin is not None
+        else f"  lamps only: margin {e.margin}, fixed fraction {e.fixed_fraction} <= bound {e.bound}"
+        for e in details.freeness
+    ] or ["  (empty)"]
     return "\n".join(lines)
 
 
-def _load_certificate(path: str) -> tuple[dict, list[Fraction], list[Fraction]]:
-    """A stored certificate with its pair defects and freeness margins,
-    checked as far as ``report`` reads it: its verdicts are booleans, it lists
-    a defect for every pair of its window in row-major order and a margin for
-    every non-identity element in window order, its ``details.freeness``
-    repeats those margins, and ``pass`` is the verdict of ``sofic_verdict`` on
-    what it lists."""
-    cert = _read_json(path)
-    if not isinstance(cert, dict) or cert.get("kind") != "sofic-certificate" or not same_json(cert.get("format"), 1):
-        raise ValueError("not a sofic certificate")
-    eps = frac_from_json(cert["eps"])
-    if eps <= 0:
-        raise ValueError(f"certificate eps must be positive, got {eps}")
-    for key in ("pass", "identity_pass"):
-        checked(cert[key], lambda x: type(x) is bool, key, "a boolean")
-    window, listed = cert["window"], cert["free_margins"]
-    if len(cert["mult_defects"]) != len(window) ** 2:
-        raise ValueError(f"certificate lists {len(cert['mult_defects'])} pairs for a window of {len(window)}")
-    if not same_json([entry["pair"] for entry in cert["mult_defects"]], [[u, v] for u in window for v in window]):
-        raise ValueError("certificate pairs are not the window's pairs in row-major order")
-    group = group_from_descriptor(cert["group"])
-    identity = group.encode(group.identity())
-    if not same_json([entry["element"] for entry in listed], [u for u in window if not same_json(u, identity)]):
-        raise ValueError("certificate free_margins are not the window's non-identity elements in order")
-    defects = [frac_from_json(entry["defect"]) for entry in cert["mult_defects"]]
-    margins = [frac_from_json(entry["margin"]) for entry in listed]
-    details = cert["details"]["freeness"]
-    if len(details) != len(listed) or any(
-        not same_json(entry["element"], margin_entry["element"]) or frac_from_json(entry["margin"]) != margin
-        for entry, margin_entry, margin in zip(details, listed, margins)
-    ):
-        raise ValueError("certificate details.freeness differs from its free_margins")
-    if cert["pass"] != sofic_verdict(cert["identity_pass"], defects, margins, eps):
-        raise CertificateError(f'stored "pass": {json.dumps(cert["pass"])} disagrees with the listed checks')
-    return cert, defects, margins
-
-
 def _cmd_report(args) -> int:
-    """Render a stored certificate; ``--format json`` re-emits it in the
-    layout ``verify`` prints, so a certificate ``verify`` wrote comes back
-    byte for byte."""
-    cert, defects, margins = _load_certificate(args.certificate)
+    """Render a stored certificate once ``certificate_from_json`` has checked
+    every field of it; ``--format json`` prints it through the writer
+    ``verify`` uses, so a certificate ``verify`` wrote comes back byte for byte."""
+    from .verify import certificate_from_json
+
+    certificate, wreath = certificate_from_json(_read_json(args.certificate))
     if args.format == "json":
-        _print_json(cert)
+        _print_json(certificate.to_json(wreath))
     else:
-        print(_render_text(cert, defects, margins))
+        print(_render_text(certificate))
     return OK
 
 

@@ -263,19 +263,23 @@ class WreathApprox:
     sigma_B(h) moves the block, and the lamps of f rewrite the anchored
     coordinates at each block that it moves onto a good one.  Values are
     cached per element.  The rule is evaluable on the closure window and all
-    its pairwise products.  Its group ``wreath`` is derived from the inputs' groups.
+    its pairwise products.  ``wreath`` is derived from the inputs' groups, ``budget`` from ``eps``.
     """
 
     sigma_A: SoficApprox
     sigma_B: SoficApprox
     windows: WindowSets
     block: GoodBlock
-    budget: Budget
+    eps: Fraction
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @cached_property
     def wreath(self) -> WreathProduct:
         return WreathProduct(self.sigma_A.group, self.sigma_B.group)
+
+    @cached_property
+    def budget(self) -> Budget:
+        return make_budget(self.eps, len(self.windows.positions))
 
     @property
     def a_size(self) -> int:
@@ -307,7 +311,7 @@ class WreathApprox:
             "lamp_approx": self.sigma_A.to_json(),
             "base_approx": self.sigma_B.to_json(),
             "targets": [wreath.encode(u) for u in self.windows.targets],
-            "eps": frac_to_json(self.budget.eps),
+            "eps": frac_to_json(self.eps),
             "derived": self.derived_json(),
         }
 
@@ -343,7 +347,7 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
         sigma_B=sigma_B,
         windows=windows,
         block=check_good_block_bound(sigma_B, windows, budget),
-        budget=budget,
+        eps=budget.eps,
     )
 
 

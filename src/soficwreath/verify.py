@@ -12,6 +12,8 @@ Three layers of checks, all exact:
   element freeness margins, and the budget decomposition behind them; each
   margin is measured once and then broken down.  A ``Certificate`` reads its
   budget, eps and (element, margin) pairs ``free_margins`` from ``details``.
+  ``to_json`` writes format 1, and ``certificate_from_json``, its one reader,
+  checks every stored copy by re-encoding what it decodes.
 * ``oracle_check``: on carriers small enough to expand, a certificate's
   distances and the rule's products agree with explicit permutations.
 
@@ -22,15 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import eq, itemgetter
 from typing import Any, Callable
 
 from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
-from .construct import Budget, WindowSets, WreathApprox
-from .groups import WreathElement, WreathProduct
-from .jsonutil import frac_to_json
+from .construct import Budget, WindowSets, WreathApprox, make_budget
+from .groups import WreathElement, WreathProduct, group_from_descriptor
+from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
 from .perm import Permutation
-from .sofic import sofic_verdict
+from .sofic import CertificateError, sofic_verdict
 
 
 def _worst(pairs):
@@ -49,10 +52,10 @@ class BulletReport:
     def passed(self) -> bool:
         return self.defect < self.threshold
 
-    def to_json(self, encode) -> dict:
+    def to_json(self, groups) -> dict:
         return {
             "defect": frac_to_json(self.defect),
-            "witness": encode(self.witness) if self.witness is not None else None,
+            "witness": [g.encode(x) for g, x in zip(groups, self.witness)] if self.witness is not None else None,
             "threshold": frac_to_json(self.threshold),
             "pass": self.passed,
         }
@@ -73,20 +76,23 @@ class AlmostHomReport:
         return all(b.passed for b in (self.lamp_mult, self.base_mult, self.split, self.intertwine))
 
     def to_json(self, wreath: WreathProduct) -> dict:
-        lamps, base = wreath.lamps.encode, wreath.base.encode
+        out = {"eps": frac_to_json(self.eps)} | {n: getattr(self, n).to_json(g) for n, g in _witness_groups(wreath)}
+        conclusion = out.pop("conclusion")
+        return {**out, "hypotheses_pass": self.hypotheses_pass, "conclusion": conclusion}
 
-        def pair(first, second):  # the encoder of a witness pair
-            return lambda w: [first(w[0]), second(w[1])]
 
-        return {
-            "eps": frac_to_json(self.eps),
-            "lamp_mult": self.lamp_mult.to_json(pair(lamps, lamps)),
-            "base_mult": self.base_mult.to_json(pair(base, base)),
-            "split": self.split.to_json(pair(lamps, base)),
-            "intertwine": self.intertwine.to_json(pair(lamps, base)),
-            "hypotheses_pass": self.hypotheses_pass,
-            "conclusion": self.conclusion.to_json(pair(wreath.encode, wreath.encode)),
-        }
+def _witness_groups(wreath: WreathProduct):
+    """Each bullet's name with the groups of its witness's two elements, in field order."""
+    lamps, base = wreath.lamps, wreath.base
+    groups = (lamps, lamps), (base, base), (lamps, base), (lamps, base), (wreath, wreath)
+    return zip(("lamp_mult", "base_mult", "split", "intertwine", "conclusion"), groups)
+
+
+def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
+    """The five (defect, witness) pairs, in ``_witness_groups`` order, checked:
+    the four hypotheses at eps/6 and the conclusion at eps."""
+    thresholds = (eps / 6,) * 4 + (eps,)
+    return AlmostHomReport(eps, *(BulletReport(d, w, t) for (d, w), t in zip(worst, thresholds)))
 
 
 def check_almost_homomorphism(
@@ -140,15 +146,7 @@ def check_almost_homomorphism(
         for v in closure_els
     )
 
-    sixth = eps / 6
-    return AlmostHomReport(
-        eps=eps,
-        lamp_mult=BulletReport(*lamp_mult, threshold=sixth),
-        base_mult=BulletReport(*base_mult, threshold=sixth),
-        split=BulletReport(*split, threshold=sixth),
-        intertwine=BulletReport(*intertwine, threshold=sixth),
-        conclusion=BulletReport(*conclusion, threshold=eps),
-    )
+    return _almost_hom_report(eps, (lamp_mult, base_mult, split, intertwine, conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +299,59 @@ class Certificate:
         }
 
 
+def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
+    """The one reader of format 1.  It decodes what ``verify_construction``
+    measures: group, window, ``identity_pass``, a defect per window pair in
+    row-major order, the bullet defects and witnesses, each margin and base
+    margin of ``details.freeness``, ``eps`` and the budget's ``window_size``.
+    The rest is rebuilt as ``verify`` builds it, and ``to_json`` must give
+    back ``data``: else a ValueError names the first top-level key that
+    differs.  A stored ``pass`` other than ``passed`` is a CertificateError."""
+    if not isinstance(data, dict) or data.get("kind") != "sofic-certificate" or not same_json(data.get("format"), 1):
+        raise ValueError("not a sofic certificate")
+    eps = frac_from_json(data["eps"])
+    if eps <= 0:
+        raise ValueError(f"certificate eps must be positive, got {eps}")
+    for key in ("pass", "identity_pass"):
+        checked(data[key], lambda x: type(x) is bool, key, "a boolean")
+    wreath = group_from_descriptor(data["group"])
+    if not isinstance(wreath, WreathProduct):
+        raise ValueError("certificate group must be a wreath product")
+    window = tuple(map(wreath.decode, data["window"]))
+    if not window or window != wreath.sort(set(window)):
+        raise ValueError("certificate window must list distinct elements in the group's order")
+    stored = data["mult_defects"]
+    if len(stored) != len(window) ** 2:
+        raise ValueError(f"certificate lists {len(stored)} pairs for a window of {len(window)}")
+    pairs = product(window, repeat=2)
+    mult_defects = tuple((u, v, frac_from_json(entry["defect"])) for (u, v), entry in zip(pairs, stored))
+    window_size = checked(data["budget"]["window_size"], is_positive_int, "budget window_size", "a positive integer")
+    budget = make_budget(eps, window_size)
+    hom = data["details"]["multiplicativity"]["almost_hom"]
+    worst = []
+    for name, groups in _witness_groups(wreath):
+        # every window holds the identity, so every bullet has a witness
+        witness = checked(hom[name]["witness"], lambda w: type(w) is list and len(w) == 2, f"{name} witness", "a pair")
+        worst.append((frac_from_json(hom[name]["defect"]), tuple(g.decode(x) for g, x in zip(groups, witness))))
+    others, entries = [u for u in window if u != wreath.identity()], data["details"]["freeness"]
+    if len(entries) != len(others):
+        raise ValueError(f"certificate lists {len(entries)} freeness entries for {len(others)} non-identity elements")
+    freeness = tuple(
+        _freeness_entry(wreath, budget, u, frac_from_json(e["margin"]), lambda: frac_from_json(e["base_margin"]))
+        for u, e in zip(others, entries)
+    )
+    details = DetailedReport(_almost_hom_report(eps, worst), budget, freeness)
+    certificate = Certificate(window, data["identity_pass"], mult_defects, details)
+
+    encoded = certificate.to_json(wreath)
+    for key in [*encoded, *data]:
+        if key != "pass" and (key not in data or key not in encoded or not same_json(data[key], encoded[key])):
+            raise ValueError(f"certificate {key} differs from the encoding of its measured values")
+    if data["pass"] != certificate.passed:
+        raise CertificateError(f'stored "pass": {str(data["pass"]).lower()} disagrees with the listed checks')
+    return certificate, wreath
+
+
 def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
     bounds, and the decomposition of each freeness margin in ``free_margins``,
@@ -309,16 +360,21 @@ def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     budget = approx.budget
     almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps)
     base_ident = Permutation.identity(approx.b_size)
-    entries = []
-    for u, margin in free_margins:
-        if not wreath.base.is_identity(u.right):
-            base_margin = approx.sigma_B.evaluate(u.right).distance(base_ident)
-            entries.append(FreenessEntry(u, margin, base_margin, None, None))
-        else:
-            support = u.left.support()
-            anchor = min(support, key=wreath.base.key) if support else None
-            entries.append(FreenessEntry(u, margin, None, anchor, budget.block_tolerance + budget.input_tolerance))
-    return DetailedReport(almost_hom=almost, budget=budget, freeness=tuple(entries))
+    entries = tuple(
+        _freeness_entry(wreath, budget, u, margin, lambda: approx.sigma_B.evaluate(u.right).distance(base_ident))
+        for u, margin in free_margins
+    )
+    return DetailedReport(almost_hom=almost, budget=budget, freeness=entries)
+
+
+def _freeness_entry(wreath: WreathProduct, budget: Budget, u: WreathElement, margin, base_margin) -> FreenessEntry:
+    """The decomposition of the margin of ``u``: ``base_margin()`` when its base
+    part moves, else the anchor of its lamps and the lamp-only bound."""
+    if not wreath.base.is_identity(u.right):
+        return FreenessEntry(u, margin, base_margin(), None, None)
+    support = u.left.support()
+    anchor = min(support, key=wreath.base.key) if support else None
+    return FreenessEntry(u, margin, None, anchor, budget.block_tolerance + budget.input_tolerance)
 
 
 def verify_construction(approx: WreathApprox) -> Certificate:

@@ -1,0 +1,101 @@
+"""The mutation table: deliberate faults in ``src/soficwreath`` and the tests
+that must fail under each.
+
+Each ``Mutant`` replaces the exact snippet ``old`` in ``file`` by ``new``.
+``tests/run_mutants.py`` applies one mutant at a time to a copy of the tree
+and runs its ``tests``; the mutant is killed when every one of them fails.
+``tests/test_mutants.py`` (Tier-1) requires each ``old`` to occur exactly once
+in its file, so a change that rewrites mutated code updates this table in the
+same diff.
+"""
+from dataclasses import dataclass
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    file: str  # relative to src/soficwreath
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids, relative to the repository root
+
+
+MUTANTS = (
+    # the kernels
+    Mutant(
+        "product-agreement-factor-swap",
+        "perm.py",
+        "    image = _gather(s, t)\n",
+        "    image = _gather(t, s)\n",
+        (
+            "tests/test_perm.py::TestProductAgreement::test_right_factor_first",
+            "tests/test_sofic.py::TestMultiplicative::test_product_acts_right_factor_first",
+            "tests/test_cli.py::TestVerify::test_symmetric_lamps_build_and_pass_the_oracle",
+        ),
+    ),
+    Mutant(
+        "agreement-count-self",
+        "bigperm.py",
+        "else agreement_count(p, q)",
+        "else agreement_count(p, p)",
+        (
+            "tests/test_bigperm.py::TestAgainstReferenceKernels::test_fixed_case_against_expansion",
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+            "tests/test_acceptance.py::test_criterion_2_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "product-key-second-only",
+        "bigperm.py",
+        "            key = (id(p2), id(p1))\n",
+        "            key = (id(p2), id(p2))\n",
+        (
+            "tests/test_bigperm.py::TestAgainstReferenceKernels::test_fixed_case_against_expansion",
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+        ),
+    ),
+    Mutant(
+        "compose-keeps-identity",
+        "bigperm.py",
+        "                products[key] = None if p.is_identity() else p\n",
+        "                products[key] = p\n",
+        (
+            "tests/test_bigperm.py::TestCanonicalForm::test_structural_equality_after_compose",
+            "tests/test_bigperm.py::TestTrustedCompose::test_results_pass_the_checked_constructors",
+            "tests/test_bigperm.py::TestAgainstReferenceKernels::test_fixed_case_against_expansion",
+        ),
+    ),
+    Mutant(
+        "gather-repeats-first-entry",
+        "perm.py",
+        "    return itemgetter(*t.image)(s.image) if s.degree > 1 else s.image\n",
+        "    image = itemgetter(*t.image)(s.image)\n    return (image[0],) * 2 + image[2:] if s.degree > 1 else s.image\n",
+        (
+            "tests/test_perm.py::TestCompose::test_right_factor_first",
+            "tests/test_perm.py::TestGatherKernels::test_compose_matches_pointwise",
+            "tests/test_construct.py::TestGoodBlocks::test_matches_pointwise_oracle",
+        ),
+    ),
+    # the certificate reader
+    Mutant(
+        "reader-skips-re-encoding",
+        "verify.py",
+        '        if key != "pass" and (key not in data or key not in encoded or not same_json(data[key], encoded[key])):\n',
+        "        if False:\n",
+        (
+            "tests/test_cli.py::TestReport::test_malformed_verdict_eps_or_pairs_is_usage_error[text-pairs_out_of_order]",
+            "tests/test_cli.py::TestReport::test_malformed_verdict_eps_or_pairs_is_usage_error[json-details_element_other]",
+            "tests/test_cli.py::TestCertificateTamperCorpus::test_every_single_field_edit_is_rejected_or_renders_the_same",
+        ),
+    ),
+    Mutant(
+        "reader-skips-pass-check",
+        "verify.py",
+        '    if data["pass"] != certificate.passed:\n',
+        "    if False:\n",
+        (
+            "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[defects_one]",
+            "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[identity_fails]",
+        ),
+    ),
+)

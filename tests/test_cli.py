@@ -564,23 +564,24 @@ class TestReport:
             (lambda cert: cert["mult_defects"].pop(), "certificate lists 575 pairs for a window of 24"),
             (
                 lambda cert: cert["mult_defects"].insert(1, cert["mult_defects"].pop(0)),
-                "certificate pairs are not the window's pairs in row-major order",
+                "certificate mult_defects differs from the encoding of its measured values",
             ),
             (
                 lambda cert: cert.update({"free_margins": []}),
-                "certificate free_margins are not the window's non-identity elements in order",
+                "certificate free_margins differs from the encoding of its measured values",
             ),
             (
                 lambda cert: cert["free_margins"].reverse(),
-                "certificate free_margins are not the window's non-identity elements in order",
+                "certificate free_margins differs from the encoding of its measured values",
             ),
             (
+                # the margins are read from details.freeness, so the first copy that differs is free_margins
                 lambda cert: [entry.update({"margin": {"num": 0, "den": 1}}) for entry in cert["details"]["freeness"]],
-                "certificate details.freeness differs from its free_margins",
+                "certificate free_margins differs from the encoding of its measured values",
             ),
             (
                 lambda cert: cert["details"]["freeness"][0].update({"element": cert["window"][0]}),
-                "certificate details.freeness differs from its free_margins",
+                "certificate details differs from the encoding of its measured values",
             ),
         ],
         ids=[
@@ -609,9 +610,14 @@ class TestReport:
         elif field == "defect":
             for entry in cert["mult_defects"]:
                 entry[field] = value
-        else:  # details.freeness repeats each margin
+        else:  # details.freeness repeats each margin, beside the copies that the margin determines
             for entry in cert["free_margins"] + cert["details"]["freeness"]:
                 entry[field] = value
+            for entry in cert["details"]["freeness"]:
+                if entry["base_margin"] is None:
+                    entry.update(fixed_fraction={"num": 1, "den": 1}, within_bound=False)
+                else:
+                    entry["base_dominated"] = False
         path = write(tmp_path / "certificate.json", cert)
         assert main(["report", "--certificate", path]) == CERTIFICATE
         stored = json.dumps(cert["pass"])
@@ -840,4 +846,50 @@ class TestTamperCorpus:
                 captured = capsys.readouterr()
                 if code not in (USAGE, CERTIFICATE) and (code, captured.out) != (OK, certificate):
                     failures.append((path, "delete" if value is DELETE else value, code))
+        assert failures == []
+
+
+def is_measured(path) -> bool:
+    """A value ``verify_construction`` measures and a certificate stores once,
+    or a part of one: an edit to it alone may render a different certificate."""
+    if path[0] == "group" or (path[0] == "mult_defects" and path[2:3] == ("defect",)):
+        return True
+    if path[:3] == ("details", "multiplicativity", "almost_hom"):
+        return path[4:5] in (("defect",), ("witness",))
+    return path[:2] == ("details", "freeness") and path[3:4] == ("base_margin",)
+
+
+class TestCertificateTamperCorpus:
+    def test_every_single_field_edit_is_rejected_or_renders_the_same(self, tmp_path, capsys):
+        """Replace each field of a valid Z/2 wr Z/3 certificate, scalar or not,
+        with null, true, -1, 2, "x" or 1/3, or delete it, one edit at a time:
+        report exits 1 or 2, or prints the byte-identical report in either
+        format, unless the field is a measured value that is stored once."""
+        config = write(tmp_path / "config.json", small_config(F=[{"left": [[0, 1]], "right": 1}]))
+        out = str(tmp_path / "artifact.json")
+        assert main(["build", "--config", config, "--out", out]) == OK
+        capsys.readouterr()
+        assert main(["verify", "--approx", out]) == OK
+        certificate = json.loads(capsys.readouterr().out)
+        original = write(tmp_path / "certificate.json", certificate)
+        expected = {}
+        for format_ in ("text", "json"):
+            assert main(["report", "--certificate", original, "--format", format_]) == OK
+            expected[format_] = capsys.readouterr().out
+        paths = list(fields(certificate))
+        assert len(paths) == 162
+        failures = []
+        for path in paths:
+            for value in (None, True, -1, 2, "x", {"num": 1, "den": 3}, DELETE):
+                tampered = write(tmp_path / "tampered.json", edited(certificate, path, value))
+                for format_ in ("text", "json"):
+                    try:
+                        code = main(["report", "--certificate", tampered, "--format", format_])
+                    except Exception as exc:  # noqa: BLE001 - any escape is a failure
+                        code = f"{type(exc).__name__}: {exc}"
+                    captured = capsys.readouterr()
+                    if code in (USAGE, CERTIFICATE) or (code, captured.out) == (OK, expected[format_]):
+                        continue
+                    if code != OK or not is_measured(path):
+                        failures.append((path, "delete" if value is DELETE else value, format_, code))
         assert failures == []

@@ -325,7 +325,7 @@ def base_only(sigma_A: SoficApprox, sigma_B: SoficApprox):
     wreath = sw.wreath_product(sigma_A.group, sigma_B.group)
     windows = derive_windows(wreath, [wreath.identity()])
     block = compute_good_blocks(sigma_B, windows.positions)
-    approx = WreathApprox(sigma_A, sigma_B, windows, block, make_budget(1, len(windows.positions)))
+    approx = WreathApprox(sigma_A, sigma_B, windows, block, 1)
     return lambda h: approx.rule(wreath.element({}, h))
 
 

@@ -1,8 +1,8 @@
 """What a process loads at start-up, and the package's public names.
 
-``build`` checks no certificate and ``report`` only renders one, so neither
-may load ``soficwreath.verify``; the package resolves the names it exports
-from ``verify`` on first access.
+``build`` checks no certificate, so it may not load ``soficwreath.verify``;
+``report`` reads a certificate through ``verify``'s one reader and loads it.
+The package resolves the names it exports from ``verify`` on first access.
 """
 import json
 import os
@@ -69,7 +69,7 @@ def test_build_never_loads_verify_and_verify_still_runs(tmp_path):
         report = run(["-c", RUN_THEN_LIST_MODULES, "report", "--certificate", str(certificate), "--format", format_], tmp_path)
         assert report.returncode == 0, report.stderr
         assert report.stdout.startswith(starts)
-        assert json.loads(report.stdout.splitlines()[-1]) == {"code": 0, "verify_loaded": False}
+        assert json.loads(report.stdout.splitlines()[-1]) == {"code": 0, "verify_loaded": True}
 
 
 class TestPublicNames:
