@@ -12,10 +12,10 @@ those integer numerators over one common denominator and builds one
 ``Fraction`` per call.  That makes exact metric evaluation possible on
 carriers of size |A|^|B| * |B| that could never be materialized.
 
-Sparsity is canonical: tau is a mapping block -> coordinate -> permutation
-that stores no identity permutations and no empty blocks, so structural
-equality is semantic equality.  ``CoordAction(...)`` checks all of this;
-``compose_actions`` skips it, as it stores no identity product or empty block.
+Sparsity is canonical: tau maps block -> coordinate -> permutation and stores
+no identity permutations and no empty blocks, so structural equality is
+semantic equality: equal actions are at distance 0.  ``CoordAction(...)``
+checks this; ``compose_actions`` stores neither and skips the check.
 
 In the construction a few lamp permutations recur at most coordinates, so
 each kernel does its per-permutation work once per distinct permutation
@@ -154,14 +154,15 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
 def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     """Exact normalized Hamming distance on the carrier A^B x B.
 
-    Blocks where the two base images differ disagree on their whole fiber.
-    Where they agree, the fiber over a block touched at k coordinates agrees
-    on the product of the k integer per-coordinate agreement counts (absent
-    entries are the identity) out of |A|^k points; each distinct pair of
-    permutation objects is counted once per call.  Blocks with equal base
-    images and equal entry dicts, untouched ones included, agree everywhere
-    and are counted in bulk.  The numerators are summed per k and divided
-    once, over |A|^max_k * |B|.
+    Equal actions are at distance 0 after one comparison, in which shared
+    permutations compare by identity.  Otherwise, blocks where the two base
+    images differ disagree on their whole fiber.  Where they agree, the fiber
+    over a block touched at k coordinates agrees on the product of the k
+    integer per-coordinate agreement counts (absent entries are the identity)
+    out of |A|^k points; each distinct pair of permutation objects is counted
+    once per call.  Blocks with equal base images and equal entry dicts,
+    untouched ones included, agree everywhere and are counted in bulk.  The
+    numerators are summed per k and divided once, over |A|^max_k * |B|.
 
     >>> shift = coord_action(2, 3, beta=Permutation((1, 2, 0)))
     >>> action_distance(shift, identity_action(2, 3))
@@ -169,6 +170,8 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     """
     _check_sizes(w, v)
     w_beta, v_beta = w.beta.image, v.beta.image
+    if w_beta == v_beta and w.tau == v.tau:
+        return Fraction(0)
     agree = Counter()  # k -> sum of fiber agreement counts out of |A|^k
     agree[0] = sum(map(eq, w_beta, v_beta))
     counts = {}  # (id(p), id(q)) -> agreement count

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import count, product
 from operator import eq, itemgetter
 from typing import Any, Callable
 
@@ -32,7 +33,7 @@ from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
 from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
-from .perm import Permutation
+from .perm import Permutation, _gather
 from .sofic import CertificateError, sofic_verdict
 
 
@@ -256,7 +257,7 @@ class Certificate:
         witness, margin = min(self.free_margins, key=itemgetter(1), default=(None, None))
         return margin, witness
 
-    @property
+    @cached_property
     def passed(self) -> bool:
         defects = (d for *_, d in self.mult_defects)
         return sofic_verdict(self.identity_pass, defects, (m for _, m in self.free_margins), self.eps)
@@ -307,6 +308,10 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     The rest is rebuilt as ``verify`` builds it, and ``to_json`` must give
     back ``data``: else a ValueError names the first top-level key that
     differs.  A stored ``pass`` other than ``passed`` is a CertificateError."""
+
+    def distance(node: dict, key: str, path: str) -> Fraction:
+        return checked(frac_from_json(node[key]), lambda d: 0 <= d <= 1, f"certificate {path}.{key}", "in [0, 1]")
+
     if not isinstance(data, dict) or data.get("kind") != "sofic-certificate" or not same_json(data.get("format"), 1):
         raise ValueError("not a sofic certificate")
     eps = frac_from_json(data["eps"])
@@ -323,8 +328,8 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     stored = data["mult_defects"]
     if len(stored) != len(window) ** 2:
         raise ValueError(f"certificate lists {len(stored)} pairs for a window of {len(window)}")
-    pairs = product(window, repeat=2)
-    mult_defects = tuple((u, v, frac_from_json(entry["defect"])) for (u, v), entry in zip(pairs, stored))
+    defects = (distance(entry, "defect", f"mult_defects.{i}") for i, entry in enumerate(stored))
+    mult_defects = tuple((u, v, d) for (u, v), d in zip(product(window, repeat=2), defects))
     window_size = checked(data["budget"]["window_size"], is_positive_int, "budget window_size", "a positive integer")
     budget = make_budget(eps, window_size)
     hom = data["details"]["multiplicativity"]["almost_hom"]
@@ -332,13 +337,13 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     for name, groups in _witness_groups(wreath):
         # every window holds the identity, so every bullet has a witness
         witness = checked(hom[name]["witness"], lambda w: type(w) is list and len(w) == 2, f"{name} witness", "a pair")
-        worst.append((frac_from_json(hom[name]["defect"]), tuple(g.decode(x) for g, x in zip(groups, witness))))
+        worst.append((distance(hom[name], "defect", name), tuple(g.decode(x) for g, x in zip(groups, witness))))
     others, entries = [u for u in window if u != wreath.identity()], data["details"]["freeness"]
     if len(entries) != len(others):
         raise ValueError(f"certificate lists {len(entries)} freeness entries for {len(others)} non-identity elements")
     freeness = tuple(
-        _freeness_entry(wreath, budget, u, frac_from_json(e["margin"]), lambda: frac_from_json(e["base_margin"]))
-        for u, e in zip(others, entries)
+        _freeness_entry(wreath, budget, u, distance(e, "margin", at), lambda: distance(e, "base_margin", at))
+        for u, e, at in zip(others, entries, map("details.freeness.{}".format, count()))
     )
     details = DetailedReport(_almost_hom_report(eps, worst), budget, freeness)
     certificate = Certificate(window, data["identity_pass"], mult_defects, details)
@@ -413,10 +418,10 @@ def verify_construction(approx: WreathApprox) -> Certificate:
 def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPANSION_CAP) -> list[str]:
     """Cross-check every distance of ``certificate`` against explicit expansion.
 
-    Each value is expanded once, when first needed (a product of two targets
-    may fall outside the closure), and each ``rule(u) * rule(v)`` must expand
-    to the composition of the expansions.  Raises ValueError for another
-    target window or a carrier over ``cap``; returns one line per mismatch.
+    Each distinct value is expanded once, when first needed, and each
+    ``rule(u) * rule(v)`` must expand to the composition of the expansions;
+    it is expanded only when it differs from ``rule(uv)``.  Raises ValueError
+    for another target window or a carrier over ``cap``; one line per mismatch.
     """
     wreath = approx.wreath
     targets = approx.windows.targets
@@ -445,18 +450,18 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
         d_expl = Fraction(n - expand(u).fixed_points(), n)
         if d_fact != d_expl:
             mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
-    values = [(v, approx.rule(v), expand(v).image) for v in targets]
+    values = [(v, approx.rule(v), expand(v)) for v in targets]
     defects = iter(certificate.mult_defects)
     for u, ru, eu in values:
         for v, rv, ev in values:
             cu, cv, d_fact = next(defects)
             if (cu, cv) != (u, v):
                 raise ValueError(f"certificate does not list {pair(u, v)} in order")
-            product = tuple([eu[x] for x in ev])  # a product of checked bijections
-            if explicit_image(ru * rv, cap) != product:
+            w, ruv, product = wreath.mul(u, v), ru * rv, _gather(eu, ev)
+            if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != product:
                 mismatches.append(f"composition mismatch at {pair(u, v)}")
                 continue
-            d_expl = Fraction(n - sum(map(eq, product, expand(wreath.mul(u, v)).image)), n)
+            d_expl = Fraction(n - sum(map(eq, product, expand(w).image)), n)
             if d_fact != d_expl:
                 mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {d_expl}")
     return mismatches

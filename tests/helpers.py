@@ -1,4 +1,5 @@
 """Constructions that only tests use, kept out of the library."""
+import dataclasses
 import random
 
 from fractions import Fraction
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import soficwreath as sw
 from soficwreath.bigperm import CoordAction, coord_action
+from soficwreath.construct import GoodBlock
 from soficwreath.groups import Group, WreathElement
 from soficwreath.perm import Permutation, draw_permutation
 from soficwreath.sofic import SoficApprox
@@ -82,6 +84,39 @@ def windowed_approximations(draw):
         approx = make(group, candidates, draw(st.integers(min_value=1, max_value=6)), seed)
     window = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=6))
     return approx, window
+
+
+def without_lowest_good_block(approx):
+    """``approx`` with its lowest good block taken out of the good set, so
+    that the lamps it anchors are not written there and many pairs have a
+    nonzero defect."""
+    block = approx.block
+    short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
+    return dataclasses.replace(approx, block=short, _cache={})
+
+
+@st.composite
+def small_wreath_approximations(draw):
+    """A built approximation of Z/a wr Z/b, a and b in {2, 3}, on carriers of
+    at most 81 points, so that every value expands.
+
+    Each input is the regular representation, perturbed at a drawn rate, and
+    eps is large enough that perturbed inputs pass their certificates.  The
+    targets are up to five drawn elements, and about half of the draws take
+    the lowest good block out, so products are often inexact.
+    """
+    lamp, base = (sw.cyclic(draw(st.sampled_from([2, 3]))) for _ in range(2))
+    wreath = sw.wreath_product(lamp, base)
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rates = st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)])
+    sigma_A = sw.perturb(sw.regular_rep(lamp), draw(rates), seed)
+    sigma_B = sw.perturb(sw.regular_rep(base), draw(rates), seed + 1)
+    elements = wreath.sort(wreath.elements())
+    targets = draw(st.lists(st.sampled_from(elements), min_size=1, max_size=5, unique=True))
+    approx = sw.build(sigma_A, sigma_B, targets, Fraction(10**6))
+    if approx.block.good and draw(st.booleans()):
+        approx = without_lowest_good_block(approx)
+    return approx
 
 
 def random_coord_action(a_size: int, b_size: int, rng: random.Random, density: float = 0.5) -> CoordAction:

@@ -76,6 +76,30 @@ MUTANTS = (
             "tests/test_construct.py::TestGoodBlocks::test_matches_pointwise_oracle",
         ),
     ),
+    # the fast paths for equal values
+    Mutant(
+        "oracle-always-reuses-rule",
+        "verify.py",
+        "            if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != product:\n",
+        "            if expand(w).image != product:\n",
+        (
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z2_wr_z3]",
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+            "tests/test_verify.py::TestOracleCheck::test_matches_a_reference_that_expands_every_product",
+        ),
+    ),
+    Mutant(
+        "distance-equal-beta-only",
+        "bigperm.py",
+        "    if w_beta == v_beta and w.tau == v.tau:\n",
+        "    if w_beta == v_beta:\n",
+        (
+            "tests/test_bigperm.py::TestDistance::test_equal_copy_is_at_distance_zero_and_one_change_is_not",
+            "tests/test_bigperm.py::TestDistance::test_matches_explicit_hamming",
+            "tests/test_bigperm.py::TestSharedEntries::test_pooled_kernels_match_references",
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+        ),
+    ),
     # the certificate reader
     Mutant(
         "reader-skips-re-encoding",

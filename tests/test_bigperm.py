@@ -147,6 +147,34 @@ class TestDistance:
         assert w.distance(u) <= d + v.distance(u)
         assert (u * w).distance(u * v) == d == (w * u).distance(v * u)
 
+    @settings(max_examples=60)
+    @given(small_actions, st.data())
+    def test_equal_copy_is_at_distance_zero_and_one_change_is_not(self, params, data):
+        # the copy shares no Permutation, image tuple or dict with w, so only values can make it equal
+        a_size, b_size, seed = params
+        w = random_coord_action(a_size, b_size, random.Random(seed))
+        tau = {b: {c: Permutation(tuple(list(p.image))) for c, p in entries.items()} for b, entries in w.tau.items()}
+        copy_ = CoordAction(a_size, b_size, Permutation(tuple(list(w.beta.image))), tau)
+        assert action_distance(w, copy_) == action_distance(copy_, w) == Fraction(0)
+        changed = []
+        if b_size > 1:  # another base image at two blocks, the same tau
+            beta = list(w.beta.image)
+            beta[0], beta[1] = beta[1], beta[0]
+            changed.append(CoordAction(a_size, b_size, Permutation(tuple(beta)), tau))
+        if a_size > 1:  # one entry set, replaced or removed, the same beta
+            b, c = data.draw(st.integers(0, b_size - 1)), data.draw(st.integers(0, b_size - 1))
+            entries = dict(tau.get(b, {}))
+            other = next(p for p in (swap(a_size), swap(a_size, 0, a_size - 1), None) if p != entries.get(c))
+            if other is None:
+                del entries[c]
+            else:
+                entries[c] = other
+            changed.append(coord_action(a_size, b_size, copy_.beta, {**tau, b: entries}))
+        for v in changed:
+            assert v != w
+            assert action_distance(w, v) == coord_oracle.action_distance(w, v) > 0
+            assert action_distance(v, w) == coord_oracle.action_distance(v, w)
+
     def test_disjoint_coordinate_actions_commute(self, rng):
         # identity base parts with per-block disjoint touched coordinates
         for _ in range(50):

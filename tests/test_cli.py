@@ -627,6 +627,29 @@ class TestReport:
         assert main(["report", "--certificate", write(tmp_path / "certificate.json", cert)]) == OK
         assert capsys.readouterr().out.startswith(f"sofic certificate: {'PASS' if cert['pass'] else 'FAIL'}\n")
 
+    @pytest.mark.parametrize("num", [-1, 2])
+    @pytest.mark.parametrize(
+        "path, key",
+        [
+            (("mult_defects", 0, "defect"), "mult_defects.0.defect"),
+            (("details", "multiplicativity", "almost_hom", "lamp_mult", "defect"), "lamp_mult.defect"),
+            (("details", "multiplicativity", "almost_hom", "conclusion", "defect"), "conclusion.defect"),
+            (("details", "freeness", 0, "margin"), "details.freeness.0.margin"),
+            (("details", "freeness", 7, "base_margin"), "details.freeness.7.base_margin"),
+        ],
+        ids=["pair_defect", "bullet_defect", "conclusion_defect", "margin", "base_margin"],
+    )
+    def test_distance_outside_zero_one_is_usage_error(self, tmp_path, capsys, path, key, num):
+        # a distance is a fraction of points; -1 on a pair or a bullet would not change a verdict
+        cert = json.loads(SMALL_CERTIFICATE.read_text())
+        node = cert
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = {"num": num, "den": 1}
+        written = write(tmp_path / "certificate.json", cert)
+        assert main(["report", "--certificate", written]) == USAGE
+        assert capsys.readouterr().err == f"error: certificate {key} must be in [0, 1], got Fraction({num}, 1)\n"
+
     def test_golden_certificate_and_report(self, built_artifact, capsys):
         # frozen outputs for the exact 24-element fixture
         data = pathlib.Path(__file__).parent / "data"

@@ -2,11 +2,13 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
-from helpers import good_block_inputs, random_rule
+import verify_oracle
+from helpers import good_block_inputs, random_rule, small_wreath_approximations, without_lowest_good_block
 from soficwreath import bigperm
-from soficwreath.construct import GoodBlock, check_good_block_bound
+from soficwreath.construct import check_good_block_bound
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
     FreenessEntry,
@@ -211,6 +213,15 @@ class TestVerifyConstruction:
         assert all(entry["defect"] == {"num": 0, "den": 1} for entry in data["mult_defects"])
         assert all(entry["margin"] == {"num": 1, "den": 1} for entry in data["free_margins"])
 
+    def test_verdict_is_computed_once_per_instance(self, small_wreath):
+        # passed is cached on the instance; dataclasses.replace builds a new one
+        cert = verify_construction(small_wreath)
+        assert cert.passed is True
+        (u, v, _), *rest = cert.mult_defects
+        failing = dataclasses.replace(cert, mult_defects=((u, v, Fraction(1)), *rest))
+        assert failing.passed is False
+        assert cert.passed is True
+
     def test_violations_listed_for_failing_window(self, small_wreath):
         # verify at an absurd tolerance: freeness margins 1 cannot exceed 1 - eps for eps <= 0 is
         # impossible, so instead check violations() by tightening multiplicativity on a noisy rule
@@ -277,9 +288,7 @@ def one_block_short(lamp_order: int, base_order: int):
     lamp, base = sw.cyclic(lamp_order), sw.cyclic(base_order)
     wreath = sw.wreath_product(lamp, base)
     approx = sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
-    block = approx.block
-    short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
-    return dataclasses.replace(approx, block=short, _cache={})
+    return without_lowest_good_block(approx)
 
 
 class TestOracleCheck:
@@ -343,6 +352,20 @@ class TestOracleCheck:
         mismatches = oracle_check(approx, cert)
         assert mismatches
         assert all(line.startswith("composition mismatch at pair (") for line in mismatches)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_wreath_approximations(), st.data())
+    def test_matches_a_reference_that_expands_every_product(self, approx, data):
+        cert = verify_construction(approx)
+        assert oracle_check(approx, cert) == verify_oracle.oracle_check(approx, cert) == []
+        i = data.draw(st.integers(min_value=0, max_value=len(cert.mult_defects) - 1))
+        defects = list(cert.mult_defects)
+        u, v, d = defects[i]
+        defects[i] = (u, v, (d + Fraction(1, 7)) % 1)  # another distance in [0, 1)
+        tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
+        mismatches = oracle_check(approx, tampered)
+        assert mismatches == verify_oracle.oracle_check(approx, tampered)
+        assert len(mismatches) == 1 and mismatches[0].startswith("distance mismatch at pair (")
 
     def test_certificate_for_another_window_is_rejected(self, small_wreath):
         approx = one_block_short(3, 2)
