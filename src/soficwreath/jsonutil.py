@@ -28,9 +28,10 @@ def is_positive_int(x) -> bool:
 
 def checked(value, valid, name: str, what: str):
     """The one check of a field read from JSON input: ``value`` if
-    ``valid(value)``, else ValueError "<name> must be <what>, got <value>"."""
+    ``valid(value)``, else ValueError "<name> must be <what>, got <value>",
+    with ``repr(value)``, or ``p/q`` for a rational as every message writes it."""
     if not valid(value):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise ValueError(f"{name} must be {what}, got {value if isinstance(value, Fraction) else repr(value)}")
     return value
 
 

@@ -110,11 +110,14 @@ def compose(s: Permutation, t: Permutation) -> Permutation:
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:
-    """Fraction of points where s and t disagree.
+    """Fraction of points where s and t disagree; equal images are at
+    distance 0 after one comparison.
 
     >>> hamming(Permutation((1, 0, 2)), Permutation.identity(3))
     Fraction(2, 3)
     """
+    if s.image == t.image:
+        return Fraction(0)
     return Fraction(s.degree - agreement_count(s, t), s.degree)
 
 
@@ -127,18 +130,6 @@ def agreement_count(s: Permutation, t: Permutation) -> int:
     """Number of points where s and t agree, counted in one C-level pass."""
     _check_degrees(s, t)
     return sum(map(eq, s.image, t.image))
-
-
-def product_agreement(s: Permutation, t: Permutation, u: Permutation) -> int:
-    """``agreement_count(s * t, u)`` without building s * t.  An exact
-    product is one tuple comparison; otherwise the points are counted.
-
-    >>> product_agreement(Permutation((1, 2, 0)), Permutation((1, 2, 0)), Permutation((2, 0, 1)))
-    3
-    """
-    image = _gather(s, t)
-    _check_degrees(t, u)
-    return u.degree if image == u.image else sum(map(eq, image, u.image))
 
 
 def random_permutation(degree: int, seed: int) -> Permutation:

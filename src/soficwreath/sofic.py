@@ -6,15 +6,16 @@ window is an error, never a silent identity; the one place the theory extends
 by the identity is the lamp action in ``construct`` and it does so explicitly.
 
 The one checker, ``is_sofic_approx``, measures with exact rationals how far
-a rule is from a free action by a homomorphism on a given window, and
-``sofic_verdict`` is the one pass rule on what it measures:
+a rule is from a free action by a homomorphism on a given window.  Both
+levels of certificate, this one and the wreath certificate of ``verify``,
+share its three parts: ``pair_defects`` walks the pairs, ``worst`` picks the
+witness, and ``failing_parts`` is the pass rule:
 
-* multiplicative: max over pairs of d(rule(g) rule(h), rule(gh)) < eps;
-* free: min over non-identity g of d(rule(g), id) > 1 - eps;
+* multiplicative: every pair defect d(rule(g) rule(h), rule(gh)) < eps;
+* free: every d(rule(g), id) > 1 - eps over non-identity g;
 * rule(1) = id, which ``SoficApprox`` enforces on a window that holds 1.
 
-All inequalities are strict and compared as exact ``Fraction`` values.  The
-pair defects are counted as agreeing points and build no product.
+All inequalities are strict and compared as exact ``Fraction`` values.
 ``require_sofic`` raises ``CertificateError`` naming each part that fails.
 """
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Any, Mapping
 
 from .groups import Group, FreeGroup, group_from_descriptor, integers
 from .jsonutil import checked, is_positive_int
-from .perm import Permutation, product_agreement, transposition
+from .perm import Permutation, transposition
 
 
 class WindowViolationError(ValueError):
@@ -110,16 +111,41 @@ class DefectReport:
     free_margin: Fraction | None
     free_witness: Any
 
+    def _failures(self):
+        """The ``failing_parts`` lines; a window without pairs or margins checks none."""
+        defects = () if self.mult_witness is None else ((self.mult_defect, self.mult_witness),)
+        margins = () if self.free_margin is None else ((self.free_margin, self.free_witness),)
+        return failing_parts(self.eps, defects, margins)
+
     @property
     def passed(self) -> bool:
-        margins = () if self.free_margin is None else (self.free_margin,)
-        return sofic_verdict(True, (self.mult_defect,), margins, self.eps)
+        return not any(self._failures())
 
 
-def sofic_verdict(identity_pass: bool, defects, margins, eps: Fraction) -> bool:
-    """The one pass rule of a certificate on its measured numbers: rule(1) =
-    id, every pair defect < eps and every freeness margin > 1 - eps."""
-    return identity_pass and all(d < eps for d in defects) and all(m > 1 - eps for m in margins)
+def pair_defects(value, mul, window):
+    """``(d(value(g) value(h), value(gh)), (g, h))`` for every pair of the
+    window, in row-major order, for ``Permutation`` or ``CoordAction`` values."""
+    return (((value(g) * value(h)).distance(value(mul(g, h))), (g, h)) for g in window for h in window)
+
+
+def worst(pairs):
+    """Max of (defect, witness), the first one on a tie; empty -> (0, None)."""
+    return max(pairs, key=itemgetter(0), default=(Fraction(0), None))
+
+
+def failing_parts(eps: Fraction, defects, margins, identity_pass: bool = True, show=repr):
+    """The one pass rule of a certificate: a line for each part that fails.
+    ``defects`` holds (defect, (g, h)) and ``margins`` (margin, g); a pair
+    defect fails unless < eps, a margin unless > 1 - eps.  ``show`` renders
+    the elements of a failing part.  A certificate passes when none fails."""
+    if not identity_pass:
+        yield "rule(identity) is not the identity"
+    for d, (g, h) in defects:
+        if not d < eps:
+            yield f"multiplicative defect {d} at pair ({show(g)}, {show(h)})"
+    for m, g in margins:
+        if not m > 1 - eps:
+            yield f"freeness margin {m} at {show(g)}"
 
 
 def _require_window(s: SoficApprox, needed, what: str):
@@ -132,7 +158,6 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     """Measure the rule on the window: the worst d(rule(g) rule(h), rule(gh))
     over pairs and the least d(rule(g), id) over non-identity g.
 
-    Each pair is counted with ``product_agreement``, which builds no product.
     On a tie the witness is the first extreme in sorted order.
     """
     eps = Fraction(eps)
@@ -140,13 +165,8 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
         raise WindowViolationError("sofic check needs the identity inside the window")
     els = s.group.sort(window)
     _require_window(s, els, "sofic check")
-    products = [(g, h, s.group.mul(g, h)) for g in els for h in els]
-    _require_window(s, (gh for _, _, gh in products), "sofic check (products)")
-    fewest, mult_witness = min(
-        ((product_agreement(s.evaluate(g), s.evaluate(h), s.evaluate(gh)), (g, h)) for g, h, gh in products),
-        key=itemgetter(0),
-        default=(s.carrier_size, None),
-    )
+    _require_window(s, (s.group.mul(g, h) for g in els for h in els), "sofic check (products)")
+    mult_defect, mult_witness = worst(pair_defects(s.evaluate, s.group.mul, els))
     identity = Permutation.identity(s.carrier_size)
     free_margin, free_witness = min(
         ((s.evaluate(g).distance(identity), g) for g in els if not s.group.is_identity(g)),
@@ -156,7 +176,7 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
     return DefectReport(
         eps=eps,
         window=els,
-        mult_defect=1 - Fraction(fewest, s.carrier_size),
+        mult_defect=mult_defect,
         mult_witness=mult_witness,
         free_margin=free_margin,
         free_witness=free_witness,
@@ -165,12 +185,8 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
 
 def require_sofic(s: SoficApprox, window, eps: Fraction, label: str) -> DefectReport:
     report = is_sofic_approx(s, window, eps)
-    if not report.passed:
-        parts = []
-        if not report.mult_defect < report.eps:
-            parts.append(f"multiplicative defect {report.mult_defect} at pair {report.mult_witness!r}")
-        if report.free_margin is not None and not report.free_margin > 1 - report.eps:
-            parts.append(f"freeness margin {report.free_margin} at {report.free_witness!r}")
+    parts = list(report._failures())
+    if parts:
         raise CertificateError(f"{label} fails its ({len(report.window)}-element window, {eps}) certificate: " + "; ".join(parts))
     return report
 

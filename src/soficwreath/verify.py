@@ -18,7 +18,8 @@ Three layers of checks, all exact:
   distances and the rule's products agree with explicit permutations.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
-both compose with ``*`` and measure with ``.distance``.
+both compose with ``*`` and measure with ``.distance``.  The pair walk, the
+witness rule and the pass rule are those of the input certificates, in ``sofic``.
 """
 from __future__ import annotations
 
@@ -34,12 +35,7 @@ from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
 from .perm import Permutation, _gather
-from .sofic import CertificateError, sofic_verdict
-
-
-def _worst(pairs):
-    """Max of (defect, witness), the first one on a tie; empty -> (0, None)."""
-    return max(pairs, key=itemgetter(0), default=(Fraction(0), None))
+from .sofic import CertificateError, failing_parts, pair_defects, worst
 
 
 @dataclass(frozen=True)
@@ -112,28 +108,14 @@ def check_almost_homomorphism(
     def base_only(h):
         return rule(WreathElement(lamps.identity(), h))
 
-    lamp_mult = _worst(
-        (
-            (lamp_only(f) * lamp_only(g)).distance(lamp_only(lamps.mul(f, g))),
-            (f, g),
-        )
-        for f in lamp_els
-        for g in lamp_els
-    )
-    base_mult = _worst(
-        (
-            (base_only(h) * base_only(k)).distance(base_only(base.mul(h, k))),
-            (h, k),
-        )
-        for h in mover_els
-        for k in mover_els
-    )
-    split = _worst(
+    lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els))
+    base_mult = worst(pair_defects(base_only, base.mul, mover_els))
+    split = worst(
         (rule(WreathElement(f, h)).distance(lamp_only(f) * base_only(h)), (f, h))
         for f in lamp_els
         for h in mover_els
     )
-    intertwine = _worst(
+    intertwine = worst(
         (
             (base_only(h) * lamp_only(f)).distance(lamp_only(lamps.shift(h, f)) * base_only(h)),
             (f, h),
@@ -141,11 +123,7 @@ def check_almost_homomorphism(
         for f in lamp_els
         for h in mover_els
     )
-    conclusion = _worst(
-        ((rule(u) * rule(v)).distance(rule(wreath.mul(u, v))), (u, v))
-        for u in closure_els
-        for v in closure_els
-    )
+    conclusion = worst(pair_defects(rule, wreath.mul, closure_els))
 
     return _almost_hom_report(eps, (lamp_mult, base_mult, split, intertwine, conclusion))
 
@@ -213,13 +191,10 @@ class DetailedReport:
 
     @property
     def within_bounds(self) -> bool:
-        a, bounds = self.almost_hom, self.bounds
-        return (
-            a.lamp_mult.defect <= bounds["lamp"]
-            and a.base_mult.defect <= bounds["base"]
-            and a.split.defect == bounds["split"]
-            and a.intertwine.defect <= bounds["intertwine"]
-        )
+        """Each splitting defect is at most its bound; distances are >= 0, so split's bound 0 is equality."""
+        a = self.almost_hom
+        bullets = a.lamp_mult, a.base_mult, a.split, a.intertwine
+        return all(b.defect <= bound for b, bound in zip(bullets, self.bounds.values()))
 
     def to_json(self, wreath: WreathProduct) -> dict:
         return {
@@ -250,29 +225,24 @@ class Certificate:
 
     @property
     def worst_defect(self) -> tuple[Fraction, Any]:
-        return _worst((d, (u, v)) for u, v, d in self.mult_defects)
+        return worst((d, (u, v)) for u, v, d in self.mult_defects)
 
     @property
     def min_margin(self) -> tuple[Fraction | None, Any]:
         witness, margin = min(self.free_margins, key=itemgetter(1), default=(None, None))
         return margin, witness
 
+    def _failures(self, show=repr):
+        defects = ((d, (u, v)) for u, v, d in self.mult_defects)
+        margins = ((m, u) for u, m in self.free_margins)
+        return failing_parts(self.eps, defects, margins, self.identity_pass, show)
+
     @cached_property
     def passed(self) -> bool:
-        defects = (d for *_, d in self.mult_defects)
-        return sofic_verdict(self.identity_pass, defects, (m for _, m in self.free_margins), self.eps)
+        return not any(self._failures())
 
     def violations(self, wreath: WreathProduct) -> list[str]:
-        out = []
-        if not self.identity_pass:
-            out.append("rule(identity) is not the identity")
-        for u, v, d in self.mult_defects:
-            if d >= self.eps:
-                out.append(f"multiplicative defect {d} at pair ({wreath.encode(u)}, {wreath.encode(v)})")
-        for u, m in self.free_margins:
-            if m <= 1 - self.eps:
-                out.append(f"freeness margin {m} at {wreath.encode(u)}")
-        return out
+        return list(self._failures(lambda u: str(wreath.encode(u))))
 
     def to_json(self, wreath: WreathProduct) -> dict:
         """The format-1 certificate.  Do not mutate it: it shares one dict per window element and
@@ -399,11 +369,7 @@ def verify_construction(approx: WreathApprox) -> Certificate:
 
     ident = approx.identity_value()
     identity_pass = approx.rule(wreath.identity()) == ident
-    mult_defects = tuple(
-        (u, v, (approx.rule(u) * approx.rule(v)).distance(approx.rule(wreath.mul(u, v))))
-        for u in targets
-        for v in targets
-    )
+    mult_defects = tuple((u, v, d) for d, (u, v) in pair_defects(approx.rule, wreath.mul, targets))
     free_margins = tuple(
         (u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity()
     )

@@ -23,12 +23,12 @@ class Mutant:
 MUTANTS = (
     # the kernels
     Mutant(
-        "product-agreement-factor-swap",
+        "compose-factor-swap",
         "perm.py",
-        "    image = _gather(s, t)\n",
-        "    image = _gather(t, s)\n",
+        "    return Permutation._trusted(_gather(s, t))\n",
+        "    return Permutation._trusted(_gather(t, s))\n",
         (
-            "tests/test_perm.py::TestProductAgreement::test_right_factor_first",
+            "tests/test_perm.py::TestCompose::test_right_factor_first",
             "tests/test_sofic.py::TestMultiplicative::test_product_acts_right_factor_first",
             "tests/test_cli.py::TestVerify::test_symmetric_lamps_build_and_pass_the_oracle",
         ),
@@ -98,6 +98,40 @@ MUTANTS = (
             "tests/test_bigperm.py::TestDistance::test_matches_explicit_hamming",
             "tests/test_bigperm.py::TestSharedEntries::test_pooled_kernels_match_references",
             "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+        ),
+    ),
+    Mutant(
+        "hamming-shortcut-degree-only",
+        "perm.py",
+        "    if s.image == t.image:\n",
+        "    if s.degree == t.degree:\n",
+        (
+            "tests/test_perm.py::TestHamming::test_transposition_vs_identity",
+            "tests/test_perm.py::TestGatherKernels::test_inexact_product_is_counted",
+            "tests/test_sofic.py::TestStrictPassRule::test_defect_equal_to_eps_fails",
+        ),
+    ),
+    # the pass rule: a value on the bound fails, at both levels of certificate
+    Mutant(
+        "pass-rule-defect-at-eps",
+        "sofic.py",
+        "        if not d < eps:\n",
+        "        if d > eps:\n",
+        (
+            "tests/test_sofic.py::TestStrictPassRule::test_defect_equal_to_eps_fails",
+            "tests/test_verify.py::TestVerifyConstruction::test_value_on_the_bound_fails[defect]",
+            "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[defects_at_eps]",
+        ),
+    ),
+    Mutant(
+        "pass-rule-margin-at-bound",
+        "sofic.py",
+        "        if not m > 1 - eps:\n",
+        "        if m < 1 - eps:\n",
+        (
+            "tests/test_sofic.py::TestStrictPassRule::test_margin_equal_to_one_minus_eps_fails",
+            "tests/test_verify.py::TestVerifyConstruction::test_value_on_the_bound_fails[margin]",
+            "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[margins_at_bound]",
         ),
     ),
     # the certificate reader

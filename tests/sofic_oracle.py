@@ -1,10 +1,9 @@
 """Reference oracles for the ``sofic`` checkers and the good-block lemma,
 computed point by point.
 
-``sofic.is_sofic_approx`` counts the points where rule(g) rule(h) agrees
-with rule(gh) through one C-level gather and never builds the product, and
-measures margins with ``Permutation.distance``.  This module composes each
-product point by point, ``s.image[t.image[i]]``, and counts the moved points
+``sofic.is_sofic_approx`` builds each product rule(g) rule(h) through one
+C-level gather and measures it and each margin with ``Permutation.distance``.
+This module composes each product point by point, ``s.image[t.image[i]]``, and counts the moved points
 of each value as the definitions read, so it shares no kernel
 with ``perm``.  ``compute_good_blocks`` inverts every rule value point by point
 and tests each block of the carrier with one set comprehension per pair of

@@ -1,10 +1,14 @@
 import json
 import os
 import pathlib
+import random
+from fractions import Fraction
 
 import pytest
 
 import soficwreath as sw
+from helpers import with_values
+from soficwreath import verify
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
 
 
@@ -43,6 +47,10 @@ def lamplighter_config():
 def write(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+FIRST_PAIR = "({'left': [], 'right': 0}, {'left': [], 'right': 0})"
+FIRST_ELEMENT = "{'left': [[0, 1]], 'right': 0}"
 
 
 @pytest.fixture
@@ -308,6 +316,51 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "base_approx, message",
+        [
+            (5, "bad approximation descriptor: 5"),
+            ({"kind": "cyclic-quotient", "size": 8}, "cyclic-quotient needs the integers as its group"),
+            (
+                {"kind": "free-quotient", "degree": 2, "images": {"seed": 1}, "radius": 1},
+                "free-quotient needs a free group",
+            ),
+            ({"kind": "bogus"}, "unknown approximation kind 'bogus'"),
+        ],
+        ids=["not_an_object", "cyclic_quotient_of_finite", "free_quotient_of_finite", "unknown_kind"],
+    )
+    def test_bad_approximation_descriptor_is_usage_error(self, tmp_path, capsys, base_approx, message):
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base_approx})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_file_approximation_of_another_group_is_usage_error(self, tmp_path, capsys):
+        stored = write(tmp_path / "base.json", sw.regular_rep(sw.cyclic(2)).to_json())
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": {"kind": "file", "path": stored}})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: approximation file {stored} is for a different group\n"
+
+    def test_seeded_free_quotient_builds_the_same_bytes_and_verifies(self, tmp_path, capsys):
+        # "images": {"seed": N} draws one permutation per generator from random.Random(N)
+        base = {"kind": "free-quotient", "degree": 20000, "images": {"seed": 7}, "radius": 8}
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+            approximations={"lamp": {"kind": "regular"}, "base": base},
+            F=[{"left": [], "right": [1]}, {"left": [[[], 1]], "right": []}],
+        )
+        path = write(tmp_path / "config.json", config)
+        outs = tmp_path / "a.json", tmp_path / "b.json"
+        for out in outs:
+            assert main(["build", "--config", path, "--out", str(out)]) == OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        rule = dict((tuple(g), p["image"]) for g, p in json.loads(outs[0].read_text())["base_approx"]["rule"])
+        assert rule[(1,)] == list(sw.perm.draw_permutation(20000, random.Random(7)).image)
+        capsys.readouterr()
+        assert main(["verify", "--approx", str(outs[0])]) == OK
+        assert json.loads(capsys.readouterr().out)["pass"] is True
+
 
 class TestDeepJson:
     """JSON nested deeper than the parser's recursion limit is malformed input."""
@@ -486,6 +539,35 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == f"error: carrier_size must be a positive integer, got {carrier_size!r}\n"
 
+    def test_failing_certificate_is_exit_two_with_each_failure(self, built_artifact, monkeypatch, capsys):
+        built = verify.verify_construction
+        monkeypatch.setattr(
+            verify, "verify_construction", lambda approx: with_values(built(approx), False, Fraction(1, 2), Fraction(1, 2))
+        )
+        assert main(["verify", "--approx", built_artifact]) == CERTIFICATE
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["pass"] is False
+        assert captured.err == (
+            "certificate failure: rule(identity) is not the identity\n"
+            f"certificate failure: multiplicative defect 1/2 at pair {FIRST_PAIR}\n"
+            f"certificate failure: freeness margin 1/2 at {FIRST_ELEMENT}\n"
+        )
+
+    def test_oracle_mismatch_is_exit_two_with_each_line(self, built_artifact, monkeypatch, capsys):
+        # the values pass the certificate's checks but are not the rule's distances
+        built = verify.verify_construction
+        monkeypatch.setattr(
+            verify, "verify_construction", lambda approx: with_values(built(approx), False, Fraction(1, 4), Fraction(3, 4))
+        )
+        assert main(["verify", "--approx", built_artifact, "--oracle"]) == CERTIFICATE
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["identity_pass"] is False
+        assert captured.err == (
+            "oracle mismatch: identity mismatch: certificate says False\n"
+            f"oracle mismatch: freeness distance mismatch at {FIRST_ELEMENT}: 3/4 vs 1\n"
+            f"oracle mismatch: distance mismatch at pair {FIRST_PAIR}: 1/4 vs 0\n"
+        )
+
 
 class TestReport:
     @pytest.fixture
@@ -600,8 +682,16 @@ class TestReport:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("defect", {"num": 1, "den": 1}), ("margin", {"num": 0, "den": 1}), ("identity_pass", False), ("pass", False)],
-        ids=["defects_one", "margins_zero", "identity_fails", "pass_false"],
+        [
+            ("defect", {"num": 1, "den": 1}),
+            ("margin", {"num": 0, "den": 1}),
+            ("identity_pass", False),
+            ("pass", False),
+            # eps = 1/2: a value on the bound fails the strict checks
+            ("defect", {"num": 1, "den": 2}),
+            ("margin", {"num": 1, "den": 2}),
+        ],
+        ids=["defects_one", "margins_zero", "identity_fails", "pass_false", "defects_at_eps", "margins_at_bound"],
     )
     def test_stored_pass_disagreeing_with_the_checks_is_certificate_failure(self, tmp_path, capsys, field, value):
         cert = json.loads(SMALL_CERTIFICATE.read_text())
@@ -615,7 +705,8 @@ class TestReport:
                 entry[field] = value
             for entry in cert["details"]["freeness"]:
                 if entry["base_margin"] is None:
-                    entry.update(fixed_fraction={"num": 1, "den": 1}, within_bound=False)
+                    fixed = {"num": value["den"] - value["num"], "den": value["den"]}  # 1 - margin
+                    entry.update(fixed_fraction=fixed, within_bound=False)
                 else:
                     entry["base_dominated"] = False
         path = write(tmp_path / "certificate.json", cert)
@@ -626,6 +717,12 @@ class TestReport:
         cert["pass"] = not cert["pass"]
         assert main(["report", "--certificate", write(tmp_path / "certificate.json", cert)]) == OK
         assert capsys.readouterr().out.startswith(f"sofic certificate: {'PASS' if cert['pass'] else 'FAIL'}\n")
+
+    def test_group_other_than_a_wreath_product_is_usage_error(self, tmp_path, capsys):
+        cert = json.loads(SMALL_CERTIFICATE.read_text())
+        cert["group"] = {"kind": "cyclic", "n": 2}
+        assert main(["report", "--certificate", write(tmp_path / "certificate.json", cert)]) == USAGE
+        assert capsys.readouterr().err == "error: certificate group must be a wreath product\n"
 
     @pytest.mark.parametrize("num", [-1, 2])
     @pytest.mark.parametrize(
@@ -648,7 +745,7 @@ class TestReport:
         node[path[-1]] = {"num": num, "den": 1}
         written = write(tmp_path / "certificate.json", cert)
         assert main(["report", "--certificate", written]) == USAGE
-        assert capsys.readouterr().err == f"error: certificate {key} must be in [0, 1], got Fraction({num}, 1)\n"
+        assert capsys.readouterr().err == f"error: certificate {key} must be in [0, 1], got {num}\n"
 
     def test_golden_certificate_and_report(self, built_artifact, capsys):
         # frozen outputs for the exact 24-element fixture

@@ -14,7 +14,6 @@ from soficwreath.perm import (
     compose,
     draw_permutation,
     hamming,
-    product_agreement,
     random_permutation,
     transposition,
 )
@@ -130,6 +129,12 @@ class TestHamming:
         s, t, u = triple
         assert hamming(u * s, u * t) == hamming(s, t) == hamming(s * u, t * u)
 
+    def test_product_factor_order(self):
+        s, t = perm(1, 0, 2), perm(0, 2, 1)
+        assert s * t != t * s
+        assert hamming(s * t, s * t) == 0
+        assert hamming(t * s, s * t) == 1
+
     @given(perms)
     def test_identity_distance_counts_fixed_points(self, s):
         assert hamming(s, Permutation.identity(s.degree)) == 1 - Fraction(
@@ -137,39 +142,11 @@ class TestHamming:
         )
 
 
-def outcome(fn, *args):
-    """The value fn returns, or the message of the ValueError it raises."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        return f"ValueError: {exc}"
-
-
-class TestProductAgreement:
-    def test_right_factor_first(self):
-        s, t = perm(1, 0, 2), perm(0, 2, 1)
-        assert s * t != t * s
-        assert product_agreement(s, t, s * t) == 3
-        assert product_agreement(t, s, s * t) == 0
-
-    @given(same_degree_perms(3))
-    def test_counts_agreement_with_built_product(self, triple):
-        s, t, u = triple
-        assert product_agreement(s, t, u) == agreement_count(s * t, u)
-
-    @given(perms, perms, perms)
-    def test_degree_mismatch_raises_as_built_product(self, s, t, u):
-        def built(s, t, u):
-            return agreement_count(s * t, u)
-
-        assert outcome(product_agreement, s, t, u) == outcome(built, s, t, u)
-
-
 @st.composite
 def product_triples(draw):
     """(s, t, u) of one degree, 1 to 8, where u is s * t exactly, s * t with
-    two points swapped, t * s, or any permutation, so the count is often
-    below the degree."""
+    two points swapped, t * s, or any permutation, so the distance is often
+    above 0."""
     s, t, other = draw(same_degree_perms(3))
     exact = Permutation(product_image(s, t))
     kind = draw(st.sampled_from(["exact", "swapped", "reversed", "random"]))
@@ -180,8 +157,8 @@ def product_triples(draw):
 
 
 class TestGatherKernels:
-    """``compose`` and ``product_agreement`` share one C-level gather; they
-    are checked here against point-by-point products."""
+    """``compose`` builds a product in one C-level gather; it and the distance
+    of a product, exact or not, are checked here against point-by-point products."""
 
     @given(same_degree_perms(2))
     def test_compose_matches_pointwise(self, pair):
@@ -190,21 +167,21 @@ class TestGatherKernels:
 
     @settings(max_examples=200)
     @given(product_triples())
-    def test_product_agreement_matches_pointwise(self, triple):
+    def test_product_distance_matches_pointwise(self, triple):
         s, t, u = triple
         image = product_image(s, t)
-        assert product_agreement(s, t, u) == sum(1 for i in range(u.degree) if image[i] == u.image[i])
+        assert hamming(s * t, u) == Fraction(sum(1 for i in range(u.degree) if image[i] != u.image[i]), u.degree)
 
     def test_inexact_product_is_counted(self):
         s, t = perm(1, 2, 0, 3), perm(0, 1, 3, 2)
-        assert product_agreement(s, t, s * t) == 4
-        assert product_agreement(s, t, transposition(4, 0, 3) * (s * t)) == 2
-        assert product_agreement(s, t, t * s) == 1
+        assert hamming(s * t, s * t) == 0
+        assert hamming(s * t, transposition(4, 0, 3) * (s * t)) == Fraction(1, 2)
+        assert hamming(s * t, t * s) == Fraction(3, 4)
 
     def test_degree_one(self):
         one = Permutation.identity(1)
         assert compose(one, one) == one
-        assert product_agreement(one, one, one) == 1
+        assert hamming(one * one, one) == 0
         with pytest.raises(ValueError, match="carrier mismatch"):
             compose(one, perm(1, 0))
 

@@ -244,6 +244,50 @@ class TestSoficCheck:
         )
 
 
+class TestStrictPassRule:
+    """Every pair defect must be < eps and every freeness margin > 1 - eps:
+    a value on the bound fails, and one just inside it passes."""
+
+    # rule(1) = (0 1 2)(3 4): rule(1) rule(1) = (0 2 1) misses rule(0) = id on
+    # 3 of 5 points, and rule(1) moves every point
+    CUBE = SoficApprox(sw.cyclic(2), 5, {0: Permutation.identity(5), 1: Permutation((1, 2, 0, 4, 3))})
+    # rule(1) = (0 1) squares to the identity and moves 2 of 4 points
+    SWAP = SoficApprox(sw.cyclic(2), 4, {0: Permutation.identity(4), 1: transposition(4, 0, 1)})
+
+    def test_defect_equal_to_eps_fails(self):
+        eps = Fraction(3, 5)
+        report = is_sofic_approx(self.CUBE, [0, 1], eps)
+        assert (report.mult_defect, report.mult_witness, report.free_margin) == (eps, (1, 1), 1)
+        assert not report.passed
+        with pytest.raises(sw.CertificateError) as raised:
+            require_sofic(self.CUBE, [0, 1], eps, "cube")
+        assert str(raised.value) == (
+            "cube fails its (2-element window, 3/5) certificate: multiplicative defect 3/5 at pair (1, 1)"
+        )
+        inside = eps + Fraction(1, 100)
+        assert is_sofic_approx(self.CUBE, [0, 1], inside).passed
+        assert require_sofic(self.CUBE, [0, 1], inside, "cube").mult_defect == eps
+
+    def test_margin_equal_to_one_minus_eps_fails(self):
+        eps = Fraction(1, 2)
+        report = is_sofic_approx(self.SWAP, [0, 1], eps)
+        assert (report.mult_defect, report.free_margin, report.free_witness) == (0, 1 - eps, 1)
+        assert not report.passed
+        with pytest.raises(sw.CertificateError) as raised:
+            require_sofic(self.SWAP, [0, 1], eps, "swap")
+        assert str(raised.value) == "swap fails its (2-element window, 1/2) certificate: freeness margin 1/2 at 1"
+        inside = eps + Fraction(1, 100)
+        assert is_sofic_approx(self.SWAP, [0, 1], inside).passed
+        assert require_sofic(self.SWAP, [0, 1], inside, "swap").free_margin == 1 - eps
+
+    def test_empty_window_has_no_pair_and_passes(self):
+        approx = sw.regular_rep(sw.cyclic(3))
+        report = require_sofic(approx, [], Fraction(1, 2), "empty")
+        assert (report.window, report.mult_defect, report.mult_witness) == ((), 0, None)
+        assert (report.free_margin, report.free_witness) == (None, None)
+        assert report.passed
+
+
 class TestSerialization:
     def test_round_trip(self):
         approx = sw.cyclic_quotient(6, window=range(-2, 3))

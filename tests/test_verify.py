@@ -6,7 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
 import verify_oracle
-from helpers import good_block_inputs, random_rule, small_wreath_approximations, without_lowest_good_block
+from helpers import (
+    good_block_inputs,
+    random_rule,
+    small_wreath_approximations,
+    with_values,
+    without_lowest_good_block,
+)
 from soficwreath import bigperm
 from soficwreath.construct import check_good_block_bound
 from soficwreath.perm import Permutation, transposition
@@ -223,10 +229,34 @@ class TestVerifyConstruction:
         assert cert.passed is True
 
     def test_violations_listed_for_failing_window(self, small_wreath):
-        # verify at an absurd tolerance: freeness margins 1 cannot exceed 1 - eps for eps <= 0 is
-        # impossible, so instead check violations() by tightening multiplicativity on a noisy rule
+        # a built rule always passes, so the failing values are set by hand:
+        # one line per failing part, in the order identity, pairs, margins
         cert = verify_construction(small_wreath)
         assert cert.violations(small_wreath.wreath) == []
+        failing = with_values(cert, False, Fraction(1), Fraction(0))
+        assert failing.passed is False
+        assert failing.violations(small_wreath.wreath) == [
+            "rule(identity) is not the identity",
+            "multiplicative defect 1 at pair ({'left': [], 'right': 0}, {'left': [], 'right': 0})",
+            "freeness margin 0 at {'left': [[0, 1]], 'right': 0}",
+        ]
+
+    @pytest.mark.parametrize("part", ["defect", "margin"])
+    def test_value_on_the_bound_fails(self, small_wreath, part):
+        # eps = 1/2: a pair defect of 1/2 or a margin of 1 - 1/2 fails, one just inside passes
+        cert = verify_construction(small_wreath)
+        eps, wreath = cert.eps, small_wreath.wreath
+        assert eps == Fraction(1, 2)
+        bound, inside = (eps, eps - Fraction(1, 100)) if part == "defect" else (1 - eps, 1 - eps + Fraction(1, 100))
+        inside = with_values(cert, **{part: inside})
+        assert inside.passed is True and inside.violations(wreath) == []
+        on_bound = with_values(cert, **{part: bound})
+        assert on_bound.passed is False
+        assert on_bound.violations(wreath) == [
+            "multiplicative defect 1/2 at pair ({'left': [], 'right': 0}, {'left': [], 'right': 0})"
+            if part == "defect"
+            else "freeness margin 1/2 at {'left': [[0, 1]], 'right': 0}"
+        ]
 
 
 class TestDetailedReports:
