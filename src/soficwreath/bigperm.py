@@ -37,11 +37,12 @@ from fractions import Fraction
 from itertools import compress, count
 from operator import eq
 
-from .perm import Permutation, agreement_count
+from .perm import Permutation, agreement_count, compose
 
 EXPANSION_CAP = 10**6
 
 Tau = dict[int, dict[int, Permutation]]
+_ZERO = Fraction(0)  # the distance of equal actions, shared: a Fraction is immutable
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,10 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
     """The action "first, then second"; cost O(|B| * sparsity * |A|).
 
     A block that only one side touches keeps that side's block dict, shared
-    with the operand.  Where both touch a coordinate, ``p2 * p1`` and its
-    identity test are computed once per distinct pair of permutation objects.
-    An identity operand returns the other one, which is immutable.
+    with the operand.  Where both touch a coordinate, ``compose(p2, p1)`` and
+    its identity test run once per distinct pair of permutation objects, and
+    each coordinate reads the result with one table lookup.  An identity
+    operand returns the other one, which is immutable.
     """
     _check_sizes(second, first)
     if first.is_identity():
@@ -123,7 +125,7 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
         return first
     beta = first.beta.image
     moved_into = compress(count(), map(second.tau.__contains__, beta))
-    products = {}  # (id(p2), id(p1)) -> p2 * p1, or None for the identity
+    products = {}  # (id(p2), id(p1)) -> p2 * p1, or False for the identity
     tau = {}
     for b in first.tau.keys() | moved_into:
         one, two = first.tau.get(b), second.tau.get(beta[b])
@@ -137,13 +139,13 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
                 entries[c] = p2
                 continue
             key = (id(p2), id(p1))
-            if key not in products:
-                p = p2 * p1
-                products[key] = None if p.is_identity() else p
-            if (p := products[key]) is None:
-                del entries[c]
-            else:
+            if (p := products.get(key)) is None:
+                p = compose(p2, p1)
+                p = products[key] = not p.is_identity() and p
+            if p:
                 entries[c] = p
+            else:
+                del entries[c]
         if entries:
             tau[b] = entries
     w = object.__new__(CoordAction)  # canonical by construction: skip the check
@@ -171,7 +173,7 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     _check_sizes(w, v)
     w_beta, v_beta = w.beta.image, v.beta.image
     if w_beta == v_beta and w.tau == v.tau:
-        return Fraction(0)
+        return _ZERO
     agree = Counter()  # k -> sum of fiber agreement counts out of |A|^k
     agree[0] = sum(map(eq, w_beta, v_beta))
     counts = {}  # (id(p), id(q)) -> agreement count

@@ -175,10 +175,7 @@ def _cmd_verify(args) -> int:
     _print_json(certificate.to_json(approx.wreath))
     if args.oracle:
         if approx.carrier_size() > cap:
-            print(
-                f"oracle unavailable: carrier {approx.carrier_size()} exceeds cap {cap}",
-                file=sys.stderr,
-            )
+            print(f"oracle unavailable: carrier {approx.carrier_size()} exceeds cap {cap}", file=sys.stderr)
             return ORACLE
         mismatches = oracle_check(approx, certificate, cap)
         if mismatches:

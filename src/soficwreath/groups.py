@@ -1,9 +1,11 @@
 """Groups the library manipulates.
 
-Elements are plain hashable Python values (ints, tuples, small frozen
-records); a ``Group`` object owns the operations on them.  Equality of
-elements is structural equality of canonical forms, so values from two
-handles to the same group compare equal.
+Elements are plain hashable Python values: ints, tuples, and the
+``NamedTuple`` records ``FinSuppMap`` and ``WreathElement``, which build, hash
+and compare in C and so equal the plain tuple of their fields (nothing in the
+library compares them with one).  A ``Group`` object owns the operations on
+them.  Equality of elements is structural equality of canonical forms, so
+values from two handles to the same group compare equal.
 
 Concrete groups: cyclic, symmetric, the integers, free groups (reduced
 words), Cayley-table groups, finitely supported direct sums indexed by a
@@ -12,9 +14,10 @@ group, and wreath products built from a lamp group and a base group.
 from __future__ import annotations
 
 import itertools
+import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .jsonutil import all_ints, checked, is_int
 
@@ -49,6 +52,10 @@ class Group:
 
     def decode(self, data):
         raise NotImplementedError
+
+    def show(self, a) -> str:
+        """Compact JSON of ``encode(a)``, which ``decode`` reads back: how every message prints an element."""
+        return json.dumps(self.encode(a), separators=(",", ":"))
 
     def descriptor(self) -> dict:
         raise NotImplementedError
@@ -264,8 +271,7 @@ class TableGroup(Group):
         return {"kind": "table", "table": [list(r) for r in self.table]}
 
 
-@dataclass(frozen=True)
-class FinSuppMap:
+class FinSuppMap(NamedTuple):
     """Finitely supported map from a base group's index set into a lamp group.
 
     Canonical form: entries sorted by the index group's key, values never the
@@ -357,8 +363,7 @@ class DirectSum(Group):
         return {"kind": "direct-sum", "lamp": self.lamp.descriptor(), "index": self.index.descriptor()}
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(NamedTuple):
     """A lamp configuration together with a base-group element."""
 
     left: FinSuppMap

@@ -98,7 +98,8 @@ def dump_indented(obj, write) -> None:
     met again at the same depth is encoded into a kept string at its second
     meeting and written from it after.  Both tables are keyed by
     ``(id(node), depth)``, as indentation depends on depth, and live for one
-    call, while the tree holds every node.
+    call, while the tree holds every node.  A dict's encoded ``"key": `` heads
+    are kept by its key tuple, so dicts with equal keys encode them once.
 
     >>> import json
     >>> shared = {"left": [[0, 1]], "right": -2}
@@ -110,6 +111,7 @@ def dump_indented(obj, write) -> None:
     """
     seen: set = set()
     kept: dict = {}
+    heads_of: dict = {}  # a dict's key tuple -> its encoded heads
 
     def node(x, depth, write):
         key = (id(x), depth)
@@ -132,8 +134,9 @@ def dump_indented(obj, write) -> None:
         if is_list and all_ints(x):
             # the list's repr, separators swapped: no string per element
             return write(lead + repr(x)[1:-1].replace(", ", sep) + close)
-        # encode_basestring_ascii raises the TypeError for a non-str key
-        heads = repeat("") if is_list else map("{}: ".format, map(encode_basestring_ascii, x))
+        heads = repeat("") if is_list else heads_of.get(keys := tuple(x))
+        if heads is None:  # encode_basestring_ascii raises the TypeError for a non-str key
+            heads = heads_of[keys] = [f"{encode_basestring_ascii(k)}: " for k in x]
         for head, item in zip(heads, x if is_list else x.values()):
             if type(item) is list or type(item) is dict:
                 write(lead + head)

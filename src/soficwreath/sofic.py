@@ -111,11 +111,11 @@ class DefectReport:
     free_margin: Fraction | None
     free_witness: Any
 
-    def _failures(self):
+    def _failures(self, show=repr):
         """The ``failing_parts`` lines; a window without pairs or margins checks none."""
         defects = () if self.mult_witness is None else ((self.mult_defect, self.mult_witness),)
         margins = () if self.free_margin is None else ((self.free_margin, self.free_witness),)
-        return failing_parts(self.eps, defects, margins)
+        return failing_parts(self.eps, defects, margins, show=show)
 
     @property
     def passed(self) -> bool:
@@ -137,7 +137,8 @@ def failing_parts(eps: Fraction, defects, margins, identity_pass: bool = True, s
     """The one pass rule of a certificate: a line for each part that fails.
     ``defects`` holds (defect, (g, h)) and ``margins`` (margin, g); a pair
     defect fails unless < eps, a margin unless > 1 - eps.  ``show`` renders
-    the elements of a failing part.  A certificate passes when none fails."""
+    the elements of a failing part, as ``Group.show`` wherever a line is printed.
+    A certificate passes when none fails."""
     if not identity_pass:
         yield "rule(identity) is not the identity"
     for d, (g, h) in defects:
@@ -185,7 +186,7 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
 
 def require_sofic(s: SoficApprox, window, eps: Fraction, label: str) -> DefectReport:
     report = is_sofic_approx(s, window, eps)
-    parts = list(report._failures())
+    parts = list(report._failures(s.group.show))
     if parts:
         raise CertificateError(f"{label} fails its ({len(report.window)}-element window, {eps}) certificate: " + "; ".join(parts))
     return report

@@ -160,9 +160,7 @@ class FreenessEntry:
             "element": wreath.encode(self.element),
             "margin": frac_to_json(self.margin),
             "base_margin": frac_to_json(self.base_margin) if self.base_margin is not None else None,
-            "anchor_position": wreath.base.encode(self.anchor_position)
-            if self.anchor_position is not None
-            else None,
+            "anchor_position": None if self.anchor_position is None else wreath.base.encode(self.anchor_position),
             "fixed_fraction": frac_to_json(fixed) if fixed is not None else None,
             "bound": frac_to_json(self.bound) if self.bound is not None else None,
             "base_dominated": self.base_dominated,
@@ -242,7 +240,7 @@ class Certificate:
         return not any(self._failures())
 
     def violations(self, wreath: WreathProduct) -> list[str]:
-        return list(self._failures(lambda u: str(wreath.encode(u))))
+        return list(self._failures(wreath.show))
 
     def to_json(self, wreath: WreathProduct) -> dict:
         """The format-1 certificate.  Do not mutate it: it shares one dict per window element and
@@ -370,15 +368,8 @@ def verify_construction(approx: WreathApprox) -> Certificate:
     ident = approx.identity_value()
     identity_pass = approx.rule(wreath.identity()) == ident
     mult_defects = tuple((u, v, d) for d, (u, v) in pair_defects(approx.rule, wreath.mul, targets))
-    free_margins = tuple(
-        (u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity()
-    )
-    return Certificate(
-        window=targets,
-        identity_pass=identity_pass,
-        mult_defects=mult_defects,
-        details=detailed_reports(approx, free_margins),
-    )
+    free_margins = tuple((u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity())
+    return Certificate(targets, identity_pass, mult_defects, detailed_reports(approx, free_margins))
 
 
 def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPANSION_CAP) -> list[str]:
@@ -407,15 +398,17 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
         return value
 
     def pair(u, v):
-        return f"pair ({wreath.encode(u)}, {wreath.encode(v)})"
+        return f"pair ({wreath.show(u)}, {wreath.show(v)})"
+
+    def differs(d: Fraction, moved: int) -> bool:  # d != moved / n in integers: no Fraction for a match
+        return d.numerator * n != moved * d.denominator
 
     mismatches = []
     if certificate.identity_pass != expand(identity).is_identity():
         mismatches.append(f"identity mismatch: certificate says {certificate.identity_pass}")
     for u, d_fact in certificate.free_margins:
-        d_expl = Fraction(n - expand(u).fixed_points(), n)
-        if d_fact != d_expl:
-            mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
+        if differs(d_fact, moved := n - expand(u).fixed_points()):
+            mismatches.append(f"freeness distance mismatch at {wreath.show(u)}: {d_fact} vs {Fraction(moved, n)}")
     values = [(v, approx.rule(v), expand(v)) for v in targets]
     defects = iter(certificate.mult_defects)
     for u, ru, eu in values:
@@ -427,7 +420,6 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
             if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != product:
                 mismatches.append(f"composition mismatch at {pair(u, v)}")
                 continue
-            d_expl = Fraction(n - sum(map(eq, product, expand(w).image)), n)
-            if d_fact != d_expl:
-                mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {d_expl}")
+            if differs(d_fact, moved := n - sum(map(eq, product, expand(w).image))):
+                mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {Fraction(moved, n)}")
     return mismatches

@@ -1,5 +1,6 @@
 """Constructions that only tests use, kept out of the library."""
 import dataclasses
+import json
 import random
 
 from fractions import Fraction
@@ -199,3 +200,13 @@ def with_values(cert, identity_pass=True, defect=None, margin=None):
     details = dataclasses.replace(cert.details, freeness=(first, *entries))
     pairs = ((u, v, d if defect is None else defect), *pairs)
     return dataclasses.replace(cert, identity_pass=identity_pass, mult_defects=pairs, details=details)
+
+
+def shown_elements(line: str) -> list:
+    """The elements a failure line prints after its first " at ", each read with
+    ``json.loads``: the two of "pair (A, B)", else the one before any ": ".
+    Compact JSON holds no ", ", ": " or ")", so those split the line."""
+    rest = line.split(" at ", 1)[1]
+    if rest.startswith("pair ("):
+        return [json.loads(text) for text in rest[len("pair (") : rest.index(")")].split(", ")]
+    return [json.loads(rest.split(": ", 1)[0])]

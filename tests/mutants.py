@@ -57,8 +57,8 @@ MUTANTS = (
     Mutant(
         "compose-keeps-identity",
         "bigperm.py",
-        "                products[key] = None if p.is_identity() else p\n",
-        "                products[key] = p\n",
+        "                p = products[key] = not p.is_identity() and p\n",
+        "                p = products[key] = p\n",
         (
             "tests/test_bigperm.py::TestCanonicalForm::test_structural_equality_after_compose",
             "tests/test_bigperm.py::TestTrustedCompose::test_results_pass_the_checked_constructors",
@@ -86,6 +86,28 @@ MUTANTS = (
             "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z2_wr_z3]",
             "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
             "tests/test_verify.py::TestOracleCheck::test_matches_a_reference_that_expands_every_product",
+        ),
+    ),
+    Mutant(
+        "oracle-distance-numerator-only",
+        "verify.py",
+        "        return d.numerator * n != moved * d.denominator\n",
+        "        return d.numerator * n != moved\n",
+        (
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z2_wr_z3]",
+            "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+            "tests/test_verify.py::TestOracleCheck::test_tampered_margin_and_identity_are_reported",
+        ),
+    ),
+    Mutant(
+        "writer-heads-by-size",
+        "jsonutil.py",
+        "heads_of.get(keys := tuple(x))",
+        "heads_of.get(keys := len(x))",
+        (
+            "tests/test_jsonutil.py::TestDumpIndented::test_dicts_of_one_size_keep_their_own_keys",
+            "tests/test_jsonutil.py::TestDumpIndented::test_rejects_what_the_stdlib_would_convert[int_key_after_str_key]",
+            "tests/test_cli.py::TestReport::test_golden_certificate_and_report",
         ),
     ),
     Mutant(
@@ -132,6 +154,17 @@ MUTANTS = (
             "tests/test_sofic.py::TestStrictPassRule::test_margin_equal_to_one_minus_eps_fails",
             "tests/test_verify.py::TestVerifyConstruction::test_value_on_the_bound_fails[margin]",
             "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[margins_at_bound]",
+        ),
+    ),
+    # the construction's proved bounds
+    Mutant(
+        "lamp-bound-drops-w",
+        "verify.py",
+        '            "lamp": b.block_tolerance + b.window_size * b.input_tolerance,\n',
+        '            "lamp": b.block_tolerance + b.input_tolerance,\n',
+        (
+            "tests/test_verify.py::TestDetailedReports::test_bounds_are_the_budget_formulas",
+            "tests/test_cli.py::TestReport::test_golden_certificate_and_report",
         ),
     ),
     # the certificate reader

@@ -49,8 +49,8 @@ def write(path, data):
     return str(path)
 
 
-FIRST_PAIR = "({'left': [], 'right': 0}, {'left': [], 'right': 0})"
-FIRST_ELEMENT = "{'left': [[0, 1]], 'right': 0}"
+FIRST_PAIR = '({"left":[],"right":0}, {"left":[],"right":0})'
+FIRST_ELEMENT = '{"left":[[0,1]],"right":0}'
 
 
 @pytest.fixture

@@ -1,7 +1,10 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
+from soficwreath import construct
 import group_oracle
 from group_oracle import wreath_mul
 from helpers import projections
@@ -296,6 +299,53 @@ def test_lamp_products_match_pointwise_reference(data):
     assert lamps.mul(f, lamps.inv(f)) == lamps.identity()
     a, b = wreath.element(f, h), wreath.element(g, k)
     assert wreath.mul(a, b) == group_oracle.wreath_mul(wreath, a, b)
+
+
+class TestElementValues:
+    """``FinSuppMap`` and ``WreathElement`` are ``NamedTuple`` records: equal
+    values built any way hash alike, print as before and cannot be changed."""
+
+    def setup_method(self):
+        self.wreath = sw.wreath_product(sw.cyclic(2), sw.cyclic(3))
+        self.u = self.wreath.element({1: 1}, 2)
+
+    def copies(self):
+        wreath, u = self.wreath, self.u
+        return [
+            wreath.decode(wreath.encode(u)),
+            wreath.mul(wreath.element({1: 1}, 0), wreath.element({}, 2)),
+            wreath.inv(wreath.inv(u)),
+            wreath.element(wreath.lamps.make({1: 1}), 2),
+        ]
+
+    def test_equal_elements_hash_alike(self):
+        for copy in self.copies():
+            assert copy == self.u and hash(copy) == hash(self.u)
+            assert copy.left == self.u.left and hash(copy.left) == hash(self.u.left)
+        assert len({self.u, *self.copies()}) == 1
+
+    def test_equal_elements_share_one_rule_value(self, monkeypatch):
+        approx = sw.build(sw.regular_rep(sw.cyclic(2)), sw.regular_rep(sw.cyclic(3)), [self.u], Fraction(1, 2))
+        built, calls = construct.lamp_action, []
+
+        def counted(*args):
+            calls.append(args)
+            return built(*args)
+
+        monkeypatch.setattr(construct, "lamp_action", counted)
+        value = approx.rule(self.u)
+        assert all(approx.rule(copy) is value for copy in self.copies())
+        assert len(calls) == 1
+
+    def test_repr_names_the_fields(self):
+        assert repr(self.u) == "WreathElement(left=FinSuppMap(entries=((1, 1),)), right=2)"
+        assert repr(self.wreath.identity()) == "WreathElement(left=FinSuppMap(entries=()), right=0)"
+
+    def test_fields_cannot_be_assigned(self):
+        for record, field in [(self.u, "left"), (self.u, "right"), (self.u.left, "entries")]:
+            with pytest.raises(AttributeError):
+                setattr(record, field, ())
+        assert self.u == self.wreath.element({1: 1}, 2)
 
 
 class TestSerialization:

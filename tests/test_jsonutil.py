@@ -84,14 +84,20 @@ class TestDumpIndented:
         tree = layout(shared)
         assert dumped(tree) == json.dumps(tree, indent=1)
 
+    def test_dicts_of_one_size_keep_their_own_keys(self):
+        # the heads are kept per key tuple: other keys, or the same keys in
+        # another order, are encoded afresh
+        tree = [{"num": 1, "den": 2}, {"pair": [0], "defect": {"num": 0, "den": 1}}, {"den": 3, "num": 4}, {"x": {}}]
+        assert dumped(tree) == json.dumps(tree, indent=1)
+
     @pytest.mark.parametrize("scalar", [None, True, False, 0, -7, 2**64 + 1, "é\"\n", ""])
     def test_scalar_root(self, scalar):
         assert dumped(scalar) == json.dumps(scalar, indent=1)
 
     @pytest.mark.parametrize(
         "tree",
-        [1.5, [0, 0.5], {"a": (1, 2)}, {1: "x"}, [{None: 1}], {"a": [{"b": float("nan")}]}],
-        ids=["float", "float_in_list", "tuple", "int_key", "none_key", "nested_nan"],
+        [1.5, [0, 0.5], {"a": (1, 2)}, {1: "x"}, [{None: 1}], {"a": [{"b": float("nan")}]}, [{"a": 1}, {1: 2}]],
+        ids=["float", "float_in_list", "tuple", "int_key", "none_key", "nested_nan", "int_key_after_str_key"],
     )
     def test_rejects_what_the_stdlib_would_convert(self, tree):
         with pytest.raises(TypeError):

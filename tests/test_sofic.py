@@ -12,7 +12,7 @@ from soficwreath.sofic import (
     is_sofic_approx,
     require_sofic,
 )
-from helpers import random_rule, windowed_approximations
+from helpers import random_rule, shown_elements, windowed_approximations
 
 
 tolerances = st.builds(Fraction, st.integers(min_value=1, max_value=12), st.just(12))
@@ -242,6 +242,22 @@ class TestSoficCheck:
             "test approximation fails its (4-element window, 1/2) certificate: "
             "multiplicative defect 1 at pair (1, 1); freeness margin 0 at 1"
         )
+
+    def test_require_sofic_prints_elements_that_decode_to_the_witnesses(self):
+        # free-group words are tuples in memory and lists in JSON: each part
+        # prints its witness as compact JSON, which decode reads back
+        group = sw.free(2)
+        approx = random_rule(group, group.ball(2), 5, 3)
+        report = is_sofic_approx(approx, group.ball(1), Fraction(1, 2))
+        with pytest.raises(sw.CertificateError) as raised:
+            require_sofic(approx, group.ball(1), Fraction(1, 2), "free")
+        assert str(raised.value) == (
+            "free fails its (5-element window, 1/2) certificate: "
+            "multiplicative defect 1 at pair ([-2], [-1]); freeness margin 2/5 at [2]"
+        )
+        parts = str(raised.value).split(" certificate: ", 1)[1].split("; ")
+        decoded = [tuple(map(group.decode, shown_elements(part))) for part in parts]
+        assert decoded == [report.mult_witness, (report.free_witness,)]
 
 
 class TestStrictPassRule:

@@ -9,6 +9,7 @@ import verify_oracle
 from helpers import (
     good_block_inputs,
     random_rule,
+    shown_elements,
     small_wreath_approximations,
     with_values,
     without_lowest_good_block,
@@ -237,8 +238,8 @@ class TestVerifyConstruction:
         assert failing.passed is False
         assert failing.violations(small_wreath.wreath) == [
             "rule(identity) is not the identity",
-            "multiplicative defect 1 at pair ({'left': [], 'right': 0}, {'left': [], 'right': 0})",
-            "freeness margin 0 at {'left': [[0, 1]], 'right': 0}",
+            'multiplicative defect 1 at pair ({"left":[],"right":0}, {"left":[],"right":0})',
+            'freeness margin 0 at {"left":[[0,1]],"right":0}',
         ]
 
     @pytest.mark.parametrize("part", ["defect", "margin"])
@@ -253,13 +254,64 @@ class TestVerifyConstruction:
         on_bound = with_values(cert, **{part: bound})
         assert on_bound.passed is False
         assert on_bound.violations(wreath) == [
-            "multiplicative defect 1/2 at pair ({'left': [], 'right': 0}, {'left': [], 'right': 0})"
+            'multiplicative defect 1/2 at pair ({"left":[],"right":0}, {"left":[],"right":0})'
             if part == "defect"
-            else "freeness margin 1/2 at {'left': [[0, 1]], 'right': 0}"
+            else 'freeness margin 1/2 at {"left":[[0,1]],"right":0}'
+        ]
+
+
+class TestFailureLines:
+    """Every element a failure line prints is compact JSON of the group's
+    encoding: ``json.loads`` and ``decode`` give back the witness."""
+
+    @staticmethod
+    def decoded(wreath, lines):
+        return [tuple(map(wreath.decode, shown_elements(line))) for line in lines]
+
+    def test_violations_decode_to_their_witnesses(self, small_wreath):
+        cert = verify_construction(small_wreath)
+        failing = dataclasses.replace(
+            with_freeness(cert, [dataclasses.replace(e, margin=Fraction(0)) for e in cert.details.freeness]),
+            mult_defects=tuple((u, v, Fraction(1)) for u, v, _ in cert.mult_defects),
+        )
+        lines = failing.violations(small_wreath.wreath)
+        assert len(lines) == len(cert.mult_defects) + len(cert.free_margins)
+        assert self.decoded(small_wreath.wreath, lines) == [
+            *((u, v) for u, v, _ in cert.mult_defects), *((u,) for u, _ in cert.free_margins)
+        ]
+
+    def test_oracle_mismatches_decode_to_their_witnesses(self):
+        approx = one_block_short(2, 3)
+        cert = verify_construction(approx)
+        tampered = dataclasses.replace(
+            with_freeness(cert, [dataclasses.replace(e, margin=e.margin / 2 + Fraction(1, 7)) for e in cert.details.freeness]),
+            mult_defects=tuple((u, v, (d + Fraction(1, 7)) % 1) for u, v, d in cert.mult_defects),
+        )
+        lines = oracle_check(approx, tampered)
+        assert len(lines) == len(cert.free_margins) + len(cert.mult_defects)
+        assert self.decoded(approx.wreath, lines) == [
+            *((u,) for u, _ in cert.free_margins), *((u, v) for u, v, _ in cert.mult_defects)
         ]
 
 
 class TestDetailedReports:
+    def test_bounds_are_the_budget_formulas(self, small_wreath):
+        # the proof's bounds, written out: with w positions, block tolerance
+        # kappa = eps/13 and input tolerance eps/(96 w^2), lamp is kappa + w
+        # times the input tolerance, base the input tolerance, split 0 and
+        # intertwine 2 kappa
+        report = verify_construction(small_wreath).details
+        eps, w = Fraction(1, 2), len(small_wreath.windows.positions)
+        assert (report.budget.eps, w) == (eps, 3)
+        kappa, input_tolerance = eps / 13, eps / (96 * w**2)
+        assert report.bounds == {
+            "lamp": kappa + w * input_tolerance,
+            "base": input_tolerance,
+            "split": 0,
+            "intertwine": 2 * kappa,
+        }
+        assert report.bounds["lamp"] == Fraction(1, 26) + Fraction(1, 576)
+
     # one block short of good, a filter on b in the good set in place of its
     # image sigma_B(h) b gives split defects of 2/3 and 1
     @pytest.mark.parametrize("short", [None, (2, 3), (3, 2)], ids=["exact", "z2_wr_z3_short", "z3_wr_z2_short"])
@@ -341,7 +393,7 @@ class TestOracleCheck:
         defects = list(cert.mult_defects)
         defects[100] = (u, v, d + Fraction(1, 24))
         tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
-        pair = f"({approx.wreath.encode(u)}, {approx.wreath.encode(v)})"
+        pair = f"({approx.wreath.show(u)}, {approx.wreath.show(v)})"
         assert oracle_check(approx, tampered) == [
             f"distance mismatch at pair {pair}: {d + Fraction(1, 24)} vs {d}"
         ]
@@ -356,7 +408,7 @@ class TestOracleCheck:
         )
         assert oracle_check(approx, tampered) == [
             "identity mismatch: certificate says False",
-            f"freeness distance mismatch at {approx.wreath.encode(u)}: {m / 2} vs {m}",
+            f"freeness distance mismatch at {approx.wreath.show(u)}: {m / 2} vs {m}",
         ]
 
     def test_distances_are_read_from_the_given_certificate(self, small_wreath):

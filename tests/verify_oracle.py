@@ -5,8 +5,10 @@ The library expands each distinct value once, and expands a product
 expands every value and every product again, point by point through
 ``coord_oracle.expand_explicit``, composes the expansions with
 ``Permutation.__mul__`` and measures with ``Permutation.distance``.  It
-returns the same mismatch lines in the same order.
+returns the same mismatch lines in the same order, each element written as
+compact JSON of the group's encoding.
 """
+import json
 from itertools import product
 
 from coord_oracle import expand_explicit
@@ -29,15 +31,18 @@ def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
     def expand(u):
         return expand_explicit(approx.rule(u), cap)
 
+    def show(u):
+        return json.dumps(wreath.encode(u), separators=(",", ":"))
+
     mismatches = []
     if certificate.identity_pass != (expand(identity) == ident):
         mismatches.append(f"identity mismatch: certificate says {certificate.identity_pass}")
     for u, d_fact in certificate.free_margins:
         d_expl = expand(u).distance(ident)
         if d_fact != d_expl:
-            mismatches.append(f"freeness distance mismatch at {wreath.encode(u)}: {d_fact} vs {d_expl}")
+            mismatches.append(f"freeness distance mismatch at {show(u)}: {d_fact} vs {d_expl}")
     for (u, v), (cu, cv, d_fact) in zip(product(targets, repeat=2), certificate.mult_defects):
-        pair = f"pair ({wreath.encode(u)}, {wreath.encode(v)})"
+        pair = f"pair ({show(u)}, {show(v)})"
         if (cu, cv) != (u, v):
             raise ValueError(f"certificate does not list {pair} in order")
         composed = expand(u) * expand(v)
