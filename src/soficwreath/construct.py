@@ -58,9 +58,9 @@ class WindowSets:
 def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
     """Compute every window the construction and its certificates need.
 
-    By construction the positions hold the identity and every shifted support
-    h x (h in the mover window, x in the support of a lamp-window map), and
-    the base window holds the positions, their inverses and their quotients.
+    The positions hold the mover window, which holds 1, and every shifted
+    support h x (h a mover, x in the support of a lamp-window map), so their
+    quotients h1^-1 h2, the base window, hold every position and its inverse.
     """
     targets = wreath.sort(set(targets))
     if not targets:
@@ -70,18 +70,13 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
     closure = set(targets) | {wreath.identity()} | {wreath.inv(u) for u in targets}
     mover = {u.right for u in closure}
     lamp_proj = {u.left for u in closure}
-    lamp_window = {lamps.shift(h, f) for h in mover | {base.identity()} for f in lamp_proj}
+    lamp_window = {lamps.shift(h, f) for h in mover for f in lamp_proj}
 
-    positions = set(mover)
-    for f in lamp_window:
-        for h in mover:
-            positions.update(base.mul(h, x) for x in f.support())
-
-    lamp_values = {g for f in lamp_window for _, g in f.entries}
-    lamp_values.add(wreath.lamp.identity())  # freeness bookkeeping needs rule(1) = id certified
+    positions = mover | {base.mul(h, x) for f in lamp_window for h in mover for x in f.support()}
+    # freeness bookkeeping needs rule(1) = id certified
+    lamp_values = {wreath.lamp.identity(), *(g for f in lamp_window for _, g in f.entries)}
 
     base_window = {base.mul(base.inv(h1), h2) for h1 in positions for h2 in positions}
-    base_window |= positions | {base.inv(h) for h in positions}
 
     return WindowSets(
         targets=targets,
@@ -336,19 +331,22 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
     """Derive windows, certify the inputs, and assemble the approximation.
 
     The input approximations must hold their certificates at the derived
-    input tolerance; a failed certificate is an error, not a warning.
+    input tolerance, and rule(1) must be the identity: else a CertificateError.
     """
     windows = derive_windows(WreathProduct(sigma_A.group, sigma_B.group), targets)
     budget = make_budget(eps, len(windows.positions))
 
     require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
-    return WreathApprox(
+    approx = WreathApprox(
         sigma_A=sigma_A,
         sigma_B=sigma_B,
         windows=windows,
         block=check_good_block_bound(sigma_B, windows, budget),
         eps=budget.eps,
     )
+    if approx.rule(approx.wreath.identity()) != approx.identity_value():
+        raise CertificateError("rule(identity) is not the identity")
+    return approx
 
 
 def wreath_approx_from_json(data: dict) -> WreathApprox:

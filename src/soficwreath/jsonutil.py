@@ -8,6 +8,8 @@ certificate, without the stdlib's pure-Python indenting encoder.
 from __future__ import annotations
 
 import json
+import re
+import sys
 from fractions import Fraction
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
@@ -60,15 +62,19 @@ def frac_from_json(data) -> Fraction:
 def parse_fraction(value) -> Fraction:
     """Read a rational from config input.
 
-    Accepts ints, strings like ``"1/10"`` or ``"0.125"``, and the
+    Accepts ints, strings like ``"1/10"``, ``"0.125"`` or ``"1e-3"``, and the
     ``{"num", "den"}`` object form.  Bare floats are rejected: a float
-    literal in a JSON file has already lost its author's intent.
+    literal in a JSON file has already lost its author's intent.  So is an
+    exponent over ``sys.get_int_max_str_digits()``, whose 10**|exponent| would stall.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        exponent = re.search(r"E[-+]?(\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)  # as Fraction reads one
+        if exponent and int(exponent[1]) > sys.get_int_max_str_digits() > 0:  # 0 is no limit
+            raise ValueError(f"exponent of {value!r} exceeds {sys.get_int_max_str_digits()} in magnitude")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -8,12 +8,12 @@ by the identity is the lamp action in ``construct`` and it does so explicitly.
 The one checker, ``is_sofic_approx``, measures with exact rationals how far
 a rule is from a free action by a homomorphism on a given window.  Both
 levels of certificate, this one and the wreath certificate of ``verify``,
-share its three parts: ``pair_defects`` walks the pairs, ``worst`` picks the
-witness, and ``failing_parts`` is the pass rule:
+share its helpers: ``pair_defects`` walks the pairs, ``worst`` picks the
+witness, and ``failing_parts`` is the pass rule, the definition's first two parts:
 
 * multiplicative: every pair defect d(rule(g) rule(h), rule(gh)) < eps;
 * free: every d(rule(g), id) > 1 - eps over non-identity g;
-* rule(1) = id, which ``SoficApprox`` enforces on a window that holds 1.
+* rule(1) = id, which ``SoficApprox`` and ``build`` enforce.
 
 All inequalities are strict and compared as exact ``Fraction`` values.
 ``require_sofic`` raises ``CertificateError`` naming each part that fails.
@@ -115,7 +115,7 @@ class DefectReport:
         """The ``failing_parts`` lines; a window without pairs or margins checks none."""
         defects = () if self.mult_witness is None else ((self.mult_defect, self.mult_witness),)
         margins = () if self.free_margin is None else ((self.free_margin, self.free_witness),)
-        return failing_parts(self.eps, defects, margins, show=show)
+        return failing_parts(self.eps, defects, margins, show)
 
     @property
     def passed(self) -> bool:
@@ -133,14 +133,12 @@ def worst(pairs):
     return max(pairs, key=itemgetter(0), default=(Fraction(0), None))
 
 
-def failing_parts(eps: Fraction, defects, margins, identity_pass: bool = True, show=repr):
+def failing_parts(eps: Fraction, defects, margins, show=repr):
     """The one pass rule of a certificate: a line for each part that fails.
     ``defects`` holds (defect, (g, h)) and ``margins`` (margin, g); a pair
     defect fails unless < eps, a margin unless > 1 - eps.  ``show`` renders
     the elements of a failing part, as ``Group.show`` wherever a line is printed.
     A certificate passes when none fails."""
-    if not identity_pass:
-        yield "rule(identity) is not the identity"
     for d, (g, h) in defects:
         if not d < eps:
             yield f"multiplicative defect {d} at pair ({show(g)}, {show(h)})"

@@ -10,8 +10,8 @@ Three layers of checks, all exact:
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them; each
-  margin is measured once and then broken down.  A ``Certificate`` reads its
-  budget, eps and (element, margin) pairs ``free_margins`` from ``details``.
+  margin is measured once and then broken down.  A ``Certificate`` keeps the
+  ``(d, (u, v))`` of ``sofic.pair_defects``; its ``(m, u)`` are read from ``details``.
   ``to_json`` writes format 1, and ``certificate_from_json``, its one reader,
   checks every stored copy by re-encoding what it decodes.
 * ``oracle_check``: on carriers small enough to expand, a certificate's
@@ -209,8 +209,7 @@ class DetailedReport:
 class Certificate:
     """Exact per-pair defects and per-element margins of the assembled rule on its targets."""
     window: tuple[WreathElement, ...]
-    identity_pass: bool
-    mult_defects: tuple[tuple[WreathElement, WreathElement, Fraction], ...]
+    mult_defects: tuple[tuple[Fraction, tuple[WreathElement, WreathElement]], ...]
     details: DetailedReport
 
     @property
@@ -218,29 +217,23 @@ class Certificate:
         return self.details.budget.eps
 
     @property
-    def free_margins(self) -> tuple[tuple[WreathElement, Fraction], ...]:
-        return tuple((e.element, e.margin) for e in self.details.freeness)
+    def free_margins(self) -> tuple[tuple[Fraction, WreathElement], ...]:
+        return tuple((e.margin, e.element) for e in self.details.freeness)
 
     @property
     def worst_defect(self) -> tuple[Fraction, Any]:
-        return worst((d, (u, v)) for u, v, d in self.mult_defects)
+        return worst(self.mult_defects)
 
     @property
     def min_margin(self) -> tuple[Fraction | None, Any]:
-        witness, margin = min(self.free_margins, key=itemgetter(1), default=(None, None))
-        return margin, witness
-
-    def _failures(self, show=repr):
-        defects = ((d, (u, v)) for u, v, d in self.mult_defects)
-        margins = ((m, u) for u, m in self.free_margins)
-        return failing_parts(self.eps, defects, margins, self.identity_pass, show)
+        return min(self.free_margins, key=itemgetter(0), default=(None, None))
 
     @cached_property
     def passed(self) -> bool:
-        return not any(self._failures())
+        return not any(failing_parts(self.eps, self.mult_defects, self.free_margins))
 
     def violations(self, wreath: WreathProduct) -> list[str]:
-        return list(self._failures(wreath.show))
+        return list(failing_parts(self.eps, self.mult_defects, self.free_margins, wreath.show))
 
     def to_json(self, wreath: WreathProduct) -> dict:
         """The format-1 certificate.  Do not mutate it: it shares one dict per window element and
@@ -248,7 +241,7 @@ class Certificate:
         keyed by their integer ratio, which hashes faster than a Fraction."""
         enc = {u: wreath.encode(u) for u in self.window}
         margins = self.free_margins
-        values = {x.as_integer_ratio(): x for x in [d for *_, d in self.mult_defects] + [m for _, m in margins]}
+        values = {x.as_integer_ratio(): x for x in [d for d, _ in self.mult_defects] + [m for m, _ in margins]}
         fracs = {ratio: frac_to_json(x) for ratio, x in values.items()}
         return {
             "kind": "sofic-certificate",
@@ -256,11 +249,11 @@ class Certificate:
             "group": wreath.descriptor(),
             "window": [enc[u] for u in self.window],
             "eps": frac_to_json(self.eps),
-            "identity_pass": self.identity_pass,
+            "identity_pass": True,  # format 1 keeps the key; build rejects a rule(1) other than the identity
             "mult_defects": [
-                {"pair": [enc[u], enc[v]], "defect": fracs[d.as_integer_ratio()]} for u, v, d in self.mult_defects
+                {"pair": [enc[u], enc[v]], "defect": fracs[d.as_integer_ratio()]} for d, (u, v) in self.mult_defects
             ],
-            "free_margins": [{"element": enc[u], "margin": fracs[m.as_integer_ratio()]} for u, m in margins],
+            "free_margins": [{"element": enc[u], "margin": fracs[m.as_integer_ratio()]} for m, u in margins],
             "budget": self.details.budget.to_json(),
             "details": self.details.to_json(wreath),
             "pass": self.passed,
@@ -270,12 +263,12 @@ class Certificate:
 
 def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     """The one reader of format 1.  It decodes what ``verify_construction``
-    measures: group, window, ``identity_pass``, a defect per window pair in
-    row-major order, the bullet defects and witnesses, each margin and base
-    margin of ``details.freeness``, ``eps`` and the budget's ``window_size``.
-    The rest is rebuilt as ``verify`` builds it, and ``to_json`` must give
-    back ``data``: else a ValueError names the first top-level key that
-    differs.  A stored ``pass`` other than ``passed`` is a CertificateError."""
+    measures: group, window, a defect per window pair in row-major order, the
+    bullet defects and witnesses, each margin and base margin of
+    ``details.freeness``, ``eps`` and the budget's ``window_size``.  The rest is
+    rebuilt as ``verify`` builds it, ``"identity_pass": true`` too, and ``to_json``
+    must give back ``data``: else a ValueError names the first top-level key
+    that differs.  A stored ``pass`` other than ``passed`` is a CertificateError."""
 
     def distance(node: dict, key: str, path: str) -> Fraction:
         return checked(frac_from_json(node[key]), lambda d: 0 <= d <= 1, f"certificate {path}.{key}", "in [0, 1]")
@@ -285,8 +278,7 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     eps = frac_from_json(data["eps"])
     if eps <= 0:
         raise ValueError(f"certificate eps must be positive, got {eps}")
-    for key in ("pass", "identity_pass"):
-        checked(data[key], lambda x: type(x) is bool, key, "a boolean")
+    checked(data["pass"], lambda x: type(x) is bool, "pass", "a boolean")
     wreath = group_from_descriptor(data["group"])
     if not isinstance(wreath, WreathProduct):
         raise ValueError("certificate group must be a wreath product")
@@ -297,7 +289,7 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     if len(stored) != len(window) ** 2:
         raise ValueError(f"certificate lists {len(stored)} pairs for a window of {len(window)}")
     defects = (distance(entry, "defect", f"mult_defects.{i}") for i, entry in enumerate(stored))
-    mult_defects = tuple((u, v, d) for (u, v), d in zip(product(window, repeat=2), defects))
+    mult_defects = tuple(zip(defects, product(window, repeat=2)))
     window_size = checked(data["budget"]["window_size"], is_positive_int, "budget window_size", "a positive integer")
     budget = make_budget(eps, window_size)
     hom = data["details"]["multiplicativity"]["almost_hom"]
@@ -314,7 +306,7 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
         for u, e, at in zip(others, entries, map("details.freeness.{}".format, count()))
     )
     details = DetailedReport(_almost_hom_report(eps, worst), budget, freeness)
-    certificate = Certificate(window, data["identity_pass"], mult_defects, details)
+    certificate = Certificate(window, mult_defects, details)
 
     encoded = certificate.to_json(wreath)
     for key in [*encoded, *data]:
@@ -328,14 +320,14 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
 def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
     bounds, and the decomposition of each freeness margin in ``free_margins``,
-    the (element, margin) pairs that ``verify_construction`` measured."""
+    the (margin, element) records that ``verify_construction`` measured."""
     wreath = approx.wreath
     budget = approx.budget
     almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps)
     base_ident = Permutation.identity(approx.b_size)
     entries = tuple(
         _freeness_entry(wreath, budget, u, margin, lambda: approx.sigma_B.evaluate(u.right).distance(base_ident))
-        for u, margin in free_margins
+        for margin, u in free_margins
     )
     return DetailedReport(almost_hom=almost, budget=budget, freeness=entries)
 
@@ -366,10 +358,9 @@ def verify_construction(approx: WreathApprox) -> Certificate:
     targets = approx.windows.targets
 
     ident = approx.identity_value()
-    identity_pass = approx.rule(wreath.identity()) == ident
-    mult_defects = tuple((u, v, d) for d, (u, v) in pair_defects(approx.rule, wreath.mul, targets))
-    free_margins = tuple((u, approx.rule(u).distance(ident)) for u in targets if u != wreath.identity())
-    return Certificate(targets, identity_pass, mult_defects, detailed_reports(approx, free_margins))
+    mult_defects = tuple(pair_defects(approx.rule, wreath.mul, targets))
+    free_margins = tuple((approx.rule(u).distance(ident), u) for u in targets if u != wreath.identity())
+    return Certificate(targets, mult_defects, detailed_reports(approx, free_margins))
 
 
 def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPANSION_CAP) -> list[str]:
@@ -385,7 +376,7 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     identity = wreath.identity()
     if (
         certificate.window != targets
-        or [u for u, _ in certificate.free_margins] != [u for u in targets if u != identity]
+        or [u for _, u in certificate.free_margins] != [u for u in targets if u != identity]
         or len(certificate.mult_defects) != len(targets) ** 2
     ):
         raise ValueError("certificate is not for the approximation's target window")
@@ -404,22 +395,19 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
         return d.numerator * n != moved * d.denominator
 
     mismatches = []
-    if certificate.identity_pass != expand(identity).is_identity():
-        mismatches.append(f"identity mismatch: certificate says {certificate.identity_pass}")
-    for u, d_fact in certificate.free_margins:
+    if not expand(identity).is_identity():
+        mismatches.append("identity mismatch: rule(identity) does not expand to the identity")
+    for d_fact, u in certificate.free_margins:
         if differs(d_fact, moved := n - expand(u).fixed_points()):
             mismatches.append(f"freeness distance mismatch at {wreath.show(u)}: {d_fact} vs {Fraction(moved, n)}")
     values = [(v, approx.rule(v), expand(v)) for v in targets]
-    defects = iter(certificate.mult_defects)
-    for u, ru, eu in values:
-        for v, rv, ev in values:
-            cu, cv, d_fact = next(defects)
-            if (cu, cv) != (u, v):
-                raise ValueError(f"certificate does not list {pair(u, v)} in order")
-            w, ruv, product = wreath.mul(u, v), ru * rv, _gather(eu, ev)
-            if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != product:
-                mismatches.append(f"composition mismatch at {pair(u, v)}")
-                continue
-            if differs(d_fact, moved := n - sum(map(eq, product, expand(w).image))):
-                mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {Fraction(moved, n)}")
+    for (d_fact, listed), ((u, ru, eu), (v, rv, ev)) in zip(certificate.mult_defects, product(values, repeat=2)):
+        if listed != (u, v):
+            raise ValueError(f"certificate does not list {pair(u, v)} in order")
+        w, ruv, composed = wreath.mul(u, v), ru * rv, _gather(eu, ev)
+        if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != composed:
+            mismatches.append(f"composition mismatch at {pair(u, v)}")
+            continue
+        if differs(d_fact, moved := n - sum(map(eq, composed, expand(w).image))):
+            mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {Fraction(moved, n)}")
     return mismatches

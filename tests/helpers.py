@@ -190,16 +190,16 @@ def projections(a: WreathElement):
     return a.left, a.right
 
 
-def with_values(cert, identity_pass=True, defect=None, margin=None):
-    """``cert`` with ``identity_pass``, and with the defect of its first pair
-    and the margin of its first freeness entry replaced when given: a built
-    rule always passes, so a failing certificate is made by hand."""
-    (u, v, d), *pairs = cert.mult_defects
+def with_values(cert, defect=None, margin=None):
+    """``cert`` with the defect of its first pair and the margin of its first
+    freeness entry replaced when given: a built rule always passes, so a
+    failing certificate is made by hand."""
+    (d, pair), *pairs = cert.mult_defects
     first, *entries = cert.details.freeness
     first = dataclasses.replace(first, margin=first.margin if margin is None else margin)
     details = dataclasses.replace(cert.details, freeness=(first, *entries))
-    pairs = ((u, v, d if defect is None else defect), *pairs)
-    return dataclasses.replace(cert, identity_pass=identity_pass, mult_defects=pairs, details=details)
+    pairs = ((d if defect is None else defect, pair), *pairs)
+    return dataclasses.replace(cert, mult_defects=pairs, details=details)
 
 
 def shown_elements(line: str) -> list:

@@ -44,8 +44,8 @@ def test_criterion_1_exactness_end_to_end():
             approx = sw.build(sigma_A, sigma_B, targets, eps)
             cert = verify_construction(approx)
             assert cert.passed
-            assert all(defect == 0 for _, _, defect in cert.mult_defects)
-            assert all(margin == 1 for _, margin in cert.free_margins)
+            assert all(defect == 0 for defect, _ in cert.mult_defects)
+            assert all(margin == 1 for margin, _ in cert.free_margins)
 
             assert oracle_check(approx, cert) == []
 

@@ -2,6 +2,7 @@ import json
 import os
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,10 @@ import pytest
 import soficwreath as sw
 from helpers import with_values
 from soficwreath import verify
+from soficwreath.bigperm import CoordAction
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
+from soficwreath.construct import WreathApprox
+from soficwreath.perm import Permutation
 
 
 def small_config(**overrides):
@@ -109,6 +113,35 @@ class TestBuild:
         err = capsys.readouterr().err
         assert "certificate failure" in err
         assert "base approximation" in err
+
+    @pytest.mark.parametrize("value", ["1e-5000", "1E+4_301", "1e-100000000"])
+    @pytest.mark.parametrize("field", ["eps", "rate"])
+    def test_exponent_over_the_digit_limit_is_usage_error(self, tmp_path, capsys, field, value):
+        # Fraction builds 10**|exponent| before anything is checked, which takes seconds at 1e-10000000
+        if field == "eps":
+            config = small_config(eps=value)
+        else:
+            base = {"kind": "perturb", "base": {"kind": "regular"}, "rate": value, "seed": 5}
+            config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base})
+        out = tmp_path / "x.json"
+        assert main(["build", "--config", write(tmp_path / "config.json", config), "--out", str(out)]) == USAGE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: exponent of {value!r} exceeds {limit} in magnitude\n"
+        assert not out.exists()
+
+    def test_artifact_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys):
+        # eps = 10**-4298 builds, but the input tolerance has more digits than an
+        # int may print, so the writer fails part way through the artifact
+        config = write(tmp_path / "config.json", small_config(eps="1e-4298"))
+        out = tmp_path / "artifact.json"
+        assert main(["build", "--config", config, "--out", str(out)]) == USAGE
+        assert "error: Exceeds the limit" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+        # an artifact already at --out is kept whole
+        out.write_text("earlier artifact")
+        assert main(["build", "--config", config, "--out", str(out)]) == USAGE
+        assert out.read_text() == "earlier artifact"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
 
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE
@@ -539,16 +572,29 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err == f"error: carrier_size must be a positive integer, got {carrier_size!r}\n"
 
+    def test_rule_of_identity_other_than_the_identity_is_exit_two(self, built_artifact, tmp_path, monkeypatch, capsys):
+        # build checks rule(1) = id once, and verify rebuilds through build; a
+        # shifted identity value stands in for a rule(1) that moves every block
+        def shifted(approx):
+            return CoordAction(approx.a_size, approx.b_size, Permutation((*range(1, approx.b_size), 0)), {})
+
+        monkeypatch.setattr(WreathApprox, "identity_value", shifted)
+        config, out = write(tmp_path / "config.json", small_config()), tmp_path / "rebuilt.json"
+        assert main(["build", "--config", config, "--out", str(out)]) == CERTIFICATE
+        assert capsys.readouterr() == ("", "certificate failure: rule(identity) is not the identity\n")
+        assert not out.exists()
+        assert main(["verify", "--approx", built_artifact]) == CERTIFICATE
+        assert capsys.readouterr() == ("", "certificate failure: rule(identity) is not the identity\n")
+
     def test_failing_certificate_is_exit_two_with_each_failure(self, built_artifact, monkeypatch, capsys):
         built = verify.verify_construction
         monkeypatch.setattr(
-            verify, "verify_construction", lambda approx: with_values(built(approx), False, Fraction(1, 2), Fraction(1, 2))
+            verify, "verify_construction", lambda approx: with_values(built(approx), Fraction(1, 2), Fraction(1, 2))
         )
         assert main(["verify", "--approx", built_artifact]) == CERTIFICATE
         captured = capsys.readouterr()
         assert json.loads(captured.out)["pass"] is False
         assert captured.err == (
-            "certificate failure: rule(identity) is not the identity\n"
             f"certificate failure: multiplicative defect 1/2 at pair {FIRST_PAIR}\n"
             f"certificate failure: freeness margin 1/2 at {FIRST_ELEMENT}\n"
         )
@@ -557,13 +603,12 @@ class TestVerify:
         # the values pass the certificate's checks but are not the rule's distances
         built = verify.verify_construction
         monkeypatch.setattr(
-            verify, "verify_construction", lambda approx: with_values(built(approx), False, Fraction(1, 4), Fraction(3, 4))
+            verify, "verify_construction", lambda approx: with_values(built(approx), Fraction(1, 4), Fraction(3, 4))
         )
         assert main(["verify", "--approx", built_artifact, "--oracle"]) == CERTIFICATE
         captured = capsys.readouterr()
-        assert json.loads(captured.out)["identity_pass"] is False
+        assert json.loads(captured.out)["pass"] is True
         assert captured.err == (
-            "oracle mismatch: identity mismatch: certificate says False\n"
             f"oracle mismatch: freeness distance mismatch at {FIRST_ELEMENT}: 3/4 vs 1\n"
             f"oracle mismatch: distance mismatch at pair {FIRST_PAIR}: 1/4 vs 0\n"
         )
@@ -640,7 +685,15 @@ class TestReport:
         "edit, error",
         [
             (lambda cert: cert.update({"pass": "no"}), "pass must be a boolean, got 'no'"),
-            (lambda cert: cert.update({"identity_pass": 1}), "identity_pass must be a boolean, got 1"),
+            # format 1 keeps "identity_pass": true, which the reader compares as a copy, not a verdict
+            (
+                lambda cert: cert.update({"identity_pass": 1}),
+                "certificate identity_pass differs from the encoding of its measured values",
+            ),
+            (
+                lambda cert: cert.update({"identity_pass": False}),
+                "certificate identity_pass differs from the encoding of its measured values",
+            ),
             (lambda cert: cert.update({"eps": {"num": -1, "den": 2}}), "certificate eps must be positive, got -1/2"),
             (lambda cert: cert.update({"eps": {"num": 0, "den": 1}}), "certificate eps must be positive, got 0"),
             (lambda cert: cert["mult_defects"].pop(), "certificate lists 575 pairs for a window of 24"),
@@ -667,7 +720,7 @@ class TestReport:
             ),
         ],
         ids=[
-            "pass_string", "identity_pass_int", "eps_negative", "eps_zero", "pair_missing",
+            "pass_string", "identity_pass_int", "identity_pass_false", "eps_negative", "eps_zero", "pair_missing",
             "pairs_out_of_order", "margins_empty", "margins_out_of_order", "details_margins_zero",
             "details_element_other",
         ],
@@ -685,13 +738,12 @@ class TestReport:
         [
             ("defect", {"num": 1, "den": 1}),
             ("margin", {"num": 0, "den": 1}),
-            ("identity_pass", False),
             ("pass", False),
             # eps = 1/2: a value on the bound fails the strict checks
             ("defect", {"num": 1, "den": 2}),
             ("margin", {"num": 1, "den": 2}),
         ],
-        ids=["defects_one", "margins_zero", "identity_fails", "pass_false", "defects_at_eps", "margins_at_bound"],
+        ids=["defects_one", "margins_zero", "pass_false", "defects_at_eps", "margins_at_bound"],
     )
     def test_stored_pass_disagreeing_with_the_checks_is_certificate_failure(self, tmp_path, capsys, field, value):
         cert = json.loads(SMALL_CERTIFICATE.read_text())

@@ -8,7 +8,8 @@ import soficwreath as sw
 import sofic_oracle
 from helpers import windowed_approximations
 from lamp_oracle import block_lamp_action, lamp_factor
-from soficwreath.bigperm import identity_action
+from soficwreath import construct
+from soficwreath.bigperm import CoordAction, identity_action
 from soficwreath.construct import (
     WreathApprox,
     compute_good_blocks,
@@ -414,6 +415,22 @@ class TestBuild:
             sw.regular_rep(lamp), sw.regular_rep(base), [wreath.identity()], Fraction(1, 2)
         )
         assert approx.rule(wreath.identity()) == approx.identity_value()
+
+    def test_rejects_a_rule_of_identity_that_moves_points(self, monkeypatch):
+        # a lamp action that moves every block of the empty configuration at
+        # beta = id: build checks rule(1) = id once, so no certificate has to
+        lamp, base = sw.cyclic(2), sw.cyclic(3)
+        wreath = sw.wreath_product(lamp, base)
+        built = construct.lamp_action
+
+        def moving(sigma_A, sigma_B, positions, block, f, beta):
+            if f.is_identity() and beta.is_identity():
+                return CoordAction(2, 3, Permutation((1, 2, 0)), {})
+            return built(sigma_A, sigma_B, positions, block, f, beta)
+
+        monkeypatch.setattr(construct, "lamp_action", moving)
+        with pytest.raises(sw.CertificateError, match=r"^rule\(identity\) is not the identity$"):
+            sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
 
     def test_rejects_uncertified_base(self):
         lamp, base = sw.cyclic(2), sw.cyclic(3)

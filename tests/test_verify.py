@@ -113,7 +113,9 @@ class TestWitnessTies:
         tied = with_freeness(
             dataclasses.replace(
                 cert,
-                mult_defects=((u0, u0, Fraction(0)), (u0, u1, third), (u1, u0, third), (u1, u1, Fraction(1, 4))),
+                mult_defects=(
+                    (Fraction(0), (u0, u0)), (third, (u0, u1)), (third, (u1, u0)), (Fraction(1, 4), (u1, u1))
+                ),
             ),
             (FreenessEntry(u, m, None, None, None) for u, m in ((u1, Fraction(1)), (u2, half), (u3, half))),
         )
@@ -155,9 +157,8 @@ class TestVerifyConstruction:
     def test_exact_small_wreath_is_exact(self, small_wreath):
         cert = verify_construction(small_wreath)
         assert cert.passed
-        assert cert.identity_pass
-        assert all(d == 0 for _, _, d in cert.mult_defects)
-        assert all(m == 1 for _, m in cert.free_margins)
+        assert all(d == 0 for d, _ in cert.mult_defects)
+        assert all(m == 1 for m, _ in cert.free_margins)
         assert len(cert.mult_defects) == 24 * 24
         assert len(cert.free_margins) == 23
 
@@ -224,20 +225,19 @@ class TestVerifyConstruction:
         # passed is cached on the instance; dataclasses.replace builds a new one
         cert = verify_construction(small_wreath)
         assert cert.passed is True
-        (u, v, _), *rest = cert.mult_defects
-        failing = dataclasses.replace(cert, mult_defects=((u, v, Fraction(1)), *rest))
+        (_, pair), *rest = cert.mult_defects
+        failing = dataclasses.replace(cert, mult_defects=((Fraction(1), pair), *rest))
         assert failing.passed is False
         assert cert.passed is True
 
     def test_violations_listed_for_failing_window(self, small_wreath):
         # a built rule always passes, so the failing values are set by hand:
-        # one line per failing part, in the order identity, pairs, margins
+        # one line per failing part, pairs before margins
         cert = verify_construction(small_wreath)
         assert cert.violations(small_wreath.wreath) == []
-        failing = with_values(cert, False, Fraction(1), Fraction(0))
+        failing = with_values(cert, Fraction(1), Fraction(0))
         assert failing.passed is False
         assert failing.violations(small_wreath.wreath) == [
-            "rule(identity) is not the identity",
             'multiplicative defect 1 at pair ({"left":[],"right":0}, {"left":[],"right":0})',
             'freeness margin 0 at {"left":[[0,1]],"right":0}',
         ]
@@ -272,12 +272,12 @@ class TestFailureLines:
         cert = verify_construction(small_wreath)
         failing = dataclasses.replace(
             with_freeness(cert, [dataclasses.replace(e, margin=Fraction(0)) for e in cert.details.freeness]),
-            mult_defects=tuple((u, v, Fraction(1)) for u, v, _ in cert.mult_defects),
+            mult_defects=tuple((Fraction(1), pair) for _, pair in cert.mult_defects),
         )
         lines = failing.violations(small_wreath.wreath)
         assert len(lines) == len(cert.mult_defects) + len(cert.free_margins)
         assert self.decoded(small_wreath.wreath, lines) == [
-            *((u, v) for u, v, _ in cert.mult_defects), *((u,) for u, _ in cert.free_margins)
+            *(pair for _, pair in cert.mult_defects), *((u,) for _, u in cert.free_margins)
         ]
 
     def test_oracle_mismatches_decode_to_their_witnesses(self):
@@ -285,12 +285,12 @@ class TestFailureLines:
         cert = verify_construction(approx)
         tampered = dataclasses.replace(
             with_freeness(cert, [dataclasses.replace(e, margin=e.margin / 2 + Fraction(1, 7)) for e in cert.details.freeness]),
-            mult_defects=tuple((u, v, (d + Fraction(1, 7)) % 1) for u, v, d in cert.mult_defects),
+            mult_defects=tuple(((d + Fraction(1, 7)) % 1, pair) for d, pair in cert.mult_defects),
         )
         lines = oracle_check(approx, tampered)
         assert len(lines) == len(cert.free_margins) + len(cert.mult_defects)
         assert self.decoded(approx.wreath, lines) == [
-            *((u,) for u, _ in cert.free_margins), *((u, v) for u, v, _ in cert.mult_defects)
+            *((u,) for _, u in cert.free_margins), *(pair for _, pair in cert.mult_defects)
         ]
 
 
@@ -350,9 +350,9 @@ class TestDetailedReports:
 
     def test_breaks_down_the_margins_it_is_given(self, small_wreath):
         # the margins verify_construction measured are read, not measured again
-        margins = [(u, m / 2) for u, m in verify_construction(small_wreath).free_margins]
+        margins = [(m / 2, u) for m, u in verify_construction(small_wreath).free_margins]
         report = detailed_reports(small_wreath, margins)
-        assert [(e.element, e.margin) for e in report.freeness] == margins
+        assert [(e.margin, e.element) for e in report.freeness] == margins
         for entry in report.freeness:
             assert entry.fixed_fraction == (None if entry.base_margin is not None else 1 - entry.margin)
 
@@ -382,16 +382,16 @@ class TestOracleCheck:
     def test_confirms_nonzero_defects(self, lamp_order, base_order, nonzero, worst):
         approx = one_block_short(lamp_order, base_order)
         cert = verify_construction(approx)
-        assert sum(1 for _, _, d in cert.mult_defects if d) == nonzero
+        assert sum(1 for d, _ in cert.mult_defects if d) == nonzero
         assert cert.worst_defect[0] == worst
         assert oracle_check(approx, cert) == []
 
     def test_tampered_distance_is_reported(self):
         approx = one_block_short(2, 3)
         cert = verify_construction(approx)
-        u, v, d = cert.mult_defects[100]
+        d, (u, v) = cert.mult_defects[100]
         defects = list(cert.mult_defects)
-        defects[100] = (u, v, d + Fraction(1, 24))
+        defects[100] = (d + Fraction(1, 24), (u, v))
         tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
         pair = f"({approx.wreath.show(u)}, {approx.wreath.show(v)})"
         assert oracle_check(approx, tampered) == [
@@ -399,17 +399,20 @@ class TestOracleCheck:
         ]
 
     def test_tampered_margin_and_identity_are_reported(self):
+        # rule(identity) cached as a base shift, which build would reject; the
+        # certificate is measured on the same values, so only these two lines differ
         approx = one_block_short(2, 3)
+        shift = bigperm.CoordAction(2, 3, Permutation((1, 2, 0)), {})
+        approx = dataclasses.replace(approx, _cache={approx.wreath.identity(): shift})
         cert = verify_construction(approx)
         first, *rest = cert.details.freeness
         u, m = first.element, first.margin
-        tampered = with_freeness(
-            dataclasses.replace(cert, identity_pass=False), (dataclasses.replace(first, margin=m / 2), *rest)
-        )
-        assert oracle_check(approx, tampered) == [
-            "identity mismatch: certificate says False",
+        tampered = with_freeness(cert, (dataclasses.replace(first, margin=m / 2), *rest))
+        expected = [
+            "identity mismatch: rule(identity) does not expand to the identity",
             f"freeness distance mismatch at {approx.wreath.show(u)}: {m / 2} vs {m}",
         ]
+        assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == expected
 
     def test_distances_are_read_from_the_given_certificate(self, small_wreath):
         # same target window, every distance of the exact approximation: the
@@ -442,8 +445,8 @@ class TestOracleCheck:
         assert oracle_check(approx, cert) == verify_oracle.oracle_check(approx, cert) == []
         i = data.draw(st.integers(min_value=0, max_value=len(cert.mult_defects) - 1))
         defects = list(cert.mult_defects)
-        u, v, d = defects[i]
-        defects[i] = (u, v, (d + Fraction(1, 7)) % 1)  # another distance in [0, 1)
+        d, pair = defects[i]
+        defects[i] = ((d + Fraction(1, 7)) % 1, pair)  # another distance in [0, 1)
         tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
         mismatches = oracle_check(approx, tampered)
         assert mismatches == verify_oracle.oracle_check(approx, tampered)
