@@ -32,11 +32,11 @@ with c = 0, ..., |B|-1 ascending.  Nothing else depends on this encoding.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count
 from operator import eq
 
+from ._record import record
 from .perm import Permutation, agreement_count, compose
 
 EXPANSION_CAP = 10**6
@@ -45,7 +45,7 @@ Tau = dict[int, dict[int, Permutation]]
 _ZERO = Fraction(0)  # the distance of equal actions, shared: a Fraction is immutable
 
 
-@dataclass(frozen=True)
+@record
 class CoordAction:
     """A permutation of A^B x B: the base permutation ``beta`` and the sparse lamp maps ``tau``."""
     a_size: int

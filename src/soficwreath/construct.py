@@ -24,12 +24,12 @@ what the two input approximations must certify.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from operator import eq, ne
 
+from ._record import private, record
 from .bigperm import CoordAction, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
@@ -37,7 +37,7 @@ from .perm import Permutation, _gather
 from .sofic import CertificateError, SoficApprox, _require_window, require_sofic
 
 
-@dataclass(frozen=True)
+@record
 class WindowSets:
     """The finite windows derived from a target set of wreath elements.
 
@@ -89,7 +89,7 @@ def derive_windows(wreath: WreathProduct, targets) -> WindowSets:
     )
 
 
-@dataclass(frozen=True)
+@record
 class Budget:
     """Tolerances: the target eps, the good-block loss, and the input grade.
 
@@ -135,7 +135,7 @@ def make_budget(eps, window_size: int) -> Budget:
     return Budget(eps, eps / 13, eps / (96 * window_size**2), window_size)
 
 
-@dataclass(frozen=True)
+@record
 class GoodBlock:
     """Blocks where the base rule is injective and compatible across positions.
 
@@ -250,7 +250,7 @@ def lamp_action(
     return CoordAction(a_size, b_size, beta, tau)
 
 
-@dataclass(frozen=True)
+@record
 class WreathApprox:
     """The assembled approximation of the wreath product.
 
@@ -266,7 +266,7 @@ class WreathApprox:
     windows: WindowSets
     block: GoodBlock
     eps: Fraction
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = private(dict)
 
     @cached_property
     def wreath(self) -> WreathProduct:
@@ -337,13 +337,7 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
     budget = make_budget(eps, len(windows.positions))
 
     require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
-    approx = WreathApprox(
-        sigma_A=sigma_A,
-        sigma_B=sigma_B,
-        windows=windows,
-        block=check_good_block_bound(sigma_B, windows, budget),
-        eps=budget.eps,
-    )
+    approx = WreathApprox(sigma_A, sigma_B, windows, check_good_block_bound(sigma_B, windows, budget), budget.eps)
     if approx.rule(approx.wreath.identity()) != approx.identity_value():
         raise CertificateError("rule(identity) is not the identity")
     return approx

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Any, Iterable, Iterator, NamedTuple
 
+from ._record import record
 from .jsonutil import all_ints, checked, is_int
 
 
@@ -67,7 +67,7 @@ class Group:
         return a == self.identity()
 
 
-@dataclass(frozen=True)
+@record
 class CyclicGroup(Group):
     """Z/n as the integers 0, ..., n-1 under addition mod n."""
     n: int
@@ -97,7 +97,7 @@ class CyclicGroup(Group):
         return {"kind": "cyclic", "n": self.n}
 
 
-@dataclass(frozen=True)
+@record
 class SymmetricGroup(Group):
     """Permutations of {0,...,k-1} as tuples, composed right-to-left."""
 
@@ -135,7 +135,7 @@ class SymmetricGroup(Group):
         return {"kind": "symmetric", "k": self.k}
 
 
-@dataclass(frozen=True)
+@record
 class IntegerGroup(Group):
     """The integers under addition."""
     def identity(self):
@@ -156,7 +156,7 @@ class IntegerGroup(Group):
         return {"kind": "integers"}
 
 
-@dataclass(frozen=True)
+@record
 class FreeGroup(Group):
     """Free group of the given rank.
 
@@ -221,7 +221,7 @@ class FreeGroup(Group):
         return {"kind": "free", "rank": self.rank}
 
 
-@dataclass(frozen=True)
+@record
 class TableGroup(Group):
     """Finite group given by its Cayley table: table[a][b] = a*b.  Any
     iterable of rows is accepted and stored as a tuple of tuples."""
@@ -289,7 +289,7 @@ class FinSuppMap(NamedTuple):
         return not self.entries
 
 
-@dataclass(frozen=True)
+@record
 class DirectSum(Group):
     """Finitely supported maps index -> lamp under pointwise multiplication."""
 
@@ -370,7 +370,7 @@ class WreathElement(NamedTuple):
     right: Any
 
 
-@dataclass(frozen=True)
+@record
 class WreathProduct(Group):
     """Wreath product of a lamp group by a base group.
 

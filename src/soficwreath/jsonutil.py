@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
 import sys
 from fractions import Fraction
 from itertools import repeat
@@ -64,17 +65,21 @@ def parse_fraction(value) -> Fraction:
 
     Accepts ints, strings like ``"1/10"``, ``"0.125"`` or ``"1e-3"``, and the
     ``{"num", "den"}`` object form.  Bare floats are rejected: a float
-    literal in a JSON file has already lost its author's intent.  So is an
-    exponent over ``sys.get_int_max_str_digits()``, whose 10**|exponent| would stall.
+    literal in a JSON file has already lost its author's intent.  So are a run
+    of more digits than ``sys.get_int_max_str_digits()`` and an exponent over
+    it: ``Fraction`` would build 10**len(run) or 10**|exponent| first.
     """
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        limit = sys.get_int_max_str_digits()  # 0 is no limit
+        if limit and max(map(len, re.findall(r"\d+", value.replace("_", ""))), default=0) > limit:
+            raise ValueError(f"{reprlib.repr(value)} has a run of more than {limit} digits")
         exponent = re.search(r"E[-+]?(\d+(?:_\d+)*)\s*\Z", value, re.IGNORECASE)  # as Fraction reads one
-        if exponent and int(exponent[1]) > sys.get_int_max_str_digits() > 0:  # 0 is no limit
-            raise ValueError(f"exponent of {value!r} exceeds {sys.get_int_max_str_digits()} in magnitude")
+        if exponent and int(exponent[1]) > limit > 0:
+            raise ValueError(f"exponent of {reprlib.repr(value)} exceeds {limit} in magnitude")
         try:
             return Fraction(value)
         except ZeroDivisionError:

@@ -11,15 +11,15 @@ through ``_trusted``, as products and inverses of bijections are bijections.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from operator import eq, itemgetter
 
+from ._record import record
 from .jsonutil import all_ints, is_int
 
 
-@dataclass(frozen=True)
+@record
 class Permutation:
     """A bijection of {0, ..., n-1} in word form.
 
@@ -94,14 +94,14 @@ class Permutation:
 
 
 def _check_degrees(s: Permutation, t: Permutation):
-    if s.degree != t.degree:
-        raise ValueError(f"carrier mismatch: degree {s.degree} vs {t.degree}")
+    if len(s.image) != len(t.image):
+        raise ValueError(f"carrier mismatch: degree {len(s.image)} vs {len(t.image)}")
 
 
 def _gather(s: Permutation, t: Permutation) -> tuple[int, ...]:
     """The image of s * t, ``s.image[t.image[i]]`` for every i, in one C-level call."""
     _check_degrees(s, t)
-    return itemgetter(*t.image)(s.image) if s.degree > 1 else s.image
+    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image
 
 
 def compose(s: Permutation, t: Permutation) -> Permutation:

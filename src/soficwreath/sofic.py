@@ -21,11 +21,11 @@ All inequalities are strict and compared as exact ``Fraction`` values.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
 from typing import Any, Mapping
 
+from ._record import record
 from .groups import Group, FreeGroup, group_from_descriptor, integers
 from .jsonutil import checked, is_positive_int
 from .perm import Permutation, transposition
@@ -39,7 +39,7 @@ class CertificateError(RuntimeError):
     """An approximation failed a certificate it was required to hold."""
 
 
-@dataclass(frozen=True)
+@record
 class SoficApprox:
     """A rule from a finite window of a group, the keys of ``rule``, to permutations of one carrier."""
     group: Group
@@ -95,7 +95,7 @@ def _new_element(group: Group, data, seen, what: str):
     return g
 
 
-@dataclass(frozen=True)
+@record
 class DefectReport:
     """Exact evidence for a (window, eps) sofic check, with witnesses.
 
@@ -172,14 +172,7 @@ def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:
         key=itemgetter(0),
         default=(None, None),
     )
-    return DefectReport(
-        eps=eps,
-        window=els,
-        mult_defect=mult_defect,
-        mult_witness=mult_witness,
-        free_margin=free_margin,
-        free_witness=free_witness,
-    )
+    return DefectReport(eps, els, mult_defect, mult_witness, free_margin, free_witness)
 
 
 def require_sofic(s: SoficApprox, window, eps: Fraction, label: str) -> DefectReport:

@@ -23,13 +23,13 @@ witness rule and the pass rule are those of the input certificates, in ``sofic``
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
 from operator import eq, itemgetter
 from typing import Any, Callable
 
+from ._record import record
 from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
 from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
@@ -38,7 +38,7 @@ from .perm import Permutation, _gather
 from .sofic import CertificateError, failing_parts, pair_defects, worst
 
 
-@dataclass(frozen=True)
+@record
 class BulletReport:
     """One checked bound: the worst defect, its witness and the threshold it must stay under."""
     defect: Fraction
@@ -58,7 +58,7 @@ class BulletReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class AlmostHomReport:
     """The four splitting hypotheses, checked at eps/6, and the conclusion, checked at eps."""
     eps: Fraction
@@ -132,7 +132,7 @@ def check_almost_homomorphism(
 # certificates for the assembled construction
 
 
-@dataclass(frozen=True)
+@record
 class FreenessEntry:
     """How the freeness margin of one non-identity target decomposes."""
     element: WreathElement
@@ -168,7 +168,7 @@ class FreenessEntry:
         }
 
 
-@dataclass(frozen=True)
+@record
 class DetailedReport:
     """The budget decomposition behind a certificate: the four splitting
     defects beside the bounds the construction proves for them, read from the
@@ -205,7 +205,7 @@ class DetailedReport:
         }
 
 
-@dataclass(frozen=True)
+@record
 class Certificate:
     """Exact per-pair defects and per-element margins of the assembled rule on its targets."""
     window: tuple[WreathElement, ...]

@@ -1,5 +1,4 @@
 """Constructions that only tests use, kept out of the library."""
-import dataclasses
 import json
 import random
 
@@ -13,6 +12,13 @@ from soficwreath.construct import GoodBlock
 from soficwreath.groups import Group, WreathElement
 from soficwreath.perm import Permutation, draw_permutation
 from soficwreath.sofic import SoficApprox
+
+
+def replace(obj, **changes):
+    """A copy of the record ``obj`` with ``changes`` to its fields, as
+    ``dataclasses.replace`` makes one: every other field, private ones too,
+    is passed on, and the constructor checks the result."""
+    return type(obj)(**{name: changes.pop(name, getattr(obj, name)) for name in obj.__match_args__}, **changes)
 
 
 def random_rule(group: Group, window, degree: int, seed: int) -> SoficApprox:
@@ -93,7 +99,7 @@ def without_lowest_good_block(approx):
     nonzero defect."""
     block = approx.block
     short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
-    return dataclasses.replace(approx, block=short, _cache={})
+    return replace(approx, block=short, _cache={})
 
 
 @st.composite
@@ -196,10 +202,10 @@ def with_values(cert, defect=None, margin=None):
     failing certificate is made by hand."""
     (d, pair), *pairs = cert.mult_defects
     first, *entries = cert.details.freeness
-    first = dataclasses.replace(first, margin=first.margin if margin is None else margin)
-    details = dataclasses.replace(cert.details, freeness=(first, *entries))
+    first = replace(first, margin=first.margin if margin is None else margin)
+    details = replace(cert.details, freeness=(first, *entries))
     pairs = ((d if defect is None else defect, pair), *pairs)
-    return dataclasses.replace(cert, mult_defects=pairs, details=details)
+    return replace(cert, mult_defects=pairs, details=details)
 
 
 def shown_elements(line: str) -> list:

@@ -68,8 +68,8 @@ MUTANTS = (
     Mutant(
         "gather-repeats-first-entry",
         "perm.py",
-        "    return itemgetter(*t.image)(s.image) if s.degree > 1 else s.image\n",
-        "    image = itemgetter(*t.image)(s.image)\n    return (image[0],) * 2 + image[2:] if s.degree > 1 else s.image\n",
+        "    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image\n",
+        "    image = itemgetter(*t.image)(s.image)\n    return (image[0],) * 2 + image[2:] if len(s.image) > 1 else s.image\n",
         (
             "tests/test_perm.py::TestCompose::test_right_factor_first",
             "tests/test_perm.py::TestGatherKernels::test_compose_matches_pointwise",
@@ -238,11 +238,54 @@ MUTANTS = (
             "tests/test_cli.py::TestVerify::test_rule_of_identity_other_than_the_identity_is_exit_two",
         ),
     ),
+    # the record classes
+    Mutant(
+        "record-eq-ignores-class",
+        "_record.py",
+        "        if other.__class__ is not self.__class__:\n",
+        "        if not hasattr(other, \"__match_args__\"):\n",
+        (
+            "tests/test_record.py::test_equality_within_and_across_classes_is_the_twins",
+            "tests/test_groups.py::TestConcreteGroups::test_groups_of_different_kinds_never_compare_equal",
+        ),
+    ),
+    Mutant(
+        "record-skips-post-init",
+        "_record.py",
+        "        if post_init:\n            self.__post_init__()\n",
+        "",
+        (
+            "tests/test_record.py::test_post_init_is_looked_up_at_each_call",
+            "tests/test_perm.py::TestValidationAndJson::test_rejects_non_bijection",
+            "tests/test_groups.py::TestConcreteGroups::test_built_directly_the_class_checks_its_argument[cyclic0]",
+        ),
+    ),
+    Mutant(
+        "record-assignable",
+        "_record.py",
+        '        raise FrozenError(f"cannot assign to field {name!r}")\n',
+        "        object.__setattr__(self, name, value)\n",
+        (
+            "tests/test_record.py::test_assigning_or_deleting_any_attribute_raises_as_the_twin",
+            "tests/test_perm.py::TestValidationAndJson::test_image_cannot_be_assigned_or_deleted",
+        ),
+    ),
     # the config reader and the artifact writer
+    Mutant(
+        "digit-run-unchecked",
+        "jsonutil.py",
+        '        if limit and max(map(len, re.findall(r"\\d+", value.replace("_", ""))), default=0) > limit:\n',
+        "        if False:\n",
+        (
+            "tests/test_jsonutil.py::TestParseFraction::test_a_run_over_the_digit_limit_is_refused[fraction_part]",
+            "tests/test_jsonutil.py::TestParseFraction::test_a_run_over_the_digit_limit_is_refused[exponent]",
+            "tests/test_cli.py::TestBuild::test_long_fraction_part_is_usage_error_naming_the_value",
+        ),
+    ),
     Mutant(
         "exponent-unchecked",
         "jsonutil.py",
-        "        if exponent and int(exponent[1]) > sys.get_int_max_str_digits() > 0:  # 0 is no limit\n",
+        "        if exponent and int(exponent[1]) > limit > 0:\n",
         "        if False:\n",
         (
             "tests/test_cli.py::TestBuild::test_exponent_over_the_digit_limit_is_usage_error[eps-1e-5000]",

@@ -129,6 +129,15 @@ class TestBuild:
         assert capsys.readouterr().err == f"error: exponent of {value!r} exceeds {limit} in magnitude\n"
         assert not out.exists()
 
+    def test_long_fraction_part_is_usage_error_naming_the_value(self, tmp_path, capsys):
+        # Fraction would build 10**1000001 before int refuses the fraction part's digits
+        value = "0." + "0" * 1_000_000 + "1"
+        out = tmp_path / "x.json"
+        assert main(["build", "--config", write(tmp_path / "config.json", small_config(eps=value)), "--out", str(out)]) == USAGE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: '0.0000000000...0000000000001' has a run of more than {limit} digits\n"
+        assert not out.exists()
+
     def test_artifact_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys):
         # eps = 10**-4298 builds, but the input tolerance has more digits than an
         # int may print, so the writer fails part way through the artifact

@@ -111,6 +111,12 @@ class TestConcreteGroups:
         with pytest.raises(ValueError, match="identity"):
             sw.finite_from_table([[0, 1, 2], [2, 0, 1], [1, 2, 0]])
 
+    def test_groups_of_different_kinds_never_compare_equal(self):
+        lamp, base = sw.cyclic(2), sw.integers()
+        assert sw.cyclic(2) != sw.symmetric(2) and sw.cyclic(2) != 2
+        assert sw.groups.DirectSum(lamp, base) != sw.wreath_product(lamp, base)
+        assert sw.cyclic(2) == sw.cyclic(2) and len({sw.cyclic(2), sw.symmetric(2)}) == 2
+
     def test_constructor_validation(self):
         for bad in (lambda: sw.cyclic(0), lambda: sw.symmetric(0), lambda: sw.free(0)):
             with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import json
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from soficwreath.jsonutil import all_ints, dump_indented, is_int
+from soficwreath.jsonutil import all_ints, dump_indented, is_int, parse_fraction
 
 
 def dumped(tree) -> str:
@@ -107,3 +109,41 @@ class TestDumpIndented:
 @given(st.lists(st.one_of(st.integers(), st.booleans(), st.none(), st.just(1.0), st.text(max_size=1))))
 def test_all_ints_agrees_with_is_int(values):
     assert all_ints(values) == all(map(is_int, values))
+
+
+LIMIT = sys.get_int_max_str_digits()
+
+
+class TestParseFraction:
+    """A run of more digits than ``int`` may read is refused before ``Fraction``
+    builds ten to its length, with a message that names the value by its two
+    ends, as ``reprlib.repr`` cuts a long string."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            "0." + "0" * 1_000_000 + "1",
+            "1e" + "9" * (LIMIT + 1),
+            "1e-" + "1_1" * (LIMIT // 2 + 1),
+            "1/" + "3" * (LIMIT + 1),
+            "7" * (LIMIT + 1) + ".5",
+        ],
+        ids=["fraction_part", "exponent", "exponent_with_underscores", "denominator", "integer_part"],
+    )
+    def test_a_run_over_the_digit_limit_is_refused(self, value):
+        with pytest.raises(ValueError) as raised:
+            parse_fraction(value)
+        assert str(raised.value) == f"'{value[:12]}...{value[-13:]}' has a run of more than {LIMIT} digits"
+
+    def test_runs_at_the_limit_are_read(self):
+        assert parse_fraction("0." + "0" * (LIMIT - 1) + "1") == Fraction(1, 10**LIMIT)
+        assert parse_fraction("1/" + "1" * LIMIT) == Fraction(1, int("1" * LIMIT))
+        with pytest.raises(ValueError, match=f"exceeds {LIMIT} in magnitude"):
+            parse_fraction("1e" + "9" * LIMIT)  # a readable exponent, still too large
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1/10", Fraction(1, 10)), ("0.125", Fraction(1, 8)), ("1e-3", Fraction(1, 1000)), ("12_5", Fraction(125))],
+    )
+    def test_short_numerals(self, value, expected):
+        assert parse_fraction(value) == expected

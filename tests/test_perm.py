@@ -271,6 +271,14 @@ class TestValidationAndJson:
         with pytest.raises(ValueError):
             Permutation(())
 
+    def test_image_cannot_be_assigned_or_deleted(self):
+        s = perm(1, 2, 0)
+        with pytest.raises(AttributeError, match="cannot assign to field 'image'"):
+            s.image = (0, 1, 2)
+        with pytest.raises(AttributeError, match="cannot delete field 'image'"):
+            del s.image
+        assert s.image == (1, 2, 0) and s.inverse().image == (2, 0, 1)
+
     def test_bool_entries_count_as_ints(self):
         assert Permutation((True, False)).degree == 2
         with pytest.raises(ValueError, match="not a bijection"):

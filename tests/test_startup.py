@@ -72,6 +72,26 @@ def test_build_never_loads_verify_and_verify_still_runs(tmp_path):
         assert json.loads(report.stdout.splitlines()[-1]) == {"code": 0, "verify_loaded": True}
 
 
+def test_build_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # every record class is made by soficwreath._record, which compiles no source
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "format": 1,
+        "groups": {"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "integers"}},
+        "approximations": {"lamp": {"kind": "regular"}, "base": {"kind": "cyclic-quotient", "size": 64, "radius": 12}},
+        "F": [{"left": [[0, 1]], "right": 1}],
+        "eps": "1/2",
+    }))
+    script = (
+        "import json, sys\nimport soficwreath.cli\n"
+        "code = soficwreath.cli.main(sys.argv[1:])\n"
+        "print(json.dumps({'code': code, 'loaded': sorted({'dataclasses', 'inspect'} & set(sys.modules))}))\n"
+    )
+    build = run(["-c", script, "build", "--config", str(config), "--out", str(tmp_path / "a.json")], tmp_path)
+    assert build.returncode == 0, build.stderr
+    assert json.loads(build.stdout.splitlines()[-1]) == {"code": 0, "loaded": []}
+
+
 class TestPublicNames:
     def test_all_is_unchanged(self):
         assert sorted(sw.__all__) == PUBLIC

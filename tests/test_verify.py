@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -9,6 +8,7 @@ import verify_oracle
 from helpers import (
     good_block_inputs,
     random_rule,
+    replace,
     shown_elements,
     small_wreath_approximations,
     with_values,
@@ -29,7 +29,7 @@ from soficwreath.verify import (
 def with_freeness(cert, freeness):
     """``cert`` with ``freeness`` as its details' freeness entries, and so as
     the source of its ``free_margins``."""
-    return dataclasses.replace(cert, details=dataclasses.replace(cert.details, freeness=tuple(freeness)))
+    return replace(cert, details=replace(cert.details, freeness=tuple(freeness)))
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ class TestWitnessTies:
         u0, u1, u2, u3 = cert.window[:4]
         third, half = Fraction(1, 3), Fraction(1, 2)
         tied = with_freeness(
-            dataclasses.replace(
+            replace(
                 cert,
                 mult_defects=(
                     (Fraction(0), (u0, u0)), (third, (u0, u1)), (third, (u1, u0)), (Fraction(1, 4), (u1, u1))
@@ -222,11 +222,11 @@ class TestVerifyConstruction:
         assert all(entry["margin"] == {"num": 1, "den": 1} for entry in data["free_margins"])
 
     def test_verdict_is_computed_once_per_instance(self, small_wreath):
-        # passed is cached on the instance; dataclasses.replace builds a new one
+        # passed is cached on the instance; replace builds a new one
         cert = verify_construction(small_wreath)
         assert cert.passed is True
         (_, pair), *rest = cert.mult_defects
-        failing = dataclasses.replace(cert, mult_defects=((Fraction(1), pair), *rest))
+        failing = replace(cert, mult_defects=((Fraction(1), pair), *rest))
         assert failing.passed is False
         assert cert.passed is True
 
@@ -270,8 +270,8 @@ class TestFailureLines:
 
     def test_violations_decode_to_their_witnesses(self, small_wreath):
         cert = verify_construction(small_wreath)
-        failing = dataclasses.replace(
-            with_freeness(cert, [dataclasses.replace(e, margin=Fraction(0)) for e in cert.details.freeness]),
+        failing = replace(
+            with_freeness(cert, [replace(e, margin=Fraction(0)) for e in cert.details.freeness]),
             mult_defects=tuple((Fraction(1), pair) for _, pair in cert.mult_defects),
         )
         lines = failing.violations(small_wreath.wreath)
@@ -283,8 +283,8 @@ class TestFailureLines:
     def test_oracle_mismatches_decode_to_their_witnesses(self):
         approx = one_block_short(2, 3)
         cert = verify_construction(approx)
-        tampered = dataclasses.replace(
-            with_freeness(cert, [dataclasses.replace(e, margin=e.margin / 2 + Fraction(1, 7)) for e in cert.details.freeness]),
+        tampered = replace(
+            with_freeness(cert, [replace(e, margin=e.margin / 2 + Fraction(1, 7)) for e in cert.details.freeness]),
             mult_defects=tuple(((d + Fraction(1, 7)) % 1, pair) for d, pair in cert.mult_defects),
         )
         lines = oracle_check(approx, tampered)
@@ -392,7 +392,7 @@ class TestOracleCheck:
         d, (u, v) = cert.mult_defects[100]
         defects = list(cert.mult_defects)
         defects[100] = (d + Fraction(1, 24), (u, v))
-        tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
+        tampered = replace(cert, mult_defects=tuple(defects))
         pair = f"({approx.wreath.show(u)}, {approx.wreath.show(v)})"
         assert oracle_check(approx, tampered) == [
             f"distance mismatch at pair {pair}: {d + Fraction(1, 24)} vs {d}"
@@ -403,11 +403,11 @@ class TestOracleCheck:
         # certificate is measured on the same values, so only these two lines differ
         approx = one_block_short(2, 3)
         shift = bigperm.CoordAction(2, 3, Permutation((1, 2, 0)), {})
-        approx = dataclasses.replace(approx, _cache={approx.wreath.identity(): shift})
+        approx = replace(approx, _cache={approx.wreath.identity(): shift})
         cert = verify_construction(approx)
         first, *rest = cert.details.freeness
         u, m = first.element, first.margin
-        tampered = with_freeness(cert, (dataclasses.replace(first, margin=m / 2), *rest))
+        tampered = with_freeness(cert, (replace(first, margin=m / 2), *rest))
         expected = [
             "identity mismatch: rule(identity) does not expand to the identity",
             f"freeness distance mismatch at {approx.wreath.show(u)}: {m / 2} vs {m}",
@@ -447,7 +447,7 @@ class TestOracleCheck:
         defects = list(cert.mult_defects)
         d, pair = defects[i]
         defects[i] = ((d + Fraction(1, 7)) % 1, pair)  # another distance in [0, 1)
-        tampered = dataclasses.replace(cert, mult_defects=tuple(defects))
+        tampered = replace(cert, mult_defects=tuple(defects))
         mismatches = oracle_check(approx, tampered)
         assert mismatches == verify_oracle.oracle_check(approx, tampered)
         assert len(mismatches) == 1 and mismatches[0].startswith("distance mismatch at pair (")
@@ -458,12 +458,12 @@ class TestOracleCheck:
             oracle_check(approx, verify_construction(small_wreath))
         cert = verify_construction(approx)
         for shorter in (
-            dataclasses.replace(cert, mult_defects=cert.mult_defects[:-1]),
+            replace(cert, mult_defects=cert.mult_defects[:-1]),
             with_freeness(cert, cert.details.freeness[1:]),
         ):
             with pytest.raises(ValueError, match="not for the approximation's target window"):
                 oracle_check(approx, shorter)
         first, second, *rest = cert.mult_defects
-        swapped = dataclasses.replace(cert, mult_defects=(second, first, *rest))
+        swapped = replace(cert, mult_defects=(second, first, *rest))
         with pytest.raises(ValueError, match="does not list pair"):
             oracle_check(approx, swapped)
