@@ -24,12 +24,13 @@ what the two input approximations must certify.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import cached_property
 from itertools import compress, count
 from operator import eq, ne
 
-from ._record import private, record
+from ._record import record
 from .bigperm import CoordAction, identity_action
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
@@ -95,7 +96,8 @@ class Budget:
 
     The invariants keep each derived tolerance strictly inside its allowed
     range: block_tolerance < eps/12, input_tolerance < eps/(48 w^2) and
-    < block_tolerance/(4 w^2), where w is the positions-window size.
+    < block_tolerance/(4 w^2), where w is the positions-window size.  No
+    tolerance has more digits than ``int`` may print, so an artifact can hold it.
     """
 
     eps: Fraction
@@ -107,6 +109,10 @@ class Budget:
         w2 = Fraction(self.window_size**2)
         if not (self.eps > 0 and self.block_tolerance > 0 and self.input_tolerance > 0):
             raise ValueError("tolerances must be positive")
+        big = max(max(t.numerator, t.denominator) for t in (self.eps, self.block_tolerance, self.input_tolerance))
+        # 0 is no limit; below 2**(3 limit) < 10**limit no power needs computing
+        if (limit := sys.get_int_max_str_digits()) and big.bit_length() > 3 * limit and big >= 10**limit:
+            raise ValueError(f"eps gives tolerances of more than {limit} digits, which no artifact can print")
         if not self.block_tolerance < self.eps / 12:
             raise ValueError(f"block tolerance {self.block_tolerance} not < eps/12")
         if not self.input_tolerance < self.eps / (48 * w2):
@@ -266,7 +272,10 @@ class WreathApprox:
     windows: WindowSets
     block: GoodBlock
     eps: Fraction
-    _cache: dict = private(dict)
+
+    @cached_property
+    def _cache(self) -> dict:
+        return {}
 
     @cached_property
     def wreath(self) -> WreathProduct:

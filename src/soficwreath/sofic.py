@@ -58,7 +58,7 @@ class SoficApprox:
         try:
             return self.rule[g]
         except KeyError:
-            raise WindowViolationError(f"element {g!r} outside the declared window") from None
+            raise WindowViolationError(f"element {self.group.show(g)} outside the declared window") from None
 
     def sorted_window(self) -> tuple:
         return self.group.sort(self.rule)
@@ -150,7 +150,8 @@ def failing_parts(eps: Fraction, defects, margins, show=repr):
 def _require_window(s: SoficApprox, needed, what: str):
     missing = [g for g in needed if g not in s.rule]
     if missing:
-        raise WindowViolationError(f"{what} needs elements outside the window: {missing[:5]!r}")
+        shown = ", ".join(map(s.group.show, missing[:5]))
+        raise WindowViolationError(f"{what} needs elements outside the window: {shown}")
 
 
 def is_sofic_approx(s: SoficApprox, window, eps: Fraction) -> DefectReport:

@@ -16,8 +16,9 @@ from soficwreath.sofic import SoficApprox
 
 def replace(obj, **changes):
     """A copy of the record ``obj`` with ``changes`` to its fields, as
-    ``dataclasses.replace`` makes one: every other field, private ones too,
-    is passed on, and the constructor checks the result."""
+    ``dataclasses.replace`` makes one: every other field is passed on, and
+    the constructor checks the result.  A ``cached_property`` is not a field,
+    so the copy computes its own."""
     return type(obj)(**{name: changes.pop(name, getattr(obj, name)) for name in obj.__match_args__}, **changes)
 
 
@@ -99,7 +100,7 @@ def without_lowest_good_block(approx):
     nonzero defect."""
     block = approx.block
     short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
-    return replace(approx, block=short, _cache={})
+    return replace(approx, block=short)
 
 
 @st.composite

@@ -270,6 +270,13 @@ MUTANTS = (
             "tests/test_perm.py::TestValidationAndJson::test_image_cannot_be_assigned_or_deleted",
         ),
     ),
+    Mutant(
+        "record-ignores-unknown-keyword",
+        "_record.py",
+        "            if len(args) > count or kwargs.keys() != set(rest):\n",
+        "            if len(args) > count:\n",
+        ("tests/test_record.py::test_bad_constructor_calls_raise_the_twins_type_error",),
+    ),
     # the config reader and the artifact writer
     Mutant(
         "digit-run-unchecked",
@@ -290,6 +297,16 @@ MUTANTS = (
         (
             "tests/test_cli.py::TestBuild::test_exponent_over_the_digit_limit_is_usage_error[eps-1e-5000]",
             "tests/test_cli.py::TestBuild::test_exponent_over_the_digit_limit_is_usage_error[rate-1E+4_301]",
+        ),
+    ),
+    Mutant(
+        "budget-digits-unchecked",
+        "construct.py",
+        "        if (limit := sys.get_int_max_str_digits()) and big",
+        "        if (limit := 0) and big",
+        (
+            "tests/test_construct.py::TestBudget::test_tolerances_have_no_more_digits_than_an_int_may_print",
+            "tests/test_cli.py::TestBuild::test_eps_whose_tolerances_cannot_be_printed_fails_before_any_certificate",
         ),
     ),
     Mutant(

@@ -9,7 +9,7 @@ import pytest
 
 import soficwreath as sw
 from helpers import with_values
-from soficwreath import verify
+from soficwreath import cli, construct, verify
 from soficwreath.bigperm import CoordAction
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
 from soficwreath.construct import WreathApprox
@@ -138,19 +138,47 @@ class TestBuild:
         assert capsys.readouterr().err == f"error: '0.0000000000...0000000000001' has a run of more than {limit} digits\n"
         assert not out.exists()
 
-    def test_artifact_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys):
-        # eps = 10**-4298 builds, but the input tolerance has more digits than an
-        # int may print, so the writer fails part way through the artifact
-        config = write(tmp_path / "config.json", small_config(eps="1e-4298"))
+    def test_eps_whose_tolerances_cannot_be_printed_fails_before_any_certificate(self, tmp_path, capsys, monkeypatch):
+        # eps = 10**-4298 parses, but the input tolerance has more digits than an int may print
+        monkeypatch.setattr(construct, "require_sofic", lambda *args: pytest.fail("a certificate ran"))
+        out = tmp_path / "artifact.json"
+        assert main(["build", "--config", write(tmp_path / "config.json", small_config(eps="1e-4298")), "--out", str(out)]) == USAGE
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == f"error: eps gives tolerances of more than {limit} digits, which no artifact can print\n"
+        assert not out.exists()
+
+    def test_artifact_that_cannot_be_written_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def write_part_then_fail(artifact, write):
+            write(json.dumps(artifact)[:100])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "dump_indented", write_part_then_fail)
+        config = write(tmp_path / "config.json", small_config())
         out = tmp_path / "artifact.json"
         assert main(["build", "--config", config, "--out", str(out)]) == USAGE
-        assert "error: Exceeds the limit" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
         # an artifact already at --out is kept whole
         out.write_text("earlier artifact")
         assert main(["build", "--config", config, "--out", str(out)]) == USAGE
         assert out.read_text() == "earlier artifact"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.json", "config.json"]
+
+    def test_window_error_prints_elements_a_config_can_hold(self, tmp_path, capsys):
+        # the free-quotient base certifies a radius-1 ball, whose products leave it
+        base = {"kind": "free-quotient", "degree": 6, "images": {"seed": 1}, "radius": 1}
+        config = small_config(F=[{"left": [], "right": [1]}, {"left": [], "right": [2]}])
+        config["groups"]["base"] = {"kind": "free", "rank": 2}
+        config["approximations"]["base"] = base
+        out = tmp_path / "artifact.json"
+        assert main(["build", "--config", write(tmp_path / "config.json", config), "--out", str(out)]) == USAGE
+        err = capsys.readouterr().err
+        head, listed = err.rstrip("\n").split(": ", 2)[1:]
+        assert err.startswith("error: ") and head == "sofic check needs elements outside the window"
+        assert not out.exists()
+        group = sw.free(2)
+        elements = [group.decode(json.loads(text)) for text in listed.split(", ")]
+        assert len(elements) == 5 and all(len(g) == 2 for g in elements)
 
     def test_unknown_command_is_usage(self, capsys):
         assert main(["frobnicate"]) == USAGE

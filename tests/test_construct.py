@@ -1,4 +1,6 @@
 import itertools
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
 import sofic_oracle
-from helpers import windowed_approximations
+from helpers import replace, windowed_approximations
 from lamp_oracle import block_lamp_action, lamp_factor
 from soficwreath import construct
 from soficwreath.bigperm import CoordAction, identity_action
 from soficwreath.construct import (
+    GoodBlock,
     WreathApprox,
     compute_good_blocks,
     derive_windows,
@@ -130,6 +133,30 @@ class TestBudget:
         with pytest.raises(ValueError, match="48"):
             sw.Budget(Fraction(1, 2), Fraction(1, 32), Fraction(1, 300), 2)
 
+    def test_tolerances_have_no_more_digits_than_an_int_may_print(self):
+        # at w = 1 the input tolerance is eps/96: 10**-638 gives 640 digits, 10**-639 gives 641
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            json.dumps(make_budget(Fraction(1, 10**638), 1).to_json())
+            with pytest.raises(ValueError, match="^eps gives tolerances of more than 640 digits"):
+                make_budget(Fraction(1, 10**639), 1)
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
+class TestRuleCache:
+    def test_a_copy_with_other_good_blocks_builds_its_own_values(self):
+        lamp, base = sw.cyclic(2), sw.cyclic(3)
+        elements = list(sw.wreath_product(lamp, base).elements())
+        approx = sw.build(sw.regular_rep(lamp), sw.regular_rep(base), elements, Fraction(1, 2))
+        before = [approx.rule(u) for u in elements]
+        block = approx.block
+        short = GoodBlock(block.injective, block.compatible, block.good - {min(block.good)})
+        fresh = WreathApprox(approx.sigma_A, approx.sigma_B, approx.windows, short, approx.eps)
+        copy = replace(approx, block=short)
+        assert copy == fresh and copy._cache == {}
+        assert [copy.rule(u) for u in elements] == [fresh.rule(u) for u in elements] != before
 
 class TestGoodBlocks:
     def test_regular_rep_all_blocks_good(self):

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -222,6 +223,21 @@ class TestSoficCheck:
         approx = sw.cyclic_quotient(8, window=[1, 2, 3, 4])
         with pytest.raises(WindowViolationError):
             is_sofic_approx(approx, [1, 2], Fraction(1, 2))
+
+    def test_window_errors_print_elements_as_json_the_group_decodes(self):
+        # free-group words are tuples in memory and lists in configs and artifacts
+        group = sw.free(2)
+        approx = sw.quotient_by_images(group, [Permutation((1, 0)), Permutation((0, 1))], group.ball(1))
+        with pytest.raises(WindowViolationError) as caught:
+            approx.evaluate((1, 1))
+        assert str(caught.value) == "element [1,1] outside the declared window"
+        with pytest.raises(WindowViolationError, match="products") as caught:
+            is_sofic_approx(approx, group.ball(1), Fraction(1, 2))
+        head, listed = str(caught.value).split(": ", 1)
+        assert head == "sofic check (products) needs elements outside the window"
+        elements = [group.decode(json.loads(text)) for text in listed.split(", ")]
+        assert len(elements) == 5 and not set(elements) & set(approx.rule)
+        assert listed == ", ".join(map(group.show, elements))
 
     def test_require_sofic_raises_with_witness(self):
         group = sw.cyclic(2)

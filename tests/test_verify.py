@@ -403,7 +403,7 @@ class TestOracleCheck:
         # certificate is measured on the same values, so only these two lines differ
         approx = one_block_short(2, 3)
         shift = bigperm.CoordAction(2, 3, Permutation((1, 2, 0)), {})
-        approx = replace(approx, _cache={approx.wreath.identity(): shift})
+        approx._cache[approx.wreath.identity()] = shift
         cert = verify_construction(approx)
         first, *rest = cert.details.freeness
         u, m = first.element, first.margin
