@@ -15,7 +15,8 @@ carriers of size |A|^|B| * |B| that could never be materialized.
 Sparsity is canonical: tau maps block -> coordinate -> permutation and stores
 no identity permutations and no empty blocks, so structural equality is
 semantic equality: equal actions are at distance 0.  ``CoordAction(...)``
-checks this; ``compose_actions`` stores neither and skips the check.
+and ``coord_action`` check this; ``compose_actions`` and ``lamp_action`` build
+from checked values through the unchecked ``CoordAction._trusted``.
 
 In the construction a few lamp permutations recur at most coordinates, so
 each kernel does its per-permutation work once per distinct permutation
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import compress, count
 from operator import eq
 
 from ._record import record
@@ -58,20 +58,22 @@ class CoordAction:
             raise ValueError("sizes must be >= 1")
         if self.beta.degree != self.b_size:
             raise ValueError(f"carrier mismatch: beta degree {self.beta.degree}, expected {self.b_size}")
-        checked = set()  # ids of the entry objects whose degree and identity passed
         for b, entries in self.tau.items():
             if not 0 <= b < self.b_size or not entries:
                 raise ValueError(f"bad tau block {b}")
             for c, p in entries.items():
                 if not 0 <= c < self.b_size:
                     raise ValueError(f"bad coordinate {c}")
-                if id(p) in checked:
-                    continue
                 if p.degree != self.a_size:
                     raise ValueError(f"carrier mismatch: tau[{b}][{c}] degree {p.degree}, expected {self.a_size}")
                 if p.is_identity():
                     raise ValueError(f"non-canonical tau: identity stored at [{b}][{c}]")
-                checked.add(id(p))
+
+    @classmethod
+    def _trusted(cls, a_size: int, b_size: int, beta: Permutation, tau: Tau) -> "CoordAction":
+        w = object.__new__(cls)  # unchecked: see the module docstring
+        vars(w).update(zip(cls.__match_args__, (a_size, b_size, beta, tau)))
+        return w
 
     def tau_map(self) -> Tau:
         return self.tau
@@ -110,27 +112,27 @@ def _check_sizes(w: CoordAction, v: CoordAction):
 
 
 def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
-    """The action "first, then second"; cost O(|B| * sparsity * |A|).
+    """The action "first, then second", in time linear in the blocks the operands
+    touch and the entries of those both touch, plus O(|A|) per product.
 
-    A block that only one side touches keeps that side's block dict, shared
-    with the operand.  Where both touch a coordinate, ``compose(p2, p1)`` and
-    its identity test run once per distinct pair of permutation objects, and
-    each coordinate reads the result with one table lookup.  An identity
-    operand returns the other one, which is immutable.
+    Each block of ``second`` pulls back through ``first.beta.inverse()``, which
+    the beta keeps.  A block one side touches keeps that side's dict, shared
+    with the operand; one both touch at disjoint coordinates is their union.
+    Where they share a coordinate, ``compose(p2, p1)`` and its identity test
+    run once per pair of objects.  An identity operand returns the other one.
     """
     _check_sizes(second, first)
     if first.is_identity():
         return second
     if second.is_identity():
         return first
-    beta = first.beta.image
-    moved_into = compress(count(), map(second.tau.__contains__, beta))
+    back = first.beta.inverse().image
     products = {}  # (id(p2), id(p1)) -> p2 * p1, or False for the identity
-    tau = {}
-    for b in first.tau.keys() | moved_into:
-        one, two = first.tau.get(b), second.tau.get(beta[b])
-        if one is None or two is None:  # one side only: already canonical
-            tau[b] = one or two
+    tau = dict(first.tau)
+    for b2, two in second.tau.items():
+        one = tau.get(b := back[b2])  # first's keys are overwritten or deleted in place
+        if one is None or one.keys().isdisjoint(two):  # no coordinate in common: already canonical
+            tau[b] = two if one is None else one | two
             continue
         entries = dict(one)
         for c, p2 in two.items():
@@ -148,9 +150,9 @@ def compose_actions(second: CoordAction, first: CoordAction) -> CoordAction:
                 del entries[c]
         if entries:
             tau[b] = entries
-    w = object.__new__(CoordAction)  # canonical by construction: skip the check
-    vars(w).update(a_size=first.a_size, b_size=first.b_size, beta=second.beta * first.beta, tau=tau)
-    return w
+        else:
+            del tau[b]
+    return CoordAction._trusted(first.a_size, first.b_size, second.beta * first.beta, tau)
 
 
 def action_distance(w: CoordAction, v: CoordAction) -> Fraction:

@@ -244,16 +244,14 @@ def lamp_action(
     >>> value(1) == value(0) * CoordAction(2, 3, sigma_B.evaluate(1), {})
     True
     """
-    a_size, b_size = sigma_A.carrier_size, sigma_B.carrier_size
-    if not set(f.support()) <= set(positions):
-        return CoordAction(a_size, b_size, beta, {})
     writes = []
-    for x, g in f.entries:
-        if not (p := sigma_A.evaluate(g)).is_identity():
-            writes.append((sigma_B.evaluate(x).inverse().image, p))
+    if set(f.support()) <= set(positions):  # else the value is the base move alone
+        for x, g in f.entries:
+            if not (p := sigma_A.evaluate(g)).is_identity():
+                writes.append((sigma_B.evaluate(x).inverse().image, p))
     good = block.good
     tau = {b: {q[i]: p for q, p in writes} for b, i in enumerate(beta.image) if i in good} if writes else {}
-    return CoordAction(a_size, b_size, beta, tau)
+    return CoordAction._trusted(sigma_A.carrier_size, sigma_B.carrier_size, beta, tau)
 
 
 @record

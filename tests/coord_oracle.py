@@ -5,8 +5,8 @@ per block, where the library sums integer counts; ``compose_actions`` copies
 every entry and lets ``coord_action`` prune identities, where the library
 prunes only real products; ``check_bijection`` is the ``seen``-list walk that
 any faster bijection check in ``Permutation`` must agree with;
-``check_coord_action`` checks every entry of tau in full, where
-``CoordAction`` checks each distinct entry object once; ``apply`` acts on one
+``check_coord_action`` restates ``CoordAction``'s check, for the values that
+``compose_actions`` and ``lamp_action`` build unchecked; ``apply`` acts on one
 explicit point of the carrier; ``inverse_action`` inverts every entry and
 the base, which only tests need.  They follow the definitions term by term and
 are slower.  ``expand_explicit`` computes the image of each carrier point

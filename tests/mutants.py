@@ -66,6 +66,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "compose-disjoint-keeps-second",
+        "bigperm.py",
+        "tau[b] = two if one is None else one | two\n",
+        "tau[b] = two\n",
+        (
+            "tests/test_bigperm.py::TestCompose::test_compose_commutes_with_expansion",
+            "tests/test_bigperm.py::TestComposeBlockCases::test_both_operands_on_disjoint_coordinates",
+            "tests/test_bigperm.py::TestTrustedCompose::test_results_pass_the_checked_constructors",
+        ),
+    ),
+    Mutant(
         "gather-repeats-first-entry",
         "perm.py",
         "    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image\n",
@@ -171,8 +182,8 @@ MUTANTS = (
     Mutant(
         "anchor-not-inverse",
         "construct.py",
-        "            writes.append((sigma_B.evaluate(x).inverse().image, p))\n",
-        "            writes.append((sigma_B.evaluate(x).image, p))\n",
+        "                writes.append((sigma_B.evaluate(x).inverse().image, p))\n",
+        "                writes.append((sigma_B.evaluate(x).image, p))\n",
         (
             "tests/test_construct.py::TestLampAction::test_agrees_with_block_oracle_on_every_good_block",
             "tests/test_construct.py::TestEquivariance::test_lamplighter_equivariance",
@@ -199,6 +210,16 @@ MUTANTS = (
             "tests/test_inexact_inputs.py::test_perturbed_base_passes_with_nonzero_pairs",
             "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z2_wr_z3]",
             "tests/test_verify.py::TestOracleCheck::test_confirms_nonzero_defects[z3_wr_z2]",
+        ),
+    ),
+    Mutant(
+        "lamp-action-writes-identity",
+        "construct.py",
+        "            if not (p := sigma_A.evaluate(g)).is_identity():\n",
+        "            if (p := sigma_A.evaluate(g)):\n",
+        (
+            "tests/test_construct.py::TestTrustedLampAction::test_values_pass_the_checked_constructor",
+            "tests/test_construct.py::TestLampAction::test_lamp_value_acting_as_the_identity_writes_nothing",
         ),
     ),
     Mutant(

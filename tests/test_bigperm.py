@@ -118,6 +118,47 @@ class TestCompose:
                 assert coord_oracle.apply(w2 * w1, a, b) == step
 
 
+class TestComposeBlockCases:
+    """One test per kind of block ``compose_actions`` meets, on |A| = |B| = 3
+    with ``first`` moving block b to b + 1: a block only ``second`` touches,
+    one only ``first`` touches, both on disjoint coordinates, and both on one
+    coordinate, where the product cancels or does not."""
+
+    shift = Permutation((1, 2, 0))
+    cyc, cyc_inv, swap01 = Permutation((1, 2, 0)), Permutation((2, 0, 1)), Permutation((1, 0, 2))
+
+    def composed(self, second_tau, first_tau):
+        second, first = CoordAction(3, 3, self.shift, second_tau), CoordAction(3, 3, self.shift, first_tau)
+        before = copy.deepcopy((second.tau, first.tau))
+        w = compose_actions(second, first)
+        assert (second.tau, first.tau) == before
+        assert w == coord_oracle.compose_actions(second, first)
+        assert expand_explicit(w) == expand_explicit(second) * expand_explicit(first)
+        assert w.beta == Permutation((2, 0, 1))
+        return second, first, w
+
+    def test_second_operand_only(self):
+        second, _, w = self.composed({2: {0: self.cyc}}, {})
+        assert w.tau == {1: {0: self.cyc}} and w.tau[1] is second.tau[2]
+
+    def test_first_operand_only_under_a_moving_beta(self):
+        _, first, w = self.composed({0: {1: self.cyc}}, {0: {2: self.swap01}})
+        assert w.tau == {0: {2: self.swap01}, 2: {1: self.cyc}}
+        assert w.tau[0] is first.tau[0]
+
+    def test_both_operands_on_disjoint_coordinates(self):
+        _, _, w = self.composed({1: {1: self.swap01}}, {0: {0: self.cyc, 2: self.cyc}})
+        assert w.tau == {0: {0: self.cyc, 1: self.swap01, 2: self.cyc}}
+
+    def test_overlap_whose_product_cancels_leaves_no_block(self):
+        _, _, w = self.composed({1: {0: self.cyc_inv}, 2: {2: self.cyc}}, {0: {0: self.cyc}})
+        assert w.tau == {1: {2: self.cyc}}
+
+    def test_overlap_with_a_moving_product(self):
+        _, _, w = self.composed({1: {0: self.cyc, 1: self.swap01}}, {0: {0: self.cyc, 2: self.swap01}})
+        assert w.tau == {0: {0: self.cyc_inv, 1: self.swap01, 2: self.swap01}}
+
+
 class TestDistance:
     def test_equal_actions_distance_zero(self, rng):
         w = random_coord_action(2, 5, rng)

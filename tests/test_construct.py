@@ -4,8 +4,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import coord_oracle
 import soficwreath as sw
 import sofic_oracle
 from helpers import replace, windowed_approximations
@@ -296,6 +297,13 @@ class TestLampAction:
         action = lamp_action(sigma_A, sigma_B, positions, block, sums.identity(), Permutation.identity(2))
         assert action == identity_action(2, 2)
 
+    def test_lamp_value_acting_as_the_identity_writes_nothing(self, mod2_setup):
+        _, sigma_B, positions, block = mod2_setup
+        sigma_A = sw.cyclic_quotient(2, (0, 2))  # the shift by 2 on 2 points is the identity
+        sums = sw.DirectSum(sw.integers(), sw.cyclic(2))
+        action = lamp_action(sigma_A, sigma_B, positions, block, sums.make({0: 2, 1: 2}), sigma_B.evaluate(1))
+        assert action.tau == {}
+
     def test_per_block_writes(self, mod2_setup):
         sigma_A, sigma_B, positions, block = mod2_setup
         sums = sw.DirectSum(sw.cyclic(2), sw.cyclic(2))
@@ -345,6 +353,47 @@ class TestLampAction:
             beta = sigma_B.evaluate(h)
             one_step = lamp_action(sigma_A, sigma_B, positions, block, f, beta)
             assert one_step == lamp_only * sw.CoordAction(3, 16, beta, {})
+
+
+@st.composite
+def lamp_action_inputs(draw):
+    """Parameters of a ``lamp_action`` call on ``Z wr Z``: the lamp carrier,
+    so a lamp value that is a multiple of it acts as the identity; the base
+    carrier and a perturbation seed, or None for an exact base; the radius of
+    the positions window; a configuration, whose support may leave that
+    window; and the base element h of beta = sigma_B(h), moving or not."""
+    return (
+        draw(st.integers(1, 3)),
+        draw(st.integers(3, 12)),
+        draw(st.none() | st.integers(0, 99)),
+        draw(st.integers(0, 2)),
+        draw(st.dictionaries(st.integers(-3, 3), st.integers(-4, 4), max_size=3)),
+        draw(st.integers(-3, 3)),
+    )
+
+
+class TestTrustedLampAction:
+    """``lamp_action`` builds its value without ``CoordAction``'s check; every
+    value must pass that check and equal the checked construction."""
+
+    @settings(max_examples=150)
+    @given(lamp_action_inputs())
+    @example((2, 8, None, 1, {0: 2, 1: 1}, 1))  # sigma_A(2) is the identity on 2 points
+    @example((3, 16, 4, 1, {-1: 1, 1: 2}, 1))  # blocks 3-5 and 10-12 of this base are not good
+    @example((3, 8, None, 1, {0: 1, 3: 1}, -1))  # the support leaves the positions window
+    def test_values_pass_the_checked_constructor(self, inputs):
+        a_size, b_size, seed, radius, lamps, h = inputs
+        sigma_A = sw.cyclic_quotient(a_size, range(-4, 5))
+        sigma_B = sw.cyclic_quotient(b_size, range(-6, 7))
+        if seed is not None:
+            sigma_B = sw.perturb(sigma_B, Fraction(1, 2), seed)
+        positions = tuple(range(-radius, radius + 1))
+        block = compute_good_blocks(sigma_B, positions)
+        f = sw.DirectSum(sw.integers(), sw.integers()).make(lamps)
+        w = lamp_action(sigma_A, sigma_B, positions, block, f, sigma_B.evaluate(h))
+        coord_oracle.check_coord_action(w.a_size, w.b_size, w.beta, w.tau)
+        assert CoordAction(w.a_size, w.b_size, w.beta, w.tau) == w
+        assert (w.a_size, w.b_size, w.beta) == (a_size, b_size, sigma_B.evaluate(h))
 
 
 def base_only(sigma_A: SoficApprox, sigma_B: SoficApprox):

@@ -1,13 +1,14 @@
 """The construction end to end on inexact inputs, in the theorem's regime eps <= 1.
 
-The lamps of ``Z wr Z/b`` come from a perturbed ``cyclic_quotient`` on
--2m..2m, where m is the largest lamp value of the derived windows, so every
-product the lamp certificate needs is in its window; the base is the regular
-representation of ``Z/b``.  ``build`` certifies the lamp input at the input
-tolerance: where that certificate fails it must raise ``CertificateError``,
-and where it holds, the wreath certificate must pass with every splitting
-defect within its bound.  The drawn lamp carriers are small, so most
-perturbed inputs fail; the example is one that passes with nonzero pairs.
+The lamps of ``Z wr Z/b``, b in {2, 3, 4}, come from a perturbed
+``cyclic_quotient`` on -2m..2m, where m is the largest lamp value of the
+derived windows, so every product the lamp certificate needs is in its
+window; the base is the regular representation of ``Z/b``.  ``build``
+certifies the lamp input at the input tolerance: where that certificate
+fails it must raise ``CertificateError``, and where it holds, the wreath
+certificate must pass with every splitting defect within its bound.  The
+drawn lamp carriers are small, so most perturbed inputs fail; two examples,
+for b = 3 and b = 4, pass with nonzero pairs.
 
 The base of ``Z/2 wr Z`` comes from a perturbed ``cyclic_quotient``, fixed at
 one size that passes and one that ``build`` rejects.  Its perturbed blocks
@@ -25,13 +26,15 @@ from soficwreath.verify import verify_construction
 # 20,000 lamp points, every lamp value perturbed: the input passes its
 # certificate, and some pair defect of the wreath certificate is nonzero
 INEXACT = (3, 20_000, 1, 7, Fraction(1, 2), (({0: 1}, 0), ({0: 2, 1: -1}, 1), ({}, 1), ({2: 1}, 2)))
+# the same on Z/4, with the last target lit at position 3
+INEXACT_ON_FOUR = (4, *INEXACT[1:5], (*INEXACT[5][:3], ({3: 1}, 3)))
 # the same on 4,000 lamp points: the input's defect 3/2000 is over its tolerance 1/1728
 UNCERTIFIED = (3, 4_000, *INEXACT[2:])
 
 
 @st.composite
 def cases(draw):
-    b = draw(st.sampled_from([2, 3]))
+    b = draw(st.sampled_from([2, 3, 4]))
     lamps = st.dictionaries(st.integers(0, b - 1), st.sampled_from([-2, -1, 1, 2]), max_size=2)
     targets = draw(st.lists(st.tuples(lamps, st.integers(0, b - 1)), min_size=1, max_size=3))
     size = draw(st.integers(1, 8000))
@@ -40,6 +43,7 @@ def cases(draw):
 
 
 @example(INEXACT)
+@example(INEXACT_ON_FOUR)
 @example(UNCERTIFIED)
 @settings(max_examples=12, deadline=None)
 @given(cases())
@@ -58,7 +62,7 @@ def test_perturbed_lamps_build_only_when_certified_and_then_pass(case):
         return
     cert = verify_construction(sw.build(lamps, base, targets, eps))
     assert cert.passed and cert.details.within_bounds
-    if case == INEXACT:
+    if case in (INEXACT, INEXACT_ON_FOUR):
         assert any(d for d, _ in cert.mult_defects)
 
 
