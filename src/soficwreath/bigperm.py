@@ -19,10 +19,9 @@ and ``coord_action`` check this; ``compose_actions`` and ``lamp_action`` build
 from checked values through the unchecked ``CoordAction._trusted``.
 
 In the construction a few lamp permutations recur at most coordinates, so
-each kernel does its per-permutation work once per distinct permutation
-object, or pair of objects, in one call.  The tables are keyed by ``id()``,
-which is sound because the operands hold every key object for the whole
-call, and they are dropped when the call returns.  ``compose_actions``
+``compose_actions`` composes each pair of permutation objects once per call,
+in the only ``id()``-keyed table of this module: sound, as the operands hold
+every key object for the whole call, and dropped when the call returns.  It
 reuses a block dict that only one operand touches, so actions share block
 dicts: tau and its block dicts are never mutated once an action is built.
 
@@ -54,7 +53,7 @@ class CoordAction:
     tau: Tau  # block -> coordinate -> lamp permutation; never mutated, block dicts may be shared
 
     def __post_init__(self):
-        if self.a_size < 1 or self.b_size < 1:
+        if self.a_size < 1:  # b_size < 1 fails the beta check: a Permutation has degree >= 1
             raise ValueError("sizes must be >= 1")
         if self.beta.degree != self.b_size:
             raise ValueError(f"carrier mismatch: beta degree {self.beta.degree}, expected {self.b_size}")
@@ -163,8 +162,7 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
     images differ disagree on their whole fiber.  Where they agree, the fiber
     over a block touched at k coordinates agrees on the product of the k
     integer per-coordinate agreement counts (absent entries are the identity)
-    out of |A|^k points; each distinct pair of permutation objects is counted
-    once per call.  Blocks with equal base images and equal entry dicts,
+    out of |A|^k points.  Blocks with equal base images and equal entry dicts,
     untouched ones included, agree everywhere and are counted in bulk.  The
     numerators are summed per k and divided once, over |A|^max_k * |B|.
 
@@ -178,7 +176,6 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
         return _ZERO
     agree = Counter()  # k -> sum of fiber agreement counts out of |A|^k
     agree[0] = sum(map(eq, w_beta, v_beta))
-    counts = {}  # (id(p), id(q)) -> agreement count
     for b in w.tau.keys() | v.tau.keys():
         if w_beta[b] != v_beta[b]:
             continue
@@ -189,10 +186,7 @@ def action_distance(w: CoordAction, v: CoordAction) -> Fraction:
         coords, fiber = one.keys() | two.keys(), 1
         for c in coords:
             p, q = one.get(c), two.get(c)  # an absent entry is the identity
-            key = (id(p), id(q))
-            if key not in counts:
-                counts[key] = (p or q).fixed_points() if p is None or q is None else agreement_count(p, q)
-            fiber *= counts[key]
+            fiber *= (p or q).fixed_points() if p is None or q is None else agreement_count(p, q)
             if not fiber:
                 break
         if fiber:

@@ -64,7 +64,7 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
     if kind == "free-quotient":
         if not isinstance(group, FreeGroup):
             raise ValueError("free-quotient needs a free group")
-        degree = checked(desc["degree"], is_int, "degree", "an integer")
+        degree = checked(desc["degree"], is_positive_int, "degree", "a positive integer")
         images = desc["images"]
         if isinstance(images, dict):
             rng = random.Random(checked(images.get("seed", seed), is_int, "images seed", "an integer"))

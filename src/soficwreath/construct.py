@@ -31,7 +31,7 @@ from itertools import compress, count
 from operator import eq, ne
 
 from ._record import record
-from .bigperm import CoordAction, identity_action
+from .bigperm import CoordAction
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
 from .perm import Permutation, _gather
@@ -107,7 +107,7 @@ class Budget:
 
     def __post_init__(self):
         w2 = Fraction(self.window_size**2)
-        if not (self.eps > 0 and self.block_tolerance > 0 and self.input_tolerance > 0):
+        if not self.input_tolerance > 0:  # then eps > 0 and block_tolerance > 0 by the bounds below
             raise ValueError("tolerances must be positive")
         big = max(max(t.numerator, t.denominator) for t in (self.eps, self.block_tolerance, self.input_tolerance))
         # 0 is no limit; below 2**(3 limit) < 10**limit no power needs computing
@@ -301,9 +301,6 @@ class WreathApprox:
             self._cache[u] = value
         return value
 
-    def identity_value(self) -> CoordAction:
-        return identity_action(self.a_size, self.b_size)
-
     def to_json(self) -> dict:
         wreath = self.wreath
         return {
@@ -345,7 +342,7 @@ def build(sigma_A: SoficApprox, sigma_B: SoficApprox, targets, eps) -> WreathApp
 
     require_sofic(sigma_A, windows.lamp_values, budget.input_tolerance, "lamp approximation")
     approx = WreathApprox(sigma_A, sigma_B, windows, check_good_block_bound(sigma_B, windows, budget), budget.eps)
-    if approx.rule(approx.wreath.identity()) != approx.identity_value():
+    if not approx.rule(approx.wreath.identity()).is_identity():
         raise CertificateError("rule(identity) is not the identity")
     return approx
 

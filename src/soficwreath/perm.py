@@ -143,8 +143,6 @@ def random_permutation(degree: int, seed: int) -> Permutation:
 
 def draw_permutation(degree: int, rng: random.Random) -> Permutation:
     """Like random_permutation but drawing from a caller-owned stream."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
     points = list(range(degree))
     rng.shuffle(points)
     return Permutation(tuple(points))

@@ -30,7 +30,7 @@ from operator import eq, itemgetter
 from typing import Any, Callable
 
 from ._record import record
-from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image
+from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image, identity_action
 from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
@@ -357,7 +357,7 @@ def verify_construction(approx: WreathApprox) -> Certificate:
     wreath = approx.wreath
     targets = approx.windows.targets
 
-    ident = approx.identity_value()
+    ident = identity_action(approx.a_size, approx.b_size)
     mult_defects = tuple(pair_defects(approx.rule, wreath.mul, targets))
     free_margins = tuple((approx.rule(u).distance(ident), u) for u in targets if u != wreath.identity())
     return Certificate(targets, mult_defects, detailed_reports(approx, free_margins))

@@ -33,7 +33,7 @@ def check_bijection(image: tuple) -> None:
 
 def check_coord_action(a_size: int, b_size: int, beta: Permutation, tau) -> None:
     """Raise exactly what ``CoordAction`` raises for invalid fields."""
-    if a_size < 1 or b_size < 1:
+    if a_size < 1:  # a b_size < 1 fails the beta check, as no permutation has degree 0
         raise ValueError("sizes must be >= 1")
     if beta.degree != b_size:
         raise ValueError(f"carrier mismatch: beta degree {beta.degree}, expected {b_size}")

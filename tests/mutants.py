@@ -167,6 +167,40 @@ MUTANTS = (
             "tests/test_cli.py::TestReport::test_stored_pass_disagreeing_with_the_checks_is_certificate_failure[margins_at_bound]",
         ),
     ),
+    # the verdicts of the detailed report: a bullet fails on its threshold,
+    # a lamp-only fixed fraction holds on its bound
+    Mutant(
+        "bullet-passes-at-threshold",
+        "verify.py",
+        "        return self.defect < self.threshold\n",
+        "        return self.defect <= self.threshold\n",
+        ("tests/test_verify.py::TestVerdictBoundaries::test_defect_equal_to_the_threshold_fails",),
+    ),
+    Mutant(
+        "fixed-fraction-fails-at-bound",
+        "verify.py",
+        "else self.fixed_fraction <= self.bound\n",
+        "else self.fixed_fraction < self.bound\n",
+        ("tests/test_verify.py::TestVerdictBoundaries::test_fixed_fraction_equal_to_the_bound_holds",),
+    ),
+    # the oracle cap: a carrier of exactly cap points expands
+    Mutant(
+        "expansion-refuses-cap",
+        "bigperm.py",
+        "    if total > cap:\n",
+        "    if total >= cap:\n",
+        (
+            "tests/test_bigperm.py::TestExpansion::test_carrier_of_exactly_cap_points_expands",
+            "tests/test_cli.py::TestVerify::test_oracle_runs_on_a_carrier_of_exactly_its_cap",
+        ),
+    ),
+    Mutant(
+        "oracle-refuses-cap",
+        "cli.py",
+        "        if approx.carrier_size() > cap:\n",
+        "        if approx.carrier_size() >= cap:\n",
+        ("tests/test_cli.py::TestVerify::test_oracle_runs_on_a_carrier_of_exactly_its_cap",),
+    ),
     # the construction's proved bounds
     Mutant(
         "lamp-bound-drops-w",
@@ -240,6 +274,7 @@ MUTANTS = (
         (
             "tests/test_construct.py::TestDeriveWindows::test_window_invariants",
             "tests/test_construct.py::TestDeriveWindows::test_two_generator_lamplighter",
+            "tests/test_construct.py::TestBuild::test_base_not_free_at_a_quotient_of_two_positions_is_rejected",
             "tests/test_bench_digests.py::test_workload_outputs_match_recorded_digests[wide-base]",
         ),
     ),
@@ -252,7 +287,7 @@ MUTANTS = (
     Mutant(
         "build-skips-identity-check",
         "construct.py",
-        "    if approx.rule(approx.wreath.identity()) != approx.identity_value():\n",
+        "    if not approx.rule(approx.wreath.identity()).is_identity():\n",
         "    if False:\n",
         (
             "tests/test_construct.py::TestBuild::test_rejects_a_rule_of_identity_that_moves_points",
@@ -297,6 +332,103 @@ MUTANTS = (
         "            if len(args) > count or kwargs.keys() != set(rest):\n",
         "            if len(args) > count:\n",
         ("tests/test_record.py::test_bad_constructor_calls_raise_the_twins_type_error",),
+    ),
+    # the input guards
+    Mutant(
+        "budget-input-tolerance-unchecked",
+        "construct.py",
+        "        if not self.input_tolerance > 0:",
+        "        if False:",
+        (
+            "tests/test_construct.py::TestBudget::test_rejects_a_nonpositive_input_tolerance[zero]",
+            "tests/test_construct.py::TestBudget::test_rejects_a_nonpositive_input_tolerance[negative]",
+        ),
+    ),
+    Mutant(
+        "budget-window-size-unchecked",
+        "construct.py",
+        "    if window_size < 1:\n",
+        "    if False:\n",
+        ("tests/test_construct.py::TestBudget::test_rejects_an_empty_positions_window",),
+    ),
+    Mutant(
+        "coord-action-lamp-size-unchecked",
+        "bigperm.py",
+        "        if self.a_size < 1:",
+        "        if False:",
+        ("tests/test_bigperm.py::TestCanonicalForm::test_rejects_an_empty_carrier",),
+    ),
+    Mutant(
+        "symmetric-refuses-one-point",
+        "groups.py",
+        "        if self.k < 1:\n",
+        "        if self.k <= 1:\n",
+        ("tests/test_groups.py::TestConcreteGroups::test_symmetric_on_one_point_is_the_trivial_group",),
+    ),
+    Mutant(
+        "group-descriptor-shape-unchecked",
+        "groups.py",
+        '    if not isinstance(desc, dict) or "kind" not in desc:\n        raise ValueError(f"bad group descriptor',
+        '    if False:\n        raise ValueError(f"bad group descriptor',
+        (
+            "tests/test_cli.py::TestUsageMessages::test_group_descriptor_other_than_an_object_with_a_kind[list]",
+            "tests/test_cli.py::TestUsageMessages::test_group_descriptor_other_than_an_object_with_a_kind[string]",
+            "tests/test_cli.py::TestUsageMessages::test_group_descriptor_other_than_an_object_with_a_kind[no_kind]",
+        ),
+    ),
+    Mutant(
+        "cyclic-quotient-size-unchecked",
+        "sofic.py",
+        "    if n < 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_sofic.py::TestGenerators::test_cyclic_quotient_on_no_points_is_refused[0]",
+            "tests/test_sofic.py::TestGenerators::test_cyclic_quotient_on_no_points_is_refused[-2]",
+        ),
+    ),
+    Mutant(
+        "image-degrees-unchecked",
+        "sofic.py",
+        "        if p.degree != degree:\n",
+        "        if False:\n",
+        ("tests/test_sofic.py::TestGenerators::test_quotient_by_images_of_unequal_degrees_is_refused",),
+    ),
+    Mutant(
+        "perturb-skips-two-points",
+        "sofic.py",
+        "s.carrier_size >= 2 and",
+        "s.carrier_size > 2 and",
+        ("tests/test_sofic.py::TestGenerators::test_perturb_at_rate_one_moves_a_two_point_carrier",),
+    ),
+    Mutant(
+        "free-quotient-degree-any-int",
+        "cli.py",
+        'is_positive_int, "degree"',
+        'is_int, "degree"',
+        (
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[0-drawn]",
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[0-listed]",
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[-2-drawn]",
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[-2-listed]",
+        ),
+    ),
+    Mutant(
+        "fraction-refuses-int",
+        "jsonutil.py",
+        "    if isinstance(value, int):\n",
+        "    if False:\n",
+        ("tests/test_jsonutil.py::TestParseFraction::test_an_int_is_read_as_itself",),
+    ),
+    Mutant(
+        "fraction-reads-bool",
+        "jsonutil.py",
+        "    if isinstance(value, bool):\n",
+        "    if False:\n",
+        (
+            "tests/test_jsonutil.py::TestParseFraction::test_a_boolean_is_refused[True]",
+            "tests/test_jsonutil.py::TestParseFraction::test_a_boolean_is_refused[False]",
+            "tests/test_cli.py::TestUsageMessages::test_boolean_eps_is_not_read_as_one",
+        ),
     ),
     # the config reader and the artifact writer
     Mutant(

@@ -10,10 +10,12 @@ mutant too.  A mutant is killed when every test it lists fails.  A kill
 counts only if those tests pass without it, so the script first runs the
 union of the listed tests once on an unmutated copy: it exits 2 naming each
 one that does not pass, a failing test or a node id that pytest does not
-collect.
+collect, and exits 2 too when that run does not finish within ``TIMEOUT``
+seconds.
 Then it prints one row per mutant and a score, and exits 1 when any mutant
-survives.  It needs only the standard library and pytest; it is not part of
-Tier-1.
+survives.  A mutant whose tests do not finish within ``TIMEOUT`` seconds gets
+a ``timeout`` row and counts as killed: a test that never ends did not pass.
+It needs only the standard library and pytest; it is not part of Tier-1.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 from mutants import MUTANTS  # noqa: E402
 
 COPIED = ("src", "tests", "demos", "perfbench", "pyproject.toml")
+TIMEOUT = 1800  # seconds for one pytest run
 
 
 def run_pytest(args, mutant=None) -> list[str]:
@@ -50,7 +53,7 @@ def run_pytest(args, mutant=None) -> list[str]:
             target.write_text(text.replace(mutant.old, mutant.new))
         result = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *args],
-            cwd=tree, capture_output=True, text=True, timeout=1800,
+            cwd=tree, capture_output=True, text=True, timeout=TIMEOUT,
         )
     return (result.stderr + result.stdout).replace(f"{tree}/", "").splitlines()
 
@@ -79,7 +82,11 @@ def main(argv: list[str]) -> int:
     listed = sorted({test for m in chosen for test in m.tests})
     # pytest runs nothing when one node id is unknown, so collect the files first
     collected = set(run_pytest(["--collect-only", *sorted({test.split("::")[0] for test in listed})]))
-    outcomes, summary = run_listed([test for test in listed if test in collected])
+    try:
+        outcomes, summary = run_listed([test for test in listed if test in collected])
+    except subprocess.TimeoutExpired:
+        print(f"the listed tests did not finish within {TIMEOUT} s without a mutant", file=sys.stderr)
+        return 2
     not_passing = [test for test in listed if outcomes.get(test) != "PASSED"]
     if not_passing:
         print("these listed tests do not pass without a mutant, so no kill of theirs would count:", file=sys.stderr)
@@ -91,10 +98,14 @@ def main(argv: list[str]) -> int:
     killed = 0
     print(f"{'mutant':{width}}  verdict   failed/listed  pytest")
     for mutant in chosen:
-        outcomes, summary = run_listed(mutant.tests, mutant)
-        failed = sum(outcomes.get(test) in ("FAILED", "ERROR") for test in mutant.tests)
-        verdict = "killed" if failed == len(mutant.tests) else "SURVIVED"
-        killed += verdict == "killed"
+        try:
+            outcomes, summary = run_listed(mutant.tests, mutant)
+        except subprocess.TimeoutExpired:
+            verdict, failed, summary = "timeout", "-", f"no result within {TIMEOUT} s"
+        else:
+            failed = sum(outcomes.get(test) in ("FAILED", "ERROR") for test in mutant.tests)
+            verdict = "killed" if failed == len(mutant.tests) else "SURVIVED"
+        killed += verdict != "SURVIVED"
         print(f"{mutant.id:{width}}  {verdict:8}  {failed:>6}/{len(mutant.tests):<6}  {summary}")
     print(f"score: {killed}/{len(chosen)} killed")
     return 0 if killed == len(chosen) else 1

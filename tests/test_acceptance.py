@@ -192,7 +192,7 @@ def test_criterion_8_freeness_decomposition(small_wreath, lamplighter):
             for u in approx.windows.targets:
                 if approx.wreath.base.is_identity(u.right):
                     continue
-                lhs = approx.rule(u).distance(approx.identity_value())
+                lhs = approx.rule(u).distance(sw.identity_action(approx.a_size, approx.b_size))
                 rhs = approx.sigma_B.evaluate(u.right).distance(base_identity)
                 assert lhs >= rhs  # exact rational comparison
                 checked += 1

@@ -68,6 +68,12 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="carrier mismatch"):
             coord_action(2, 3, beta=Permutation((1, 0)))
 
+    def test_rejects_an_empty_carrier(self):
+        with pytest.raises(ValueError, match="^sizes must be >= 1$"):
+            CoordAction(0, 1, Permutation.identity(1), {})
+        with pytest.raises(ValueError, match="^carrier mismatch: beta degree 1, expected 0$"):
+            CoordAction(1, 0, Permutation.identity(1), {})
+
     def test_structural_equality_after_compose(self):
         w = coord_action(2, 2, tau={0: {0: swap()}})
         assert w * w == identity_action(2, 2)
@@ -285,6 +291,12 @@ class TestExpansion:
             expand_explicit(identity_action(2, 30))
         with pytest.raises(ValueError, match="too large"):
             expand_explicit(identity_action(2, 4), cap=10)
+
+    def test_carrier_of_exactly_cap_points_expands(self):
+        w = coord_action(2, 3, beta=Permutation((1, 2, 0)))  # 2^3 * 3 = 24 points
+        assert expand_explicit(w, cap=24) == coord_oracle.expand_explicit(w, 24)
+        with pytest.raises(ValueError, match="^carrier too large for expansion: 24 > cap 23$"):
+            expand_explicit(w, cap=23)
 
     @settings(max_examples=150)
     @given(expandable_actions)

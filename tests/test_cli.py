@@ -12,7 +12,6 @@ from helpers import with_values
 from soficwreath import cli, construct, verify
 from soficwreath.bigperm import CoordAction
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
-from soficwreath.construct import WreathApprox
 from soficwreath.perm import Permutation
 
 
@@ -479,6 +478,19 @@ class TestVerify:
         assert main(["verify", "--approx", out, "--oracle"]) == ORACLE
         assert "oracle unavailable" in capsys.readouterr().err
 
+    def test_oracle_runs_on_a_carrier_of_exactly_its_cap(self, tmp_path, capsys):
+        # Z/2 wr Z/3 acts on 2^3 * 3 = 24 points: a cap of 24 expands them, one of 23 does not
+        for cap, code, err in (
+            (24, OK, "oracle: all distances confirmed on 24 points\n"),
+            (23, ORACLE, "oracle unavailable: carrier 24 exceeds cap 23\n"),
+        ):
+            config = write(tmp_path / "config.json", small_config(F=[{"left": [[0, 1]], "right": 1}], expansion_cap=cap))
+            out = str(tmp_path / f"artifact-{cap}.json")
+            assert main(["build", "--config", config, "--out", out]) == OK
+            capsys.readouterr()
+            assert main(["verify", "--approx", out, "--oracle"]) == code
+            assert capsys.readouterr().err == err
+
     def test_tampered_rule_table_is_exit_two(self, built_artifact, tmp_path, capsys):
         artifact = json.loads(pathlib.Path(built_artifact).read_text())
         # corrupt one stored lamp permutation: 0 <-> 1 swap on the value at
@@ -611,11 +623,15 @@ class TestVerify:
 
     def test_rule_of_identity_other_than_the_identity_is_exit_two(self, built_artifact, tmp_path, monkeypatch, capsys):
         # build checks rule(1) = id once, and verify rebuilds through build; a
-        # shifted identity value stands in for a rule(1) that moves every block
-        def shifted(approx):
-            return CoordAction(approx.a_size, approx.b_size, Permutation((*range(1, approx.b_size), 0)), {})
+        # lamp action that moves every block stands in for a rule(1) other than the identity
+        built = construct.lamp_action
 
-        monkeypatch.setattr(WreathApprox, "identity_value", shifted)
+        def moving(sigma_A, sigma_B, positions, block, f, beta):
+            if f.is_identity() and beta.is_identity():
+                return CoordAction(sigma_A.carrier_size, sigma_B.carrier_size, Permutation(beta.image[1:] + beta.image[:1]), {})
+            return built(sigma_A, sigma_B, positions, block, f, beta)
+
+        monkeypatch.setattr(construct, "lamp_action", moving)
         config, out = write(tmp_path / "config.json", small_config()), tmp_path / "rebuilt.json"
         assert main(["build", "--config", config, "--out", str(out)]) == CERTIFICATE
         assert capsys.readouterr() == ("", "certificate failure: rule(identity) is not the identity\n")
@@ -931,6 +947,33 @@ class TestUsageMessages:
         path = write(tmp_path / "config.json", config)
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == "error: group too large to enumerate\n"
+
+    @pytest.mark.parametrize("lamp", [[1], "cyclic", {"n": 2}], ids=["list", "string", "no_kind"])
+    def test_group_descriptor_other_than_an_object_with_a_kind(self, tmp_path, capsys, lamp):
+        config = small_config(groups={"lamp": lamp, "base": {"kind": "cyclic", "n": 3}})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: bad group descriptor: {lamp!r}\n"
+
+    def test_boolean_eps_is_not_read_as_one(self, tmp_path, capsys):
+        path = write(tmp_path / "config.json", small_config(eps=True))
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: not a rational: True\n"
+
+    @pytest.mark.parametrize("images", [{"seed": 1}, [[1, 0]]], ids=["drawn", "listed"])
+    @pytest.mark.parametrize("degree", [0, -2])
+    def test_free_quotient_degree_must_be_positive(self, tmp_path, capsys, images, degree):
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 1}},
+            approximations={
+                "lamp": {"kind": "regular"},
+                "base": {"kind": "free-quotient", "degree": degree, "images": images, "radius": 1},
+            },
+            F=[{"left": [], "right": [1]}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: degree must be a positive integer, got {degree}\n"
 
     @pytest.mark.parametrize("kind", [[1], {"kind": "cyclic"}], ids=["list", "object"])
     def test_unhashable_group_kind(self, tmp_path, capsys, kind):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -127,6 +128,25 @@ class TestBudget:
             make_budget(0, 2)
         with pytest.raises(ValueError):
             make_budget(Fraction(-1, 2), 2)
+
+    def test_rejects_an_empty_positions_window(self):
+        with pytest.raises(ValueError, match="^window size must be >= 1$"):
+            make_budget(Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("input_tolerance", [Fraction(0), Fraction(-1, 10**6)], ids=["zero", "negative"])
+    def test_rejects_a_nonpositive_input_tolerance(self, input_tolerance):
+        # eps and the block tolerance are positive and both bounds hold: only the sign check refuses it
+        with pytest.raises(ValueError, match="^tolerances must be positive$"):
+            sw.Budget(Fraction(1, 2), Fraction(1, 26), input_tolerance, 2)
+
+    @pytest.mark.parametrize(
+        "eps, block_tolerance, bound",
+        [(Fraction(0), Fraction(-1, 26), "eps/(48 w^2)"), (Fraction(1, 2), Fraction(0), "block/(4 w^2)")],
+        ids=["eps_zero", "block_zero"],
+    )
+    def test_a_positive_input_tolerance_bounds_eps_and_block_tolerance_away_from_zero(self, eps, block_tolerance, bound):
+        with pytest.raises(ValueError, match=f"not < {re.escape(bound)}$"):
+            sw.Budget(eps, block_tolerance, Fraction(1, 10**6), 2)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError, match="eps/12"):
@@ -475,7 +495,7 @@ class TestBuild:
     def test_exact_small_wreath(self, small_wreath):
         approx = small_wreath
         assert approx.block.good == frozenset(range(3))
-        assert approx.rule(approx.wreath.identity()) == approx.identity_value()
+        assert approx.rule(approx.wreath.identity()) == identity_action(approx.a_size, approx.b_size)
 
     def test_rule_evaluable_on_closure_products(self, small_wreath):
         wreath = small_wreath.wreath
@@ -490,7 +510,7 @@ class TestBuild:
         approx = sw.build(
             sw.regular_rep(lamp), sw.regular_rep(base), [wreath.identity()], Fraction(1, 2)
         )
-        assert approx.rule(wreath.identity()) == approx.identity_value()
+        assert approx.rule(wreath.identity()) == identity_action(approx.a_size, approx.b_size)
 
     def test_rejects_a_rule_of_identity_that_moves_points(self, monkeypatch):
         # a lamp action that moves every block of the empty configuration at
@@ -507,6 +527,21 @@ class TestBuild:
         monkeypatch.setattr(construct, "lamp_action", moving)
         with pytest.raises(sw.CertificateError, match=r"^rule\(identity\) is not the identity$"):
             sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
+
+    def test_base_not_free_at_a_quotient_of_two_positions_is_rejected(self):
+        """The good-block lemma needs sigma_B certified at every quotient
+        h1^-1 h2 of two positions, not only at the positions and their
+        inverses.  On 4 points the shifts by -2, ..., 2 are exact, and free
+        except at 0, but the shift by 4 = 2 - (-2) is the identity: with it
+        uncertified, Q(-2) = Q(2) would leave no block injective."""
+        lamp, base = sw.cyclic(2), sw.integers()
+        wreath = sw.wreath_product(lamp, base)
+        targets = [wreath.element({0: 1}, 0), wreath.element({}, 1)]
+        assert derive_windows(wreath, targets).positions == (-2, -1, 0, 1, 2)
+        sigma_B = sw.cyclic_quotient(4, range(-8, 9))
+        message = r"^base approximation fails its \(9-element window, 1/4800\) certificate: freeness margin 0 at -4$"
+        with pytest.raises(sw.CertificateError, match=message):
+            sw.build(sw.regular_rep(lamp), sigma_B, targets, Fraction(1, 2))
 
     def test_rejects_uncertified_base(self):
         lamp, base = sw.cyclic(2), sw.cyclic(3)

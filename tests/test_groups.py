@@ -75,6 +75,10 @@ class TestConcreteGroups:
     def test_symmetric_order(self):
         assert len(list(sw.symmetric(3).elements())) == 6
 
+    def test_symmetric_on_one_point_is_the_trivial_group(self):
+        group = sw.symmetric(1)
+        assert list(group.elements()) == [(0,)] == [group.identity()]
+
     def test_free_reduction(self):
         group = sw.free(2)
         a, b = (1,), (2,)

@@ -147,3 +147,13 @@ class TestParseFraction:
     )
     def test_short_numerals(self, value, expected):
         assert parse_fraction(value) == expected
+
+    def test_an_int_is_read_as_itself(self):
+        assert parse_fraction(3) == 3
+        assert type(parse_fraction(-7)) is Fraction
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_a_boolean_is_refused(self, value):
+        # bool is an int subclass: without its own check True would read as 1
+        with pytest.raises(ValueError, match=f"^not a rational: {value}$"):
+            parse_fraction(value)

@@ -9,6 +9,7 @@ import pathlib
 import subprocess
 import sys
 
+import run_mutants
 from mutants import MUTANTS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -46,3 +47,34 @@ def test_each_listed_test_is_defined(request):
     if missing := listed - collected:
         collected |= collected_node_ids(sorted({node.split("::")[0] for node in missing}))
     assert sorted(listed - collected) == []
+
+
+def stub_runs(monkeypatch, baseline_times_out: bool):
+    """``run_mutants`` with pytest stubbed out: every listed test is collected,
+    each mutated run exceeds the timeout, and the run without a mutant passes
+    every listed test unless ``baseline_times_out``."""
+    monkeypatch.setattr(run_mutants, "run_pytest", lambda args, mutant=None: [node for m in MUTANTS for node in m.tests])
+
+    def run_listed(tests, mutant=None):
+        if mutant is not None or baseline_times_out:
+            raise subprocess.TimeoutExpired("pytest", run_mutants.TIMEOUT)
+        return dict.fromkeys(tests, "PASSED"), "stub"
+
+    monkeypatch.setattr(run_mutants, "run_listed", run_listed)
+
+
+def test_a_mutant_whose_tests_time_out_counts_as_killed(monkeypatch, capsys):
+    stub_runs(monkeypatch, baseline_times_out=False)
+    first, second = MUTANTS[:2]
+    assert run_mutants.main([first.id, second.id]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    width = max(len(first.id), len(second.id))
+    assert rows[2] == f"{first.id:{width}}  timeout        -/{len(first.tests):<6}  no result within {run_mutants.TIMEOUT} s"
+    assert rows[-1] == "score: 2/2 killed"
+
+
+def test_a_baseline_that_times_out_is_exit_two(monkeypatch, capsys):
+    stub_runs(monkeypatch, baseline_times_out=True)
+    assert run_mutants.main([MUTANTS[0].id]) == 2
+    err = f"the listed tests did not finish within {run_mutants.TIMEOUT} s without a mutant\n"
+    assert capsys.readouterr().err == err

@@ -38,6 +38,16 @@ class TestGenerators:
         assert approx.evaluate((-1,)) == images[0].inverse()
         assert approx.evaluate(()) == Permutation.identity(4)
 
+    def test_quotient_by_images_of_unequal_degrees_is_refused(self):
+        group = sw.free(2)
+        with pytest.raises(ValueError, match="images must share a degree"):
+            sw.quotient_by_images(group, [Permutation((1, 0)), Permutation((1, 2, 0))], group.ball(1))
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_cyclic_quotient_on_no_points_is_refused(self, n):
+        with pytest.raises(ValueError, match="carrier size must be >= 1"):
+            sw.cyclic_quotient(n)
+
     def test_perturb_zero_rate_is_identity_map(self):
         approx = sw.regular_rep(sw.cyclic(5))
         assert sw.perturb(approx, 0, seed=3).rule == approx.rule
@@ -48,6 +58,13 @@ class TestGenerators:
         for g in approx.sorted_window():
             d = noisy.evaluate(g).distance(approx.evaluate(g))
             assert d == (0 if g == 0 else Fraction(2, 5))
+
+    def test_perturb_at_rate_one_moves_a_two_point_carrier(self):
+        # the one transposition of two points swaps them: the shift becomes the identity
+        approx = sw.regular_rep(sw.cyclic(2))
+        noisy = sw.perturb(approx, 1, seed=0)
+        assert noisy.evaluate(1).is_identity()
+        assert noisy.evaluate(1).distance(approx.evaluate(1)) == 1
 
     def test_perturb_keeps_identity_and_is_deterministic(self):
         approx = sw.regular_rep(sw.symmetric(3))

@@ -18,6 +18,7 @@ from soficwreath import bigperm
 from soficwreath.construct import check_good_block_bound
 from soficwreath.perm import Permutation, transposition
 from soficwreath.verify import (
+    BulletReport,
     FreenessEntry,
     check_almost_homomorphism,
     detailed_reports,
@@ -169,7 +170,7 @@ class TestVerifyConstruction:
         ident = Permutation.identity(24)
         targets = approx.windows.targets[::5]  # sample; the acceptance suite does all
         for u in targets:
-            assert approx.rule(u).distance(approx.identity_value()) == explicit[u].distance(ident)
+            assert approx.rule(u).distance(sw.identity_action(approx.a_size, approx.b_size)) == explicit[u].distance(ident)
             for v in targets:
                 product = explicit[u] * explicit[v]
                 assert sw.expand_explicit(approx.rule(u) * approx.rule(v)) == product
@@ -371,6 +372,22 @@ def one_block_short(lamp_order: int, base_order: int):
     wreath = sw.wreath_product(lamp, base)
     approx = sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
     return without_lowest_good_block(approx)
+
+
+class TestVerdictBoundaries:
+    """A bullet passes only strictly under its threshold, and a lamp-only
+    fixed fraction may reach its bound."""
+
+    def test_defect_equal_to_the_threshold_fails(self):
+        threshold = Fraction(1, 12)  # eps/6 at eps = 1/2
+        assert not BulletReport(threshold, None, threshold).passed
+        assert BulletReport(threshold - Fraction(1, 10**9), None, threshold).passed
+
+    def test_fixed_fraction_equal_to_the_bound_holds(self):
+        wreath = sw.wreath_product(sw.cyclic(2), sw.cyclic(3))
+        u, bound = wreath.element({0: 1}, 0), Fraction(1, 26) + Fraction(1, 864)
+        assert FreenessEntry(u, 1 - bound, None, 0, bound).within_bound
+        assert not FreenessEntry(u, 1 - bound - Fraction(1, 10**9), None, 0, bound).within_bound
 
 
 class TestOracleCheck:
