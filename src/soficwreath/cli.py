@@ -70,6 +70,8 @@ def _approx_from_descriptor(desc: dict, group: Group, seed: int) -> SoficApprox:
             rng = random.Random(checked(images.get("seed", seed), is_int, "images seed", "an integer"))
             images = [draw_permutation(degree, rng) for _ in range(group.rank)]
         elif isinstance(images, list) and all(isinstance(img, list) and all_ints(img) for img in images):
+            if wrong := [len(img) for img in images if len(img) != degree]:
+                raise ValueError(f"free-quotient degree {degree} does not match an image on {wrong[0]} points")
             images = [Permutation(tuple(img)) for img in images]
         else:
             raise ValueError("free-quotient images must be lists of integers")
@@ -198,7 +200,7 @@ def _cmd_verify(args) -> int:
     return OK
 
 
-def _render_text(certificate) -> str:
+def _render_text(certificate, wreath: WreathProduct) -> str:
     details = certificate.details
     almost, bounds = details.almost_hom, details.bounds
     lines = [
@@ -217,9 +219,10 @@ def _render_text(certificate) -> str:
     lines.append(f"  conclusion defect {almost.conclusion.defect} (eps {certificate.eps})")
     lines.append("freeness report:")
     lines += [
-        f"  base moves: margin {e.margin} >= base margin {e.base_margin}"
+        f"  base moves {wreath.show(e.element)}: margin {e.margin} >= base margin {e.base_margin}"
         if e.base_margin is not None
-        else f"  lamps only: margin {e.margin}, fixed fraction {e.fixed_fraction} <= bound {e.bound}"
+        else f"  lamps only {wreath.show(e.element)}: margin {e.margin}, "
+        f"fixed fraction {e.fixed_fraction} <= bound {e.bound}"
         for e in details.freeness
     ] or ["  (empty)"]
     return "\n".join(lines)
@@ -235,7 +238,7 @@ def _cmd_report(args) -> int:
     if args.format == "json":
         _print_json(certificate.to_json(wreath))
     else:
-        print(_render_text(certificate))
+        print(_render_text(certificate, wreath))
     return OK
 
 

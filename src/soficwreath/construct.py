@@ -260,9 +260,14 @@ class WreathApprox:
 
     ``rule`` builds the value of (f, h) in one step with ``lamp_action``:
     sigma_B(h) moves the block, and the lamps of f rewrite the anchored
-    coordinates at each block that it moves onto a good one.  Values are
-    cached per element.  The rule is evaluable on the closure window and all
-    its pairwise products.  ``wreath`` is derived from the inputs' groups, ``budget`` from ``eps``.
+    coordinates at each block that it moves onto a good one.  Only the values
+    the certificate walks ask for again and again are cached: those of the
+    closure, of the lamp-only (f, 1) for f in the lamp window and of the
+    base-only (1, h) for h in the mover window.  Any other value, such as a
+    pair product uv, is built on each call, so the cache holds at most
+    |closure| + |lamp window| + |mover window| values, each with one dict per
+    good block.  The rule is evaluable on the closure window and all its
+    pairwise products.  ``wreath`` is derived from the inputs' groups, ``budget`` from ``eps``.
     """
 
     sigma_A: SoficApprox
@@ -274,6 +279,13 @@ class WreathApprox:
     @cached_property
     def _cache(self) -> dict:
         return {}
+
+    @cached_property
+    def _kept(self) -> frozenset:  # the elements whose values rule caches
+        windows, lamps, base = self.windows, self.wreath.lamps, self.wreath.base
+        lamp_only = (WreathElement(f, base.identity()) for f in windows.lamp_window)
+        base_only = (WreathElement(lamps.identity(), h) for h in windows.mover_window)
+        return frozenset((*windows.closure, *lamp_only, *base_only))
 
     @cached_property
     def wreath(self) -> WreathProduct:
@@ -298,7 +310,8 @@ class WreathApprox:
         if (value := self._cache.get(u)) is None:
             beta = self.sigma_B.evaluate(u.right)
             value = lamp_action(self.sigma_A, self.sigma_B, self.windows.positions, self.block, u.left, beta)
-            self._cache[u] = value
+            if u in self._kept:
+                self._cache[u] = value
         return value
 
     def to_json(self) -> dict:

@@ -278,6 +278,13 @@ MUTANTS = (
             "tests/test_bench_digests.py::test_workload_outputs_match_recorded_digests[wide-base]",
         ),
     ),
+    Mutant(
+        "rule-caches-every-value",
+        "construct.py",
+        "            if u in self._kept:\n",
+        "            if True:\n",
+        ("tests/test_construct.py::TestRuleCache::test_verify_keeps_only_the_values_of_the_windows",),
+    ),
     # Equivalent, and so not in the table: "good-bound-unchecked", which makes
     # check_good_block_bound skip its AssertionError, survives every test.  The
     # assertion restates the good-block lemma, which the input certificate at
@@ -410,6 +417,16 @@ MUTANTS = (
             "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[0-listed]",
             "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[-2-drawn]",
             "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_be_positive[-2-listed]",
+        ),
+    ),
+    Mutant(
+        "free-quotient-degree-unmatched",
+        "cli.py",
+        "            if wrong := [len(img) for img in images if len(img) != degree]:\n",
+        "            if wrong := []:\n",
+        (
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_match_the_listed_images[only]",
+            "tests/test_cli.py::TestUsageMessages::test_free_quotient_degree_must_match_the_listed_images[second]",
         ),
     ),
     Mutant(

@@ -861,6 +861,20 @@ class TestReport:
         assert main(["report", "--certificate", certificate, "--format", "text"]) == OK
         assert capsys.readouterr().out == (data / "small_report.txt").read_text()
 
+    def test_each_freeness_line_names_its_element(self, capsys):
+        assert main(["report", "--certificate", str(SMALL_CERTIFICATE)]) == OK
+        lines = capsys.readouterr().out.splitlines()
+        certificate, wreath = verify.certificate_from_json(json.loads(SMALL_CERTIFICATE.read_text()))
+        shown = []
+        for line in lines[lines.index("freeness report:") + 1 :]:
+            kind = "base moves" if line.startswith("  base moves ") else "lamps only"
+            assert line.startswith(f"  {kind} ")
+            data, end = json.JSONDecoder().raw_decode(line, len(f"  {kind} "))
+            assert line[end] == ":"
+            shown.append(wreath.decode(data))
+        assert shown == [e.element for e in certificate.details.freeness]
+        assert len(set(shown)) == len(shown) == 23
+
 
 class TestDeterminism:
     def test_build_twice_is_identical(self, tmp_path):
@@ -974,6 +988,23 @@ class TestUsageMessages:
         path = write(tmp_path / "config.json", config)
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == f"error: degree must be a positive integer, got {degree}\n"
+
+    @pytest.mark.parametrize(
+        "degree, images", [(7, [list(range(8))]), (2, [[1, 0], list(range(8))])], ids=["only", "second"]
+    )
+    def test_free_quotient_degree_must_match_the_listed_images(self, tmp_path, capsys, degree, images):
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": len(images)}},
+            approximations={
+                "lamp": {"kind": "regular"},
+                "base": {"kind": "free-quotient", "degree": degree, "images": images, "radius": 1},
+            },
+            F=[{"left": [], "right": [1]}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == f"error: free-quotient degree {degree} does not match an image on 8 points\n"
+        assert not (tmp_path / "x.json").exists()
 
     @pytest.mark.parametrize("kind", [[1], {"kind": "cyclic"}], ids=["list", "object"])
     def test_unhashable_group_kind(self, tmp_path, capsys, kind):

@@ -23,6 +23,7 @@ from soficwreath.construct import (
     make_budget,
     wreath_approx_from_json,
 )
+from soficwreath.groups import WreathElement
 from soficwreath.perm import Permutation
 from soficwreath.sofic import SoficApprox
 
@@ -178,6 +179,26 @@ class TestRuleCache:
         copy = replace(approx, block=short)
         assert copy == fresh and copy._cache == {}
         assert [copy.rule(u) for u in elements] == [fresh.rule(u) for u in elements] != before
+
+    def test_verify_keeps_only_the_values_of_the_windows(self):
+        """After ``verify_construction`` the cache holds values of the closure,
+        the lamp-only (f, 1) and the base-only (1, h) alone; a pair product
+        outside them is built again on each call."""
+        wreath = sw.wreath_product(sw.integers(), sw.integers())
+        light, step = wreath.element({0: 1}, 0), wreath.element({}, 1)
+        approx = sw.build(sw.cyclic_quotient(8), sw.cyclic_quotient(16), [light, step], Fraction(1, 2))
+        windows = approx.windows
+        kept = {
+            *windows.closure,
+            *(WreathElement(f, wreath.base.identity()) for f in windows.lamp_window),
+            *(WreathElement(wreath.lamps.identity(), h) for h in windows.mover_window),
+        }
+        assert sw.verify_construction(approx).passed
+        assert set(approx._cache) <= kept
+        assert len(approx._cache) <= len(windows.closure) + len(windows.lamp_window) + len(windows.mover_window)
+        assert approx.rule(light) is approx.rule(light)
+        outside = next(w for u in windows.closure for v in windows.closure if (w := wreath.mul(u, v)) not in kept)
+        assert approx.rule(outside) == approx.rule(outside) and approx.rule(outside) is not approx.rule(outside)
 
 class TestGoodBlocks:
     def test_regular_rep_all_blocks_good(self):
