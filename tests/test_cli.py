@@ -867,9 +867,8 @@ class TestReport:
         certificate, wreath = verify.certificate_from_json(json.loads(SMALL_CERTIFICATE.read_text()))
         shown = []
         for line in lines[lines.index("freeness report:") + 1 :]:
-            kind = "base moves" if line.startswith("  base moves ") else "lamps only"
-            assert line.startswith(f"  {kind} ")
-            data, end = json.JSONDecoder().raw_decode(line, len(f"  {kind} "))
+            head = next(head for head in ("  base moves ", "  lamps only ") if line.startswith(head))
+            data, end = json.JSONDecoder().raw_decode(line, len(head))
             assert line[end] == ":"
             shown.append(wreath.decode(data))
         assert shown == [e.element for e in certificate.details.freeness]
