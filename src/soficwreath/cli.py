@@ -201,13 +201,20 @@ def _cmd_verify(args) -> int:
 
 
 def _render_text(certificate, wreath: WreathProduct) -> str:
+    from .verify import _witness_groups
+
+    def at(groups, pair):  # as the failure lines print a pair
+        return "at pair ({}, {})".format(*(g.show(x) for g, x in zip(groups, pair)))
+
     details = certificate.details
     almost, bounds = details.almost_hom, details.bounds
+    shown = {name: at(groups, getattr(almost, name).witness) for name, groups in _witness_groups(wreath)}
+    defect, pair = certificate.worst_defect
     lines = [
         f"sofic certificate: {'PASS' if certificate.passed else 'FAIL'}",
         f"window: {len(certificate.window)} elements, eps = {certificate.eps}",
         "identity value is identity: yes",  # build rejects any other rule(1)
-        f"multiplicativity: {len(certificate.mult_defects)} pairs, worst defect {certificate.worst_defect[0]}",
+        f"multiplicativity: {len(certificate.mult_defects)} pairs, worst defect {defect} {at((wreath, wreath), pair)}",
         f"freeness: {len(details.freeness)} elements, least margin {certificate.min_margin[0]}"
         if details.freeness
         else "freeness: vacuous (no non-identity targets)",
@@ -215,8 +222,8 @@ def _render_text(certificate, wreath: WreathProduct) -> str:
     ]
     for name, bound in zip(("lamp_mult", "base_mult", "split", "intertwine"), bounds.values()):
         bullet = getattr(almost, name)
-        lines.append(f"  {name:10s} defect {bullet.defect!s:>8}  bound {bound!s:>8}  threshold {bullet.threshold}")
-    lines.append(f"  conclusion defect {almost.conclusion.defect} (eps {certificate.eps})")
+        lines.append(f"  {name:10s} defect {bullet.defect!s:>8}  bound {bound!s:>8}  threshold {bullet.threshold}  {shown[name]}")
+    lines.append(f"  conclusion defect {almost.conclusion.defect} (eps {certificate.eps}) {shown['conclusion']}")
     lines.append("freeness report:")
     lines += [
         f"  base moves {wreath.show(e.element)}: margin {e.margin} >= base margin {e.base_margin}"

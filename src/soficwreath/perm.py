@@ -7,16 +7,27 @@ i.e. the right factor acts first.  Every distance is an exact ``Fraction``
 derived from those, never the other way around.  ``Permutation(...)`` and the
 public constructors check the bijection; ``compose`` and ``inverse`` skip it
 through ``_trusted``, as products and inverses of bijections are bijections.
+
+Every permutation of degree n holds the int objects of ``points(n)``, one
+``tuple(range(n))`` per degree: the check stores picks from it, and products
+and inverses pick from those.  So equal images hold the same objects, and
+tuple ``==``, which treats identical entries as equal, compares by pointer.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import count
+from functools import cache
 from operator import eq, itemgetter
 
 from ._record import record
 from .jsonutil import all_ints, is_int
+
+
+@cache
+def points(n: int) -> tuple[int, ...]:
+    """``tuple(range(n))``, made once per degree: the entries of every image of degree n."""
+    return tuple(range(n))
 
 
 @record
@@ -30,16 +41,18 @@ class Permutation:
     image: tuple[int, ...]
 
     def __post_init__(self):
-        if not isinstance(self.image, tuple):
-            object.__setattr__(self, "image", tuple(self.image))
-        n = len(self.image)
+        image = self.image if isinstance(self.image, tuple) else tuple(self.image)
+        n = len(image)
         if n == 0:
             raise ValueError("empty carrier")
-        seen = [False] * n
-        for x in self.image:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
-                raise ValueError(f"not a bijection of range({n}): {self.image}")
-            seen[x] = True
+        try:  # the picks from points(n) are the stored image; an index out of range fails here
+            shared = itemgetter(*image)(points(n)) if n > 1 else (points(1)[image[0]],)
+        except (IndexError, TypeError):
+            shared = ()
+        ints = all(issubclass(t, int) for t in set(map(type, image)))
+        if len(set(shared)) != n or not ints or min(image) < 0:  # a negative index would wrap
+            raise ValueError(f"not a bijection of range({n}): {image}")
+        object.__setattr__(self, "image", shared)
 
     @classmethod
     def _trusted(cls, image: tuple[int, ...]) -> "Permutation":
@@ -53,7 +66,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
+        return cls._trusted(points(n)) if n >= 1 else cls(())  # cls(()) raises "empty carrier"
 
     def __call__(self, i: int) -> int:
         return self.image[i]
@@ -66,16 +79,16 @@ class Permutation:
         inv = self.__dict__.get("_inverse")
         if inv is None:
             image = [0] * len(self.image)
-            for i, x in enumerate(self.image):
+            for i, x in zip(points(len(image)), self.image):
                 image[x] = i
             inv = self.__dict__["_inverse"] = Permutation._trusted(tuple(image))
         return inv
 
     def is_identity(self) -> bool:
-        return all(map(eq, self.image, count()))
+        return self.image == points(len(self.image))
 
     def fixed_points(self) -> int:
-        return sum(map(eq, self.image, count()))
+        return sum(map(eq, self.image, points(len(self.image))))
 
     def distance(self, other: "Permutation") -> Fraction:
         return hamming(self, other)
@@ -143,9 +156,9 @@ def random_permutation(degree: int, seed: int) -> Permutation:
 
 def draw_permutation(degree: int, rng: random.Random) -> Permutation:
     """Like random_permutation but drawing from a caller-owned stream."""
-    points = list(range(degree))
-    rng.shuffle(points)
-    return Permutation(tuple(points))
+    image = list(range(degree))
+    rng.shuffle(image)
+    return Permutation(tuple(image))
 
 
 def transposition(n: int, i: int, j: int) -> Permutation:

@@ -28,7 +28,7 @@ from typing import Any, Mapping
 from ._record import record
 from .groups import Group, FreeGroup, group_from_descriptor, integers
 from .jsonutil import checked, is_positive_int
-from .perm import Permutation, transposition
+from .perm import Permutation, points, transposition
 
 
 class WindowViolationError(ValueError):
@@ -202,7 +202,8 @@ def cyclic_quotient(n: int, window=None) -> SoficApprox:
         raise ValueError("carrier size must be >= 1")
     if window is None:
         window = range(-(n - 1), n)
-    rule = {k: Permutation((*range(k % n, n), *range(k % n))) for k in window}
+    pts = points(n)
+    rule = {k: Permutation(pts[k % n :] + pts[: k % n]) for k in window}
     return SoficApprox(integers(), n, rule)
 
 

@@ -217,3 +217,31 @@ def shown_elements(line: str) -> list:
     if rest.startswith("pair ("):
         return [json.loads(text) for text in rest[len("pair (") : rest.index(")")].split(", ")]
     return [json.loads(rest.split(": ", 1)[0])]
+
+
+def shown_witnesses(report: str, wreath) -> dict:
+    """Each witness pair that ``report --format text`` prints, decoded with the
+    groups of its two elements: the worst pair of the ``multiplicativity:``
+    line and each bullet's pair, by the line's first word."""
+    lamps, base = wreath.lamps, wreath.base
+    groups = {
+        "multiplicativity:": (wreath, wreath),
+        "lamp_mult": (lamps, lamps),
+        "base_mult": (base, base),
+        "split": (lamps, base),
+        "intertwine": (lamps, base),
+        "conclusion": (wreath, wreath),
+    }
+    shown = {}
+    for line in report.splitlines():
+        name = line.split(maxsplit=1)[0] if line.strip() else None
+        if name in groups:
+            shown[name] = tuple(g.decode(x) for g, x in zip(groups[name], shown_elements(line)))
+    return shown
+
+
+def report_witnesses(certificate) -> dict:
+    """The witness pairs ``shown_witnesses`` must read back from ``certificate``."""
+    hom = certificate.details.almost_hom
+    names = ("lamp_mult", "base_mult", "split", "intertwine", "conclusion")
+    return {"multiplicativity:": certificate.worst_defect[1]} | {n: getattr(hom, n).witness for n in names}

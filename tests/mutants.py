@@ -77,6 +77,23 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "inverse-fresh-points",
+        "perm.py",
+        "            for i, x in zip(points(len(image)), self.image):\n",
+        "            for i, x in enumerate(self.image):\n",
+        ("tests/test_perm.py::TestSharedPoints::test_every_constructor_shares_points",),
+    ),
+    Mutant(
+        "bijection-check-no-lower-bound",
+        "perm.py",
+        " or min(image) < 0:",
+        ":",
+        (
+            "tests/test_perm.py::TestValidationAndJson::test_bijection_check_matches_seen_loop",
+            "tests/test_perm.py::TestSharedPoints::test_every_constructor_shares_points",
+        ),
+    ),
+    Mutant(
         "gather-repeats-first-entry",
         "perm.py",
         "    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image\n",

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import soficwreath as sw
-from helpers import with_values
+from helpers import report_witnesses, shown_witnesses, with_values
 from soficwreath import cli, construct, verify
 from soficwreath.bigperm import CoordAction
 from soficwreath.cli import CERTIFICATE, OK, ORACLE, USAGE, main
@@ -873,6 +873,11 @@ class TestReport:
             shown.append(wreath.decode(data))
         assert shown == [e.element for e in certificate.details.freeness]
         assert len(set(shown)) == len(shown) == 23
+
+    def test_each_bullet_and_the_worst_pair_name_their_witness(self, capsys):
+        assert main(["report", "--certificate", str(SMALL_CERTIFICATE)]) == OK
+        certificate, wreath = verify.certificate_from_json(json.loads(SMALL_CERTIFICATE.read_text()))
+        assert shown_witnesses(capsys.readouterr().out, wreath) == report_witnesses(certificate)
 
 
 class TestDeterminism:

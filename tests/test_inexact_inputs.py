@@ -15,12 +15,15 @@ one size that passes and one that ``build`` rejects.  Its perturbed blocks
 are not compatible, so they leave the good set, and pairs whose base images
 differ there have a nonzero defect.
 """
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import soficwreath as sw
+from helpers import report_witnesses, shown_witnesses
+from soficwreath.cli import OK, main
 from soficwreath.verify import verify_construction
 
 # 20,000 lamp points, every lamp value perturbed: the input passes its
@@ -73,15 +76,32 @@ def perturbed_base(size: int):
     return sw.regular_rep(sw.cyclic(2)), sw.perturb(sw.cyclic_quotient(size, range(-8, 9)), 1, 2), targets
 
 
-def test_perturbed_base_passes_with_nonzero_pairs():
+@pytest.fixture(scope="module")
+def perturbed_base_pass():
+    """The built approximation on 16,000 perturbed base blocks and its certificate."""
     approx = sw.build(*perturbed_base(16_000), 1)
+    return approx, verify_construction(approx)
+
+
+def test_perturbed_base_passes_with_nonzero_pairs(perturbed_base_pass):
+    approx, cert = perturbed_base_pass
     assert len(approx.block.injective) == 16_000
     assert len(approx.block.good) == 15_952  # the compatible set removes 48 blocks
-    cert = verify_construction(approx)
     assert cert.passed and cert.details.within_bounds
     assert [d for d, _ in cert.mult_defects] == [0, 0, Fraction(3, 1600), Fraction(3, 8000)]
     hom = cert.details.almost_hom
     assert (hom.base_mult.defect, hom.intertwine.defect) == (Fraction(3, 8000), Fraction(3, 1600))
+
+
+def test_text_report_names_the_nonzero_witnesses(perturbed_base_pass, tmp_path, capsys):
+    approx, cert = perturbed_base_pass
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(cert.to_json(approx.wreath)))
+    assert main(["report", "--certificate", str(path)]) == OK
+    shown = shown_witnesses(capsys.readouterr().out, approx.wreath)
+    assert shown == report_witnesses(cert)
+    identity = approx.wreath.identity()
+    assert shown["multiplicativity:"] == cert.mult_defects[2][1] != (identity, identity)  # the worst, 3/1600
 
 
 def test_perturbed_base_on_fewer_blocks_is_rejected():

@@ -1,12 +1,14 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import soficwreath as sw
 from coord_oracle import check_bijection
 from helpers import rejection
-from sofic_oracle import inverse_image, product_image
+from sofic_oracle import inverse_image, product_distance, product_image
 from soficwreath.perm import (
     Permutation,
     agreement_count,
@@ -14,6 +16,7 @@ from soficwreath.perm import (
     compose,
     draw_permutation,
     hamming,
+    points,
     random_permutation,
     transposition,
 )
@@ -280,14 +283,24 @@ class TestValidationAndJson:
         assert s.image == (1, 2, 0) and s.inverse().image == (2, 0, 1)
 
     def test_bool_entries_count_as_ints(self):
-        assert Permutation((True, False)).degree == 2
+        p = Permutation((True, False))
+        assert p.degree == 2 and p.image == (1, 0) and all(type(x) is int for x in p.image)
+        assert p.to_json() == {"degree": 2, "image": [1, 0]} and Permutation.from_json(p.to_json()) == p
         with pytest.raises(ValueError, match="not a bijection"):
             Permutation((1, True))
 
     @settings(max_examples=300)
     @given(images)
+    @example((0, -1))  # a negative index wraps to the missing point
+    @example((-2, 1, 0))
     def test_bijection_check_matches_seen_loop(self, image):
         assert rejection(Permutation, image) == rejection(check_bijection, image)
+
+    @given(images)
+    def test_every_accepted_image_round_trips_through_json(self, image):
+        if rejection(check_bijection, image) is None:
+            p = Permutation(image)
+            assert Permutation.from_json(json.loads(json.dumps(p.to_json()))) == p
 
     @given(perms)
     def test_round_trip(self, s):
@@ -312,3 +325,65 @@ class TestValidationAndJson:
     def test_transposition_moves_two_points(self):
         t = transposition(5, 1, 3)
         assert hamming(t, Permutation.identity(5)) == Fraction(2, 5)
+
+
+@st.composite
+def wide_images(draw):
+    """A valid image of degree 257 to 600, above CPython's shared small ints,
+    whose entries are fresh int objects as JSON decoding makes them, and a copy
+    with one entry made negative (so that it would wrap to the point it names),
+    repeated, out of range, a bool or a float, or left as it is."""
+    n = draw(st.integers(min_value=257, max_value=600))
+    image = [int(str(x)) for x in range(n)]
+    random.Random(draw(st.integers(min_value=0, max_value=2**32))).shuffle(image)
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    kind = draw(st.sampled_from(["negative", "repeated", "too large", "bool", "float", "unchanged"]))
+    edited = list(image)
+    edited[i] = {
+        "negative": image[i] - n,
+        "repeated": image[i - 1],
+        "too large": n,
+        "bool": image[i] == 1,
+        "float": float(image[i]),
+        "unchanged": image[i],
+    }[kind]
+    return tuple(image), tuple(edited)
+
+
+def shares_points(p: Permutation) -> bool:
+    """Every entry of p's image is the int object of ``points(p.degree)``."""
+    pts = points(p.degree)
+    return all(x is pts[x] for x in p.image)
+
+
+class TestSharedPoints:
+    """Every permutation of degree n holds the int objects of ``points(n)``,
+    whichever constructor or kernel made it; checked above 256 points, where
+    equal ints are distinct objects unless the library shares them."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(wide_images(), st.integers(min_value=0, max_value=2**32))
+    @example((tuple(range(257)), (*range(256), -1)), 0)  # -1 would wrap to the missing point 256
+    def test_every_constructor_shares_points(self, images, seed):
+        image, edited = images
+        assert rejection(Permutation, edited) == rejection(check_bijection, edited)
+        n, rng = len(image), random.Random(seed)
+        s = Permutation(image)
+        t = Permutation.from_json(json.loads(json.dumps(draw_permutation(n, rng).to_json())))
+        identity = Permutation.identity(n)
+        assert s.image == image and identity.image == tuple(range(n))
+        assert compose(s, t).image == product_image(s, t) and s.inverse().image == inverse_image(s)
+        assert hamming(s, t) == product_distance(identity, s, t)
+        assert agreement_count(s, t) == n - product_distance(identity, s, t) * n
+        group = sw.free(2)
+        built = [
+            s, t, identity, s * t, t.inverse(), (s * t).inverse(),
+            transposition(n, 0, n - 1), draw_permutation(n, rng),
+            *sw.cyclic_quotient(n, range(-2, 3)).rule.values(),
+            *sw.quotient_by_images(group, [s, t], group.ball(2)).rule.values(),
+        ]
+        assert all(map(shares_points, built))
+
+    def test_regular_rep_shares_points(self):
+        approx = sw.regular_rep(sw.cyclic(300))
+        assert all(map(shares_points, approx.rule.values()))

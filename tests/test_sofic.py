@@ -350,6 +350,10 @@ class TestSerialization:
         approx = sw.quotient_by_images(group, images, group.ball(1))
         assert SoficApprox.from_json(approx.to_json()) == approx
 
+    def test_bool_entries_write_json_the_reader_accepts(self):
+        approx = SoficApprox(sw.cyclic(2), 2, {0: Permutation((False, True)), 1: Permutation((True, False))})
+        assert SoficApprox.from_json(json.loads(json.dumps(approx.to_json()))) == approx
+
     def test_rule_window_must_agree(self):
         # the window is the rule's key set: a stored window list naming other
         # elements, in either direction, is rejected on load
