@@ -34,7 +34,7 @@ from ._record import record
 from .bigperm import CoordAction
 from .groups import FinSuppMap, WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import frac_to_json, frac_from_json, same_json
-from .perm import Permutation, _gather
+from .perm import Permutation, gather
 from .sofic import CertificateError, SoficApprox, _require_window, require_sofic
 
 
@@ -182,7 +182,7 @@ def compute_good_blocks(sigma_B: SoficApprox, positions) -> GoodBlock:
     compatible = set(range(n))
     for h1 in positions:
         for h2 in positions:
-            qp, q2q1 = inv[base.mul(h1, h2)].image, _gather(inv[h2], inv[h1])
+            qp, q2q1 = inv[base.mul(h1, h2)].image, gather(inv[h2].image, inv[h1].image)
             if q2q1 != qp:  # equal images: every block is compatible at this pair
                 compatible.difference_update(compress(count(), map(ne, qp, q2q1)))
 

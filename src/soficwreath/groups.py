@@ -20,6 +20,7 @@ from typing import Any, Iterable, Iterator, NamedTuple
 
 from ._record import record
 from .jsonutil import all_ints, checked, is_int
+from .perm import gather, invert, points
 
 
 class Group:
@@ -108,16 +109,13 @@ class SymmetricGroup(Group):
             raise ValueError("symmetric group degree must be >= 1")
 
     def identity(self):
-        return tuple(range(self.k))
+        return points(self.k)
 
     def mul(self, a, b):
-        return tuple(a[x] for x in b)
+        return gather(a, b)
 
     def inv(self, a):
-        out = [0] * self.k
-        for i, x in enumerate(a):
-            out[x] = i
-        return tuple(out)
+        return invert(a)
 
     def elements(self):
         return itertools.permutations(range(self.k))

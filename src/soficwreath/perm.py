@@ -2,22 +2,24 @@
 
 A permutation is stored in word form: ``image[i]`` is where point ``i`` goes.
 Composition is right-to-left throughout the library: ``(s * t)(i) = s(t(i))``,
-i.e. the right factor acts first.  Every distance is an exact ``Fraction``
-(number of differing points over the carrier size); floating point views are
-derived from those, never the other way around.  ``Permutation(...)`` and the
-public constructors check the bijection; ``compose`` and ``inverse`` skip it
-through ``_trusted``, as products and inverses of bijections are bijections.
+i.e. the right factor acts first.  Every distance is an exact ``Fraction``.
 
-Every permutation of degree n holds the int objects of ``points(n)``, one
-``tuple(range(n))`` per degree: the check stores picks from it, and products
-and inverses pick from those.  So equal images hold the same objects, and
-tuple ``==``, which treats identical entries as equal, compares by pointer.
+Three kernels on word-form tuples make every identity, product and inverse
+word in the library, for ``Permutation``, ``SymmetricGroup``, the good-block
+test and the oracle alike: ``points(n)``, one ``tuple(range(n))`` per degree;
+``gather(image, indices)``, the word ``image[i]`` for each index; and
+``invert(image)``, filled from ``points(n)``.  ``gather`` and ``invert`` check
+nothing.  ``Permutation(...)`` and the public constructors check the bijection
+and store picks from ``points(n)``; ``compose`` and ``inverse`` skip the check
+through ``_trusted``, as products and inverses of bijections are bijections.
+So every image of degree n holds the int objects of ``points(n)``, and tuple
+``==``, which treats identical entries as equal, compares by pointer.
 """
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import eq, itemgetter
 
 from ._record import record
@@ -28,6 +30,19 @@ from .jsonutil import all_ints, is_int
 def points(n: int) -> tuple[int, ...]:
     """``tuple(range(n))``, made once per degree: the entries of every image of degree n."""
     return tuple(range(n))
+
+
+def gather(image: tuple, indices: tuple[int, ...]) -> tuple:
+    """``image[i]`` for each i of the non-empty ``indices``, in one C-level call."""
+    return itemgetter(*indices)(image) if len(indices) > 1 else (image[indices[0]],)
+
+
+def invert(image: tuple[int, ...]) -> tuple[int, ...]:
+    """The word form of the inverse of the bijection ``image``, filled from ``points(n)``."""
+    inverse = [0] * len(image)
+    for i, x in zip(points(len(image)), image):
+        inverse[x] = i
+    return tuple(inverse)
 
 
 @record
@@ -46,7 +61,7 @@ class Permutation:
         if n == 0:
             raise ValueError("empty carrier")
         try:  # the picks from points(n) are the stored image; an index out of range fails here
-            shared = itemgetter(*image)(points(n)) if n > 1 else (points(1)[image[0]],)
+            shared = gather(points(n), image)
         except (IndexError, TypeError):
             shared = ()
         ints = all(issubclass(t, int) for t in set(map(type, image)))
@@ -74,15 +89,11 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
+    _inverse = cached_property(lambda self: Permutation._trusted(invert(self.image)))
+
     def inverse(self) -> "Permutation":
         """The inverse, computed once per instance and kept: the image never changes."""
-        inv = self.__dict__.get("_inverse")
-        if inv is None:
-            image = [0] * len(self.image)
-            for i, x in zip(points(len(image)), self.image):
-                image[x] = i
-            inv = self.__dict__["_inverse"] = Permutation._trusted(tuple(image))
-        return inv
+        return self._inverse
 
     def is_identity(self) -> bool:
         return self.image == points(len(self.image))
@@ -111,15 +122,10 @@ def _check_degrees(s: Permutation, t: Permutation):
         raise ValueError(f"carrier mismatch: degree {len(s.image)} vs {len(t.image)}")
 
 
-def _gather(s: Permutation, t: Permutation) -> tuple[int, ...]:
-    """The image of s * t, ``s.image[t.image[i]]`` for every i, in one C-level call."""
-    _check_degrees(s, t)
-    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image
-
-
 def compose(s: Permutation, t: Permutation) -> Permutation:
     """Compose two permutations, right factor first: (s*t)(i) = s(t(i))."""
-    return Permutation._trusted(_gather(s, t))
+    _check_degrees(s, t)
+    return Permutation._trusted(gather(s.image, t.image))
 
 
 def hamming(s: Permutation, t: Permutation) -> Fraction:

@@ -24,7 +24,7 @@ witness rule and the pass rule are those of the input certificates, in ``sofic``
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import count, product
 from operator import eq, itemgetter
 from typing import Any, Callable
@@ -34,7 +34,7 @@ from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image, identity_ac
 from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
-from .perm import Permutation, _gather
+from .perm import Permutation, gather
 from .sofic import CertificateError, failing_parts, pair_defects, worst
 
 
@@ -381,12 +381,7 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     ):
         raise ValueError("certificate is not for the approximation's target window")
     n = approx.carrier_size()
-    explicit = {}
-
-    def expand(u):
-        if (value := explicit.get(u)) is None:
-            value = explicit[u] = expand_explicit(approx.rule(u), cap)
-        return value
+    expand = cache(lambda u: expand_explicit(approx.rule(u), cap))
 
     def pair(u, v):
         return f"pair ({wreath.show(u)}, {wreath.show(v)})"
@@ -404,7 +399,7 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     for (d_fact, listed), ((u, ru, eu), (v, rv, ev)) in zip(certificate.mult_defects, product(values, repeat=2)):
         if listed != (u, v):
             raise ValueError(f"certificate does not list {pair(u, v)} in order")
-        w, ruv, composed = wreath.mul(u, v), ru * rv, _gather(eu, ev)
+        w, ruv, composed = wreath.mul(u, v), ru * rv, gather(eu.image, ev.image)
         if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != composed:
             mismatches.append(f"composition mismatch at {pair(u, v)}")
             continue

@@ -25,8 +25,8 @@ MUTANTS = (
     Mutant(
         "compose-factor-swap",
         "perm.py",
-        "    return Permutation._trusted(_gather(s, t))\n",
-        "    return Permutation._trusted(_gather(t, s))\n",
+        "    return Permutation._trusted(gather(s.image, t.image))\n",
+        "    return Permutation._trusted(gather(t.image, s.image))\n",
         (
             "tests/test_perm.py::TestCompose::test_right_factor_first",
             "tests/test_sofic.py::TestMultiplicative::test_product_acts_right_factor_first",
@@ -79,8 +79,8 @@ MUTANTS = (
     Mutant(
         "inverse-fresh-points",
         "perm.py",
-        "            for i, x in zip(points(len(image)), self.image):\n",
-        "            for i, x in enumerate(self.image):\n",
+        "    for i, x in zip(points(len(image)), image):\n",
+        "    for i, x in enumerate(image):\n",
         ("tests/test_perm.py::TestSharedPoints::test_every_constructor_shares_points",),
     ),
     Mutant(
@@ -96,12 +96,33 @@ MUTANTS = (
     Mutant(
         "gather-repeats-first-entry",
         "perm.py",
-        "    return itemgetter(*t.image)(s.image) if len(s.image) > 1 else s.image\n",
-        "    image = itemgetter(*t.image)(s.image)\n    return (image[0],) * 2 + image[2:] if len(s.image) > 1 else s.image\n",
+        "    return itemgetter(*indices)(image) if len(indices) > 1 else (image[indices[0]],)\n",
+        "    picks = itemgetter(*indices)(image)\n    return (picks[0],) * 2 + picks[2:] if len(indices) > 1 else (image[indices[0]],)\n",
         (
             "tests/test_perm.py::TestCompose::test_right_factor_first",
             "tests/test_perm.py::TestGatherKernels::test_compose_matches_pointwise",
             "tests/test_construct.py::TestGoodBlocks::test_matches_pointwise_oracle",
+        ),
+    ),
+    Mutant(
+        "invert-swaps-point-and-image",
+        "perm.py",
+        "        inverse[x] = i\n",
+        "        inverse[i] = x\n",
+        (
+            "tests/test_perm.py::TestGatherKernels::test_gather_and_invert_match_the_references",
+            "tests/test_perm.py::TestInverse::test_kept_inverse_equals_a_fresh_one",
+            "tests/test_groups.py::test_group_axioms[sym3]",
+        ),
+    ),
+    Mutant(
+        "symmetric-mul-factor-swap",
+        "groups.py",
+        "        return gather(a, b)\n",
+        "        return gather(b, a)\n",
+        (
+            "tests/test_groups.py::TestConcreteGroups::test_symmetric_composes_and_inverts_as_permutations[3]",
+            "tests/test_groups.py::TestConcreteGroups::test_symmetric_composes_and_inverts_as_permutations[4]",
         ),
     ),
     # the fast paths for equal values
@@ -302,11 +323,16 @@ MUTANTS = (
         "            if True:\n",
         ("tests/test_construct.py::TestRuleCache::test_verify_keeps_only_the_values_of_the_windows",),
     ),
-    # Equivalent, and so not in the table: "good-bound-unchecked", which makes
-    # check_good_block_bound skip its AssertionError, survives every test.  The
-    # assertion restates the good-block lemma, which the input certificate at
-    # input_tolerance < block_tolerance / (4 w^2) already proves, so only a
-    # fault in compute_good_blocks could make it fire.
+    # The assertion restates the good-block lemma, which the input certificate
+    # at input_tolerance < block_tolerance / (4 w^2) already proves, so only a
+    # fault in compute_good_blocks makes it fire: the test plants one.
+    Mutant(
+        "good-bound-unchecked",
+        "construct.py",
+        "    if len(block.good) < (1 - budget.block_tolerance) * sigma_B.carrier_size:\n",
+        "    if False:\n",
+        ("tests/test_construct.py::TestGoodBlocks::test_too_few_good_blocks_after_certified_inputs_is_a_library_bug",),
+    ),
     # rule(1) = id, checked once where build assembles the rule
     Mutant(
         "build-skips-identity-check",
@@ -416,6 +442,30 @@ MUTANTS = (
         "        if p.degree != degree:\n",
         "        if False:\n",
         ("tests/test_sofic.py::TestGenerators::test_quotient_by_images_of_unequal_degrees_is_refused",),
+    ),
+    Mutant(
+        "transposition-unchecked",
+        "perm.py",
+        "    if not (0 <= i < n and 0 <= j < n and i != j):\n",
+        "    if False:\n",
+        ("tests/test_perm.py::TestValidationAndJson::test_transposition_refuses_points_outside_the_carrier_or_equal",),
+    ),
+    Mutant(
+        "image-count-unchecked",
+        "sofic.py",
+        "    if len(images) != group.rank:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::TestBuild::test_free_quotient_with_fewer_images_than_the_rank_is_usage_error",),
+    ),
+    Mutant(
+        "perturb-rate-unchecked",
+        "sofic.py",
+        "    if not 0 <= rate <= 1:\n",
+        "    if False:\n",
+        (
+            "tests/test_cli.py::TestBuild::test_perturb_rate_outside_zero_one_is_usage_error[above_one]",
+            "tests/test_cli.py::TestBuild::test_perturb_rate_outside_zero_one_is_usage_error[below_zero]",
+        ),
     ),
     Mutant(
         "perturb-skips-two-points",

@@ -345,6 +345,25 @@ class TestBuild:
         assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
         assert capsys.readouterr().err == "error: free-quotient images must be lists of integers\n"
 
+    def test_free_quotient_with_fewer_images_than_the_rank_is_usage_error(self, tmp_path, capsys):
+        base = {"kind": "free-quotient", "degree": 2, "images": [[1, 0]], "radius": 1}
+        config = small_config(
+            groups={"lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "free", "rank": 2}},
+            approximations={"lamp": {"kind": "regular"}, "base": base},
+            F=[{"left": [], "right": [1]}],
+        )
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: need 2 images, got 1\n"
+
+    @pytest.mark.parametrize("rate", ["3/2", "-1/2"], ids=["above_one", "below_zero"])
+    def test_perturb_rate_outside_zero_one_is_usage_error(self, tmp_path, capsys, rate):
+        base = {"kind": "perturb", "base": {"kind": "regular"}, "rate": rate, "seed": 5}
+        config = small_config(approximations={"lamp": {"kind": "regular"}, "base": base})
+        path = write(tmp_path / "config.json", config)
+        assert main(["build", "--config", path, "--out", str(tmp_path / "x.json")]) == USAGE
+        assert capsys.readouterr().err == "error: rate must lie in [0, 1]\n"
+
     def test_boolean_free_quotient_image_is_usage_error(self, tmp_path, capsys):
         base = {"kind": "free-quotient", "degree": 2, "images": [[True, False]], "radius": 1}
         config = small_config(
@@ -534,6 +553,38 @@ class TestVerify:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["pass"] is True
         assert "oracle: all distances confirmed on 72 points" in captured.err
+
+    @pytest.mark.parametrize(
+        "lamp, targets, points",
+        [
+            (
+                {"kind": "wreath", "lamp": {"kind": "cyclic", "n": 2}, "base": {"kind": "cyclic", "n": 2}},
+                [{"left": [[0, {"left": [[1, 1]], "right": 1}]], "right": 1}, {"left": [], "right": 1}],
+                128,
+            ),
+            (
+                {"kind": "direct-sum", "lamp": {"kind": "cyclic", "n": 2}, "index": {"kind": "cyclic", "n": 2}},
+                [{"left": [[0, [[1, 1]]]], "right": 1}, {"left": [[1, [[0, 1], [1, 1]]]], "right": 0}],
+                32,
+            ),
+        ],
+        ids=["wreath", "direct_sum"],
+    )
+    def test_iterated_lamp_group_builds_verifies_and_reports(self, tmp_path, capsys, lamp, targets, points):
+        # the theorem applies to its own output: the lamp group is itself a wreath product or a direct sum
+        config = small_config(groups={"lamp": lamp, "base": {"kind": "cyclic", "n": 2}}, F=targets)
+        out = tmp_path / "artifact.json"
+        assert main(["build", "--config", write(tmp_path / "config.json", config), "--out", str(out)]) == OK
+        assert json.loads(out.read_text())["group"]["lamp"] == lamp
+        capsys.readouterr()
+        assert main(["verify", "--approx", str(out), "--oracle"]) == OK
+        captured = capsys.readouterr()
+        assert captured.err == f"oracle: all distances confirmed on {points} points\n"
+        assert json.loads(captured.out)["pass"] is True
+        certificate = tmp_path / "certificate.json"
+        certificate.write_text(captured.out)
+        assert main(["report", "--certificate", str(certificate), "--format", "json"]) == OK
+        assert capsys.readouterr().out == captured.out
 
     @pytest.mark.parametrize(
         "eps", [{"num": 1, "den": 0}, {"num": True, "den": 2}], ids=["zero_den", "bool_num"]

@@ -240,6 +240,15 @@ class TestGoodBlocks:
         assert block.compatible == frozenset(range(6))
         assert block == sofic_oracle.compute_good_blocks(sw.regular_rep(group), elements)
 
+    def test_too_few_good_blocks_after_certified_inputs_is_a_library_bug(self, monkeypatch):
+        # certified inputs force enough good blocks, so only a faulty compute_good_blocks gets here
+        wreath = sw.wreath_product(sw.cyclic(2), sw.integers())
+        windows = derive_windows(wreath, [wreath.element({}, 2)])
+        none = GoodBlock(injective=frozenset(), compatible=frozenset(), good=frozenset())
+        monkeypatch.setattr(construct, "compute_good_blocks", lambda sigma_B, positions: none)
+        with pytest.raises(AssertionError, match="good-block bound violated despite certified inputs"):
+            construct.check_good_block_bound(sw.cyclic_quotient(64), windows, make_budget(1, 3))
+
     def test_good_blocks_recheckable_pointwise(self):
         approx = sw.perturb(sw.cyclic_quotient(16), Fraction(1, 2), seed=4)
         positions = [-1, 0, 1]

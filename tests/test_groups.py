@@ -9,6 +9,7 @@ import group_oracle
 from group_oracle import wreath_mul
 from helpers import projections
 from soficwreath.groups import group_from_descriptor
+from soficwreath.perm import Permutation
 
 
 KLEIN = [
@@ -78,6 +79,16 @@ class TestConcreteGroups:
     def test_symmetric_on_one_point_is_the_trivial_group(self):
         group = sw.symmetric(1)
         assert list(group.elements()) == [(0,)] == [group.identity()]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_symmetric_composes_and_inverts_as_permutations(self, k):
+        group = sw.symmetric(k)
+        elements = [Permutation(a) for a in group.elements()]
+        assert group.identity() == Permutation.identity(k).image
+        for s in elements:
+            assert group.inv(s.image) == s.inverse().image
+            for t in elements:
+                assert group.mul(s.image, t.image) == (s * t).image
 
     def test_free_reduction(self):
         group = sw.free(2)

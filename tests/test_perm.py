@@ -1,6 +1,7 @@
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +16,9 @@ from soficwreath.perm import (
     agreement_fraction,
     compose,
     draw_permutation,
+    gather,
     hamming,
+    invert,
     points,
     random_permutation,
     transposition,
@@ -159,9 +162,24 @@ def product_triples(draw):
     return s, t, {"reversed": Permutation(product_image(t, s)), "random": other}.get(kind, exact)
 
 
+@st.composite
+def fresh_images(draw):
+    """Two images of one degree, 1, 2 or 257 to 600, whose entries are fresh
+    int objects, as JSON decoding makes them above 256."""
+    n = draw(st.one_of(st.sampled_from([1, 2]), st.integers(min_value=257, max_value=600)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    images = []
+    for _ in range(2):
+        image = [int(str(x)) for x in range(n)]
+        rng.shuffle(image)
+        images.append(tuple(image))
+    return tuple(images)
+
+
 class TestGatherKernels:
-    """``compose`` builds a product in one C-level gather; it and the distance
-    of a product, exact or not, are checked here against point-by-point products."""
+    """The word-form kernels ``gather`` and ``invert``, ``compose`` built on
+    ``gather``, and the distance of a product, exact or not, are checked here
+    against point-by-point products and inverses."""
 
     @given(same_degree_perms(2))
     def test_compose_matches_pointwise(self, pair):
@@ -174,6 +192,18 @@ class TestGatherKernels:
         s, t, u = triple
         image = product_image(s, t)
         assert hamming(s * t, u) == Fraction(sum(1 for i in range(u.degree) if image[i] != u.image[i]), u.degree)
+
+    @settings(max_examples=20, deadline=None)
+    @given(fresh_images())
+    @example(((0,), (0,)))
+    @example(((1, 0), (1, 0)))
+    def test_gather_and_invert_match_the_references(self, pair):
+        a, b = pair
+        s, t = SimpleNamespace(image=a), SimpleNamespace(image=b)
+        assert gather(a, b) == product_image(s, t) and gather(b, a) == product_image(t, s)
+        inverse = invert(a)
+        assert type(inverse) is tuple and inverse == inverse_image(s)
+        assert all(x is points(len(a))[x] for x in inverse)
 
     def test_inexact_product_is_counted(self):
         s, t = perm(1, 2, 0, 3), perm(0, 1, 3, 2)
@@ -325,6 +355,11 @@ class TestValidationAndJson:
     def test_transposition_moves_two_points(self):
         t = transposition(5, 1, 3)
         assert hamming(t, Permutation.identity(5)) == Fraction(2, 5)
+
+    def test_transposition_refuses_points_outside_the_carrier_or_equal(self):
+        for i, j in ((1, 1), (0, 5), (5, 0), (-1, 2)):
+            with pytest.raises(ValueError, match=rf"bad transposition \({i} {j}\) on 5 points"):
+                transposition(5, i, j)
 
 
 @st.composite
