@@ -111,11 +111,8 @@ class SymmetricGroup(Group):
     def identity(self):
         return points(self.k)
 
-    def mul(self, a, b):
-        return gather(a, b)
-
-    def inv(self, a):
-        return invert(a)
+    mul = staticmethod(gather)
+    inv = staticmethod(invert)
 
     def elements(self):
         return itertools.permutations(range(self.k))

@@ -89,7 +89,9 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         return compose(self, other)
 
-    _inverse = cached_property(lambda self: Permutation._trusted(invert(self.image)))
+    @cached_property
+    def _inverse(self) -> "Permutation":
+        return Permutation._trusted(invert(self.image))
 
     def inverse(self) -> "Permutation":
         """The inverse, computed once per instance and kept: the image never changes."""
@@ -154,8 +156,7 @@ def agreement_count(s: Permutation, t: Permutation) -> int:
 def random_permutation(degree: int, seed: int) -> Permutation:
     """Uniformly random permutation, deterministic for a fixed seed.
 
-    Fisher-Yates shuffle driven by ``random.Random(seed)`` (Mersenne
-    Twister), so the output is reproducible across runs.
+    A Fisher-Yates shuffle driven by ``random.Random(seed)`` (Mersenne Twister).
     """
     return draw_permutation(degree, random.Random(seed))
 

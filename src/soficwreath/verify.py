@@ -381,7 +381,10 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     ):
         raise ValueError("certificate is not for the approximation's target window")
     n = approx.carrier_size()
-    expand = cache(lambda u: expand_explicit(approx.rule(u), cap))
+
+    @cache
+    def expand(u):
+        return expand_explicit(approx.rule(u), cap)
 
     def pair(u, v):
         return f"pair ({wreath.show(u)}, {wreath.show(v)})"

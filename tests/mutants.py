@@ -118,8 +118,8 @@ MUTANTS = (
     Mutant(
         "symmetric-mul-factor-swap",
         "groups.py",
-        "        return gather(a, b)\n",
-        "        return gather(b, a)\n",
+        "    mul = staticmethod(gather)\n",
+        "    mul = staticmethod(lambda a, b: gather(b, a))\n",
         (
             "tests/test_groups.py::TestConcreteGroups::test_symmetric_composes_and_inverts_as_permutations[3]",
             "tests/test_groups.py::TestConcreteGroups::test_symmetric_composes_and_inverts_as_permutations[4]",

@@ -1,10 +1,10 @@
 """List the statements of ``src/soficwreath`` that no test executes.
 
-    python3 tests/unreached.py [PYTEST_ARGS ...]
+    python3 tests/unreached.py
 
-The script runs the test suite (``tests/`` unless arguments are given) in this
-process under ``sys.settrace`` and ``threading.settrace``, recording the lines
-run in ``src/soficwreath`` only, and finds every statement of each module there
+The script runs the whole test suite, ``tests/``, in this process under
+``sys.settrace`` and ``threading.settrace``, recording the lines run in
+``src/soficwreath`` only, and finds every statement of each module there
 with ``ast``, docstrings skipped.  A statement counts as reached when any line
 of its header runs: CPython reports a multi-line ``if (`` at a later line, and
 a decorated definition at its decorator.  The header of a simple statement is
@@ -85,8 +85,8 @@ class NoDeadlines:
         settings.load_profile("unreached")
 
 
-def run_traced(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
-    """pytest's exit code for ``args`` and the (file, line) pairs it ran in the package."""
+def run_traced() -> tuple[int, set[tuple[str, int]]]:
+    """pytest's exit code for ``tests/`` and the (file, line) pairs it ran in the package."""
     import pytest
 
     prefix, hits = f"{PACKAGE}{os.sep}", set()
@@ -102,18 +102,18 @@ def run_traced(args: list[str]) -> tuple[int, set[tuple[str, int]]]:
     threading.settrace(trace)
     sys.settrace(trace)
     try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *args], plugins=[NoDeadlines()])
+        code = pytest.main(["-q", "-p", "no:cacheprovider", "tests"], plugins=[NoDeadlines()])
     finally:
         sys.settrace(None)
         threading.settrace(None)
     return code, hits
 
 
-def main(argv: list[str]) -> int:
+def main() -> int:
     os.chdir(ROOT)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code, hits = run_traced(argv or ["tests"])
+    code, hits = run_traced()
     if code != 0:
         print(f"the suite did not pass (pytest exit {code}), so what it reaches is not known", file=sys.stderr)
         return 2
@@ -132,4 +132,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
