@@ -6,7 +6,9 @@ Three layers of checks, all exact:
   multiplicative on a window whenever its two restrictions are close to
   multiplicative, mixed values split, and the base conjugation intertwines
   with the index shift.  The checker measures the four hypotheses (at eps/6)
-  and the conclusion (at eps) independently and reports both.
+  and the conclusion (at eps) independently and reports both.  For the
+  construction, ``lamp_pair_defects`` computes the ``lamp_mult`` bullet from
+  sigma_A's agreement counts; ``oracle_check`` and the tests check it by composing.
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them; each
@@ -26,6 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import count, product
+from math import prod
 from operator import eq, itemgetter
 from typing import Any, Callable
 
@@ -34,7 +37,7 @@ from .bigperm import EXPANSION_CAP, expand_explicit, explicit_image, identity_ac
 from .construct import Budget, WindowSets, WreathApprox, make_budget
 from .groups import WreathElement, WreathProduct, group_from_descriptor
 from .jsonutil import checked, frac_from_json, frac_to_json, is_positive_int, same_json
-from .perm import Permutation, gather
+from .perm import Permutation, agreement_count, gather
 from .sofic import CertificateError, failing_parts, pair_defects, worst
 
 
@@ -93,11 +96,14 @@ def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
 
 
 def check_almost_homomorphism(
-    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps, lamp_defects=None
 ) -> AlmostHomReport:
     """Measure the four splitting hypotheses on the lamp and mover windows and,
     independently, the multiplicativity of the rule on the closure window.
-    Pairs run in the windows' sorted order, which fixes every witness."""
+    Pairs run in the windows' sorted order, which fixes every witness.  The
+    ``lamp_mult`` records are read from ``lamp_defects`` when it is given, as
+    ``detailed_reports`` gives ``lamp_pair_defects``; else, as for any other
+    rule, each lamp-only pair is composed and measured."""
     eps = Fraction(eps)
     lamps, base = wreath.lamps, wreath.base
     lamp_els, mover_els, closure_els = windows.lamp_window, windows.mover_window, windows.closure
@@ -108,7 +114,7 @@ def check_almost_homomorphism(
     def base_only(h):
         return rule(WreathElement(lamps.identity(), h))
 
-    lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els))
+    lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els) if lamp_defects is None else lamp_defects)
     base_mult = worst(pair_defects(base_only, base.mul, mover_els))
     split = worst(
         (rule(WreathElement(f, h)).distance(lamp_only(f) * base_only(h)), (f, h))
@@ -317,13 +323,45 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
     return certificate, wreath
 
 
+def lamp_pair_defects(approx: WreathApprox):
+    """The construction's ``lamp_mult`` records ``(d, (f, g))``, in the row-major
+    order of ``sofic.pair_defects`` over the lamp window, computed exactly from
+    sigma_A without composing: with P_f(x) = sigma_A(f(x)), or the identity,
+
+        d(f, g) = |good|/|B| (1 - prod_x a_x/|A|),  a_x = agreement_count(P_f(x) P_g(x), P_fg(x))
+
+    over x in supp f | supp g.  It rests on two invariants: ``build`` has checked
+    that rule(1), so sigma_B(1), is the identity, so every lamp-only value has
+    the identity as its base permutation; and ``derive_windows`` puts every
+    lamp-window support, and so that of fg, inside the positions.  So both sides
+    fix every block outside the good set, and write P(x) at each good block b
+    on the anchor sigma_B(x)^-1 b, distinct for distinct x.  An x that only one
+    of f and g lights has a_x = |A|, so x runs over supp f & supp g.  Each a_x
+    is counted once per pair of lamp values, in a table kept for one walk."""
+    lamp, sigma_A, a_size = approx.wreath.lamp, approx.sigma_A, approx.a_size
+    good, b_size = len(approx.block.good), approx.b_size
+
+    @cache
+    def agreement(a, b) -> int:
+        return agreement_count(sigma_A.evaluate(a) * sigma_A.evaluate(b), sigma_A.evaluate(lamp.mul(a, b)))
+
+    maps = [(f, dict(f.entries)) for f in approx.windows.lamp_window]
+    for f, at_f in maps:
+        for g, at_g in maps:
+            shared = at_f.keys() & at_g.keys()
+            agree, top = prod(agreement(at_f[x], at_g[x]) for x in shared), a_size ** len(shared)
+            yield Fraction(good * (top - agree), b_size * top), (f, g)
+
+
 def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
     bounds, and the decomposition of each freeness margin in ``free_margins``,
-    the (margin, element) records that ``verify_construction`` measured."""
+    the (margin, element) records that ``verify_construction`` measured.  The
+    ``lamp_mult`` bullet comes from ``lamp_pair_defects``, and every other
+    bullet from composition, as ``check_almost_homomorphism`` measures it."""
     wreath = approx.wreath
     budget = approx.budget
-    almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps)
+    almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps, lamp_pair_defects(approx))
     base_ident = Permutation.identity(approx.b_size)
     entries = tuple(
         _freeness_entry(wreath, budget, u, margin, lambda: approx.sigma_B.evaluate(u.right).distance(base_ident))
@@ -368,8 +406,11 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
 
     Each distinct value is expanded once, when first needed, and each
     ``rule(u) * rule(v)`` must expand to the composition of the expansions;
-    it is expanded only when it differs from ``rule(uv)``.  Raises ValueError
-    for another target window or a carrier over ``cap``; one line per mismatch.
+    it is expanded only when it differs from ``rule(uv)``.  The ``lamp_mult``
+    bullet, which ``lamp_pair_defects`` computes without composing, must be
+    the worst explicit distance over the lamp-window pairs, from the expansions
+    of (f, 1), (g, 1) and (fg, 1), at the same witness.  Raises ValueError for
+    another target window or a carrier over ``cap``; one line per mismatch.
     """
     wreath = approx.wreath
     targets = approx.windows.targets
@@ -386,8 +427,11 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     def expand(u):
         return expand_explicit(approx.rule(u), cap)
 
-    def pair(u, v):
-        return f"pair ({wreath.show(u)}, {wreath.show(v)})"
+    def pair(u, v, group=wreath):
+        return f"pair ({group.show(u)}, {group.show(v)})"
+
+    def lamp_only(f) -> tuple[int, ...]:
+        return expand(WreathElement(f, wreath.base.identity())).image
 
     def differs(d: Fraction, moved: int) -> bool:  # d != moved / n in integers: no Fraction for a match
         return d.numerator * n != moved * d.denominator
@@ -408,4 +452,14 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
             continue
         if differs(d_fact, moved := n - sum(map(eq, composed, expand(w).image))):
             mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {Fraction(moved, n)}")
+    lamps, lamp_els, bullet = wreath.lamps, approx.windows.lamp_window, certificate.details.almost_hom.lamp_mult
+    moved, (f, g) = worst(
+        (n - sum(map(eq, gather(lamp_only(f), lamp_only(g)), lamp_only(lamps.mul(f, g)))), (f, g))
+        for f in lamp_els
+        for g in lamp_els
+    )
+    if differs(bullet.defect, moved) or bullet.witness != (f, g):
+        mismatches.append(
+            f"lamp_mult mismatch: {bullet.defect} at {pair(*bullet.witness, lamps)} vs {Fraction(moved, n)} at {pair(f, g, lamps)}"
+        )
     return mismatches

@@ -149,6 +149,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "oracle-skips-lamp-bullet",
+        "verify.py",
+        "    if differs(bullet.defect, moved) or bullet.witness != (f, g):\n",
+        "    if False:\n",
+        (
+            "tests/test_verify.py::TestOracleCheck::test_tampered_lamp_bullet_is_reported",
+            "tests/test_verify.py::TestOracleCheck::test_tampered_margin_and_identity_are_reported",
+        ),
+    ),
+    # the lamp_mult bullet from sigma_A's agreement counts, against composition
+    Mutant(
+        "lamp-identity-no-good-scale",
+        "verify.py",
+        "            yield Fraction(good * (top - agree), b_size * top), (f, g)\n",
+        "            yield Fraction(top - agree, top), (f, g)\n",
+        ("tests/test_inexact_inputs.py::test_lamp_bullet_is_the_composed_one_with_and_without_a_good_block",),
+    ),
+    Mutant(
+        "lamp-identity-factor-swap",
+        "verify.py",
+        "agreement_count(sigma_A.evaluate(a) * sigma_A.evaluate(b), ",
+        "agreement_count(sigma_A.evaluate(b) * sigma_A.evaluate(a), ",
+        ("tests/test_inexact_inputs.py::test_lamp_bullet_of_noncommuting_lamps_is_the_composed_one",),
+    ),
+    Mutant(
+        "lamp-identity-union-denominator",
+        "verify.py",
+        "a_size ** len(shared)\n",
+        "a_size ** len(at_f.keys() | at_g.keys())\n",
+        ("tests/test_inexact_inputs.py::test_lamp_bullet_is_the_composed_one_with_and_without_a_good_block",),
+    ),
+    Mutant(
         "writer-heads-by-size",
         "jsonutil.py",
         "heads_of.get(keys := tuple(x))",

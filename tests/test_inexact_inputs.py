@@ -14,6 +14,11 @@ The base of ``Z/2 wr Z`` comes from a perturbed ``cyclic_quotient``, fixed at
 one size that passes and one that ``build`` rejects.  Its perturbed blocks
 are not compatible, so they leave the good set, and pairs whose base images
 differ there have a nonzero defect.
+
+``detailed_reports`` computes the ``lamp_mult`` bullet from sigma_A's
+agreement counts; on the perturbed lamps, with and without a good block, and
+on perturbed Sym(3) lamps, whose values do not commute, it must be the bullet
+that ``check_almost_homomorphism`` measures by composing each lamp-only pair.
 """
 import json
 from fractions import Fraction
@@ -22,9 +27,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import soficwreath as sw
-from helpers import report_witnesses, shown_witnesses
+from helpers import report_witnesses, shown_witnesses, without_lowest_good_block
 from soficwreath.cli import OK, main
-from soficwreath.verify import verify_construction
+from soficwreath.perm import Permutation
+from soficwreath.verify import check_almost_homomorphism, detailed_reports, verify_construction
 
 # 20,000 lamp points, every lamp value perturbed: the input passes its
 # certificate, and some pair defect of the wreath certificate is nonzero
@@ -45,12 +51,9 @@ def cases(draw):
     return b, size, rate, draw(st.integers(0, 99)), draw(st.sampled_from([Fraction(1, 3), Fraction(1, 2)])), targets
 
 
-@example(INEXACT)
-@example(INEXACT_ON_FOUR)
-@example(UNCERTIFIED)
-@settings(max_examples=12, deadline=None)
-@given(cases())
-def test_perturbed_lamps_build_only_when_certified_and_then_pass(case):
+def perturbed_lamps(case):
+    """The ``build`` arguments of a drawn case, and whether its lamp input holds
+    its certificate at the input tolerance."""
     b, size, rate, seed, eps, targets = case
     wreath = sw.wreath_product(sw.integers(), sw.cyclic(b))
     targets = [wreath.element(f, h) for f, h in targets]
@@ -58,15 +61,64 @@ def test_perturbed_lamps_build_only_when_certified_and_then_pass(case):
     m = max(map(abs, windows.lamp_values))
     lamps = sw.perturb(sw.cyclic_quotient(size, range(-2 * m, 2 * m + 1)), rate, seed)
     tolerance = sw.make_budget(eps, len(windows.positions)).input_tolerance
-    base = sw.regular_rep(sw.cyclic(b))
-    if not sw.is_sofic_approx(lamps, windows.lamp_values, tolerance).passed:
+    certified = sw.is_sofic_approx(lamps, windows.lamp_values, tolerance).passed
+    return (lamps, sw.regular_rep(sw.cyclic(b)), targets, eps), certified
+
+
+@example(INEXACT)
+@example(INEXACT_ON_FOUR)
+@example(UNCERTIFIED)
+@settings(max_examples=12, deadline=None)
+@given(cases())
+def test_perturbed_lamps_build_only_when_certified_and_then_pass(case):
+    inputs, certified = perturbed_lamps(case)
+    if not certified:
         with pytest.raises(sw.CertificateError, match="^lamp approximation fails"):
-            sw.build(lamps, base, targets, eps)
+            sw.build(*inputs)
         return
-    cert = verify_construction(sw.build(lamps, base, targets, eps))
+    cert = verify_construction(sw.build(*inputs))
     assert cert.passed and cert.details.within_bounds
     if case in (INEXACT, INEXACT_ON_FOUR):
         assert any(d for d, _ in cert.mult_defects)
+
+
+def lamp_bullets(approx):
+    """The ``lamp_mult`` bullet that ``detailed_reports`` computes, and the one
+    ``check_almost_homomorphism`` measures by composition."""
+    computed = detailed_reports(approx, ()).almost_hom.lamp_mult
+    return computed, check_almost_homomorphism(approx.rule, approx.wreath, approx.windows, approx.eps).lamp_mult
+
+
+@example(INEXACT)
+@example(INEXACT_ON_FOUR)
+@settings(max_examples=4, deadline=None)
+@given(cases())
+def test_lamp_bullet_is_the_composed_one_with_and_without_a_good_block(case):
+    inputs, certified = perturbed_lamps(case)
+    if not certified:
+        return
+    approx = sw.build(*inputs)
+    short = without_lowest_good_block(approx)
+    assert len(short.block.good) < short.b_size
+    (full, composed), (fewer, fewer_composed) = lamp_bullets(approx), lamp_bullets(short)
+    assert full == composed and fewer == fewer_composed
+    if case == INEXACT:  # 3 of 3 good blocks, then 2 of 3, with nonzero lamp terms
+        assert (full.defect, fewer.defect) == (Fraction(59991, 10**8), Fraction(19997, 5 * 10**7))
+
+
+def test_lamp_bullet_of_noncommuting_lamps_is_the_composed_one():
+    # Sym(3) acting on 3,000 copies of its regular representation, each value
+    # perturbed by a transposition, lighting two positions of Z/2 with two
+    # transpositions that do not commute
+    sym3 = sw.symmetric(3)
+    regular = sw.regular_rep(sym3).rule
+    copies = {g: Permutation(tuple(6 * k + i for k in range(3000) for i in p.image)) for g, p in regular.items()}
+    lamps = sw.perturb(sw.SoficApprox(sym3, 18_000, copies), 1, 0)
+    wreath = sw.wreath_product(sym3, sw.cyclic(2))
+    targets = [wreath.element({0: (1, 0, 2), 1: (0, 2, 1)}, 0), wreath.element({}, 1)]
+    computed, composed = lamp_bullets(sw.build(lamps, sw.regular_rep(sw.cyclic(2)), targets, Fraction(1, 2)))
+    assert computed == composed
+    assert computed.defect == Fraction(5999, 9_000_000)
 
 
 def perturbed_base(size: int):

@@ -33,6 +33,13 @@ def with_freeness(cert, freeness):
     return replace(cert, details=replace(cert.details, freeness=tuple(freeness)))
 
 
+def with_lamp_bullet(cert, **changes):
+    """``cert`` with ``changes`` to the fields of its ``lamp_mult`` bullet."""
+    hom = cert.details.almost_hom
+    bullet = replace(hom.lamp_mult, **changes)
+    return replace(cert, details=replace(cert.details, almost_hom=replace(hom, lamp_mult=bullet)))
+
+
 @pytest.fixture(scope="module")
 def wreath24():
     wreath = sw.wreath_product(sw.cyclic(2), sw.cyclic(3))
@@ -417,7 +424,8 @@ class TestOracleCheck:
 
     def test_tampered_margin_and_identity_are_reported(self):
         # rule(identity) cached as a base shift, which build would reject; the
-        # certificate is measured on the same values, so only these two lines differ
+        # certificate's pairs and margins are measured on the same values, but its
+        # lamp_mult bullet is computed from sigma_A, so the oracle finds that too
         approx = one_block_short(2, 3)
         shift = bigperm.CoordAction(2, 3, Permutation((1, 2, 0)), {})
         approx._cache[approx.wreath.identity()] = shift
@@ -428,8 +436,25 @@ class TestOracleCheck:
         expected = [
             "identity mismatch: rule(identity) does not expand to the identity",
             f"freeness distance mismatch at {approx.wreath.show(u)}: {m / 2} vs {m}",
+            "lamp_mult mismatch: 0 at pair ([], []) vs 1 at pair ([], [])",
         ]
         assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == expected
+
+    def test_tampered_lamp_bullet_is_reported(self):
+        # sigma_A is exact, so every lamp-only pair is at distance 0 and the first is the witness
+        approx = one_block_short(3, 2)
+        cert = verify_construction(approx)
+        first, second = approx.windows.lamp_window[:2]
+        assert cert.details.almost_hom.lamp_mult == BulletReport(0, (first, first), Fraction(1, 12))
+        show = approx.wreath.lamps.show
+        at_first = f"pair ({show(first)}, {show(first)})"
+        for tampered, listed in (
+            (with_lamp_bullet(cert, defect=Fraction(1, 7)), f"1/7 at {at_first}"),
+            (with_lamp_bullet(cert, witness=(first, second)), f"0 at pair ({show(first)}, {show(second)})"),
+        ):
+            assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == [
+                f"lamp_mult mismatch: {listed} vs 0 at {at_first}"
+            ]
 
     def test_distances_are_read_from_the_given_certificate(self, small_wreath):
         # same target window, every distance of the exact approximation: the

@@ -6,13 +6,16 @@ expands every value and every product again, point by point through
 ``coord_oracle.expand_explicit``, composes the expansions with
 ``Permutation.__mul__`` and measures with ``Permutation.distance``.  It
 returns the same mismatch lines in the same order, each element written as
-compact JSON of the group's encoding.
+compact JSON of the group's encoding.  It composes every lamp-window pair
+of expansions too, for the worst explicit ``lamp_mult`` distance.
 """
 import json
 from itertools import product
+from operator import itemgetter
 
 from coord_oracle import expand_explicit
 from soficwreath.bigperm import EXPANSION_CAP
+from soficwreath.groups import WreathElement
 from soficwreath.perm import Permutation
 
 
@@ -31,8 +34,11 @@ def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
     def expand(u):
         return expand_explicit(approx.rule(u), cap)
 
-    def show(u):
-        return json.dumps(wreath.encode(u), separators=(",", ":"))
+    def show(u, group=wreath):
+        return json.dumps(group.encode(u), separators=(",", ":"))
+
+    def lamp_only(f):
+        return expand(WreathElement(f, wreath.base.identity()))
 
     mismatches = []
     if expand(identity) != ident:
@@ -52,4 +58,15 @@ def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
         d_expl = composed.distance(expand(wreath.mul(u, v)))
         if d_fact != d_expl:
             mismatches.append(f"distance mismatch at {pair}: {d_fact} vs {d_expl}")
+    lamps, lamp_els, bullet = wreath.lamps, approx.windows.lamp_window, certificate.details.almost_hom.lamp_mult
+    d_expl, (f, g) = max(
+        (((lamp_only(f) * lamp_only(g)).distance(lamp_only(lamps.mul(f, g))), (f, g)) for f in lamp_els for g in lamp_els),
+        key=itemgetter(0),
+    )
+    if (bullet.defect, bullet.witness) != (d_expl, (f, g)):
+        f0, g0 = bullet.witness
+        mismatches.append(
+            f"lamp_mult mismatch: {bullet.defect} at pair ({show(f0, lamps)}, {show(g0, lamps)})"
+            f" vs {d_expl} at pair ({show(f, lamps)}, {show(g, lamps)})"
+        )
     return mismatches
