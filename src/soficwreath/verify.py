@@ -5,10 +5,10 @@ Three layers of checks, all exact:
 * ``check_almost_homomorphism``: a rule on the wreath product is close to
   multiplicative on a window whenever its two restrictions are close to
   multiplicative, mixed values split, and the base conjugation intertwines
-  with the index shift.  The checker measures the four hypotheses (at eps/6)
-  and the conclusion (at eps) independently and reports both.  For the
-  construction, ``lamp_pair_defects`` computes the ``lamp_mult`` bullet from
-  sigma_A's agreement counts; ``oracle_check`` and the tests check it by composing.
+  with the index shift.  The checker measures the four hypotheses (at eps/6),
+  in ``splitting_hypotheses``, and the conclusion (at eps) independently.  For
+  the construction, ``lamp_pair_defects`` gives the ``lamp_mult`` records
+  from sigma_A's agreement counts, without composing.
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them; each
@@ -16,8 +16,10 @@ Three layers of checks, all exact:
   ``(d, (u, v))`` of ``sofic.pair_defects``; its ``(m, u)`` are read from ``details``.
   ``to_json`` writes format 1, and ``certificate_from_json``, its one reader,
   checks every stored copy by re-encoding what it decodes.
-* ``oracle_check``: on carriers small enough to expand, a certificate's
-  distances and the rule's products agree with explicit permutations.
+* ``oracle_check``: on carriers small enough to expand, the rule's products
+  agree with explicit permutations, and so do a certificate's pair defects,
+  margins, base margins and four hypothesis bullets, the bullets through
+  ``splitting_hypotheses``.  The costly conclusion bullet is not re-measured.
 
 Checks accept rule values that are either ``Permutation`` or ``CoordAction``;
 both compose with ``*`` and measure with ``.distance``.  The pair walk, the
@@ -95,18 +97,17 @@ def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
     return AlmostHomReport(eps, *(BulletReport(d, w, t) for (d, w), t in zip(worst, thresholds)))
 
 
-def check_almost_homomorphism(
-    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps, lamp_defects=None
-) -> AlmostHomReport:
-    """Measure the four splitting hypotheses on the lamp and mover windows and,
-    independently, the multiplicativity of the rule on the closure window.
-    Pairs run in the windows' sorted order, which fixes every witness.  The
+def splitting_hypotheses(
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, lamp_defects=None
+) -> tuple:
+    """The four splitting hypotheses' worst ``(defect, witness)`` pairs, in
+    ``_witness_groups`` order, measured on the lamp and mover windows.  Pairs
+    run in the windows' sorted order, which fixes every witness.  The
     ``lamp_mult`` records are read from ``lamp_defects`` when it is given, as
     ``detailed_reports`` gives ``lamp_pair_defects``; else, as for any other
     rule, each lamp-only pair is composed and measured."""
-    eps = Fraction(eps)
     lamps, base = wreath.lamps, wreath.base
-    lamp_els, mover_els, closure_els = windows.lamp_window, windows.mover_window, windows.closure
+    lamp_els, mover_els = windows.lamp_window, windows.mover_window
 
     def lamp_only(f):
         return rule(WreathElement(f, base.identity()))
@@ -117,21 +118,22 @@ def check_almost_homomorphism(
     lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els) if lamp_defects is None else lamp_defects)
     base_mult = worst(pair_defects(base_only, base.mul, mover_els))
     split = worst(
-        (rule(WreathElement(f, h)).distance(lamp_only(f) * base_only(h)), (f, h))
-        for f in lamp_els
-        for h in mover_els
+        (rule(WreathElement(f, h)).distance(lamp_only(f) * base_only(h)), (f, h)) for f in lamp_els for h in mover_els
     )
     intertwine = worst(
-        (
-            (base_only(h) * lamp_only(f)).distance(lamp_only(lamps.shift(h, f)) * base_only(h)),
-            (f, h),
-        )
-        for f in lamp_els
-        for h in mover_els
+        ((base_only(h) * lamp_only(f)).distance(lamp_only(lamps.shift(h, f)) * base_only(h)), (f, h))
+        for f in lamp_els for h in mover_els
     )
-    conclusion = worst(pair_defects(rule, wreath.mul, closure_els))
+    return lamp_mult, base_mult, split, intertwine
 
-    return _almost_hom_report(eps, (lamp_mult, base_mult, split, intertwine, conclusion))
+
+def check_almost_homomorphism(
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps, lamp_defects=None
+) -> AlmostHomReport:
+    """The four ``splitting_hypotheses`` and, measured apart, the conclusion over the sorted closure window."""
+    hypotheses = splitting_hypotheses(rule, wreath, windows, lamp_defects)
+    conclusion = worst(pair_defects(rule, wreath.mul, windows.closure))
+    return _almost_hom_report(Fraction(eps), (*hypotheses, conclusion))
 
 
 # ---------------------------------------------------------------------------
@@ -406,11 +408,12 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
 
     Each distinct value is expanded once, when first needed, and each
     ``rule(u) * rule(v)`` must expand to the composition of the expansions;
-    it is expanded only when it differs from ``rule(uv)``.  The ``lamp_mult``
-    bullet, which ``lamp_pair_defects`` computes without composing, must be
-    the worst explicit distance over the lamp-window pairs, from the expansions
-    of (f, 1), (g, 1) and (fg, 1), at the same witness.  Raises ValueError for
-    another target window or a carrier over ``cap``; one line per mismatch.
+    it is expanded only when it differs from ``rule(uv)``.  Each pair defect,
+    margin and base margin is re-measured on the expansions, and so are the
+    four hypothesis bullets, defect and witness, by ``splitting_hypotheses``.
+    The conclusion bullet is not: its closure walk would add about a tenth to
+    a finite-oracle ``verify``.  Raises ValueError for another target window
+    or a carrier over ``cap``; one line per mismatch.
     """
     wreath = approx.wreath
     targets = approx.windows.targets
@@ -427,11 +430,8 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     def expand(u):
         return expand_explicit(approx.rule(u), cap)
 
-    def pair(u, v, group=wreath):
-        return f"pair ({group.show(u)}, {group.show(v)})"
-
-    def lamp_only(f) -> tuple[int, ...]:
-        return expand(WreathElement(f, wreath.base.identity())).image
+    def pair(witness, groups=(wreath, wreath)):
+        return "pair ({}, {})".format(*(g.show(x) for g, x in zip(groups, witness)))
 
     def differs(d: Fraction, moved: int) -> bool:  # d != moved / n in integers: no Fraction for a match
         return d.numerator * n != moved * d.denominator
@@ -439,27 +439,26 @@ def oracle_check(approx: WreathApprox, certificate: Certificate, cap: int = EXPA
     mismatches = []
     if not expand(identity).is_identity():
         mismatches.append("identity mismatch: rule(identity) does not expand to the identity")
-    for d_fact, u in certificate.free_margins:
-        if differs(d_fact, moved := n - expand(u).fixed_points()):
-            mismatches.append(f"freeness distance mismatch at {wreath.show(u)}: {d_fact} vs {Fraction(moved, n)}")
+    for e in certificate.details.freeness:
+        u, base_only = e.element, WreathElement(wreath.lamps.identity(), e.element.right)
+        if differs(e.margin, moved := n - expand(u).fixed_points()):
+            mismatches.append(f"freeness distance mismatch at {wreath.show(u)}: {e.margin} vs {Fraction(moved, n)}")
+        if e.base_margin is not None and differs(e.base_margin, moved := n - expand(base_only).fixed_points()):
+            mismatches.append(f"base margin mismatch at {wreath.show(u)}: {e.base_margin} vs {Fraction(moved, n)}")
     values = [(v, approx.rule(v), expand(v)) for v in targets]
     for (d_fact, listed), ((u, ru, eu), (v, rv, ev)) in zip(certificate.mult_defects, product(values, repeat=2)):
         if listed != (u, v):
-            raise ValueError(f"certificate does not list {pair(u, v)} in order")
+            raise ValueError(f"certificate does not list {pair((u, v))} in order")
         w, ruv, composed = wreath.mul(u, v), ru * rv, gather(eu.image, ev.image)
         if (expand(w).image if ruv == approx.rule(w) else explicit_image(ruv, cap)) != composed:
-            mismatches.append(f"composition mismatch at {pair(u, v)}")
+            mismatches.append(f"composition mismatch at {pair((u, v))}")
             continue
         if differs(d_fact, moved := n - sum(map(eq, composed, expand(w).image))):
-            mismatches.append(f"distance mismatch at {pair(u, v)}: {d_fact} vs {Fraction(moved, n)}")
-    lamps, lamp_els, bullet = wreath.lamps, approx.windows.lamp_window, certificate.details.almost_hom.lamp_mult
-    moved, (f, g) = worst(
-        (n - sum(map(eq, gather(lamp_only(f), lamp_only(g)), lamp_only(lamps.mul(f, g)))), (f, g))
-        for f in lamp_els
-        for g in lamp_els
-    )
-    if differs(bullet.defect, moved) or bullet.witness != (f, g):
-        mismatches.append(
-            f"lamp_mult mismatch: {bullet.defect} at {pair(*bullet.witness, lamps)} vs {Fraction(moved, n)} at {pair(f, g, lamps)}"
-        )
+            mismatches.append(f"distance mismatch at {pair((u, v))}: {d_fact} vs {Fraction(moved, n)}")
+    for (name, groups), (d, witness) in zip(_witness_groups(wreath), splitting_hypotheses(expand, wreath, approx.windows)):
+        bullet = getattr(certificate.details.almost_hom, name)
+        if bullet.defect != d or bullet.witness != witness:
+            mismatches.append(
+                f"{name} mismatch: {bullet.defect} at {pair(bullet.witness, groups)} vs {d} at {pair(witness, groups)}"
+            )
     return mismatches

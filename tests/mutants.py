@@ -149,14 +149,40 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "oracle-skips-lamp-bullet",
+        "oracle-skips-hypotheses",
         "verify.py",
-        "    if differs(bullet.defect, moved) or bullet.witness != (f, g):\n",
-        "    if False:\n",
+        "        if bullet.defect != d or bullet.witness != witness:\n",
+        "        if False:\n",
         (
-            "tests/test_verify.py::TestOracleCheck::test_tampered_lamp_bullet_is_reported",
+            "tests/test_verify.py::TestOracleCheck::test_tampered_bullet_is_reported[lamp_mult-defect]",
+            "tests/test_verify.py::TestOracleCheck::test_tampered_bullet_is_reported[intertwine-witness]",
             "tests/test_verify.py::TestOracleCheck::test_tampered_margin_and_identity_are_reported",
+            "tests/test_verify.py::TestOracleCheck::test_distances_are_read_from_the_given_certificate",
         ),
+    ),
+    Mutant(
+        "oracle-bullet-defect-only",
+        "verify.py",
+        "        if bullet.defect != d or bullet.witness != witness:\n",
+        "        if bullet.defect != d:\n",
+        tuple(
+            f"tests/test_verify.py::TestOracleCheck::test_tampered_bullet_is_reported[{name}-witness]"
+            for name in ("lamp_mult", "base_mult", "split", "intertwine")
+        ),
+    ),
+    Mutant(
+        "oracle-bullets-on-factorized-values",
+        "verify.py",
+        "splitting_hypotheses(expand, wreath, approx.windows)",
+        "splitting_hypotheses(approx.rule, wreath, approx.windows)",
+        ("tests/test_verify.py::TestOracleCheck::test_wrong_composition_is_reported",),
+    ),
+    Mutant(
+        "oracle-skips-base-margin",
+        "verify.py",
+        "        if e.base_margin is not None and differs(e.base_margin, moved := n - expand(base_only).fixed_points()):\n",
+        "        if False:\n",
+        ("tests/test_verify.py::TestOracleCheck::test_tampered_base_margin_is_reported",),
     ),
     # the lamp_mult bullet from sigma_A's agreement counts, against composition
     Mutant(

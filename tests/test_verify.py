@@ -33,11 +33,14 @@ def with_freeness(cert, freeness):
     return replace(cert, details=replace(cert.details, freeness=tuple(freeness)))
 
 
-def with_lamp_bullet(cert, **changes):
-    """``cert`` with ``changes`` to the fields of its ``lamp_mult`` bullet."""
+def with_bullet(cert, name, **changes):
+    """``cert`` with ``changes`` to the fields of its bullet ``name``."""
     hom = cert.details.almost_hom
-    bullet = replace(hom.lamp_mult, **changes)
-    return replace(cert, details=replace(cert.details, almost_hom=replace(hom, lamp_mult=bullet)))
+    bullet = replace(getattr(hom, name), **changes)
+    return replace(cert, details=replace(cert.details, almost_hom=replace(hom, **{name: bullet})))
+
+
+HYPOTHESES = ("lamp_mult", "base_mult", "split", "intertwine")
 
 
 @pytest.fixture(scope="module")
@@ -73,21 +76,6 @@ class TestAlmostHomomorphism:
         assert not report.split.passed
         assert report.split.witness == (victim.left, victim.right)
         assert not report.hypotheses_pass
-
-    def test_perturbed_rules_keep_hypotheses_and_conclusion(self):
-        # seeded reproduction on a bigger wreath so one transposition per
-        # value stays inside the eps/6 budgets: the widest hypothesis
-        # compares four values, and 4 * 2/384 = 1/48 < (1/7)/6
-        wreath = sw.wreath_product(sw.cyclic(2), sw.cyclic(6))
-        targets = [wreath.element({0: 1}, 0), wreath.element({}, 1)]
-        windows = sw.derive_windows(wreath, targets)
-        exact = sw.regular_rep(wreath)
-        eps = Fraction(1, 7)
-        for seed in range(50):
-            noisy = sw.perturb(exact, Fraction(1, 2), seed=seed)
-            report = check_almost_homomorphism(noisy.evaluate, wreath, windows, eps)
-            assert report.hypotheses_pass
-            assert report.conclusion.passed
 
     def test_coord_action_rule_dispatch(self, small_wreath):
         approx = small_wreath
@@ -440,30 +428,54 @@ class TestOracleCheck:
         ]
         assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == expected
 
-    def test_tampered_lamp_bullet_is_reported(self):
-        # sigma_A is exact, so every lamp-only pair is at distance 0 and the first is the witness
+    @pytest.mark.parametrize("edit", ["defect", "witness"])
+    @pytest.mark.parametrize("name", HYPOTHESES)
+    def test_tampered_bullet_is_reported(self, name, edit):
+        # each hypothesis bullet is measured again on the expansions, so an edit
+        # to its defect or to its witness gives its one mismatch line
         approx = one_block_short(3, 2)
         cert = verify_construction(approx)
-        first, second = approx.windows.lamp_window[:2]
-        assert cert.details.almost_hom.lamp_mult == BulletReport(0, (first, first), Fraction(1, 12))
-        show = approx.wreath.lamps.show
-        at_first = f"pair ({show(first)}, {show(first)})"
-        for tampered, listed in (
-            (with_lamp_bullet(cert, defect=Fraction(1, 7)), f"1/7 at {at_first}"),
-            (with_lamp_bullet(cert, witness=(first, second)), f"0 at pair ({show(first)}, {show(second)})"),
-        ):
-            assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == [
-                f"lamp_mult mismatch: {listed} vs 0 at {at_first}"
-            ]
+        bullet = getattr(cert.details.almost_hom, name)
+        if name == "lamp_mult":  # sigma_A is exact: every lamp-only pair is at distance 0
+            first = approx.windows.lamp_window[0]
+            assert bullet == BulletReport(0, (first, first), Fraction(1, 12))
+        lamps, base = approx.wreath.lamps, approx.wreath.base
+        groups = {"lamp_mult": (lamps, lamps), "base_mult": (base, base)}.get(name, (lamps, base))
+        firsts = approx.windows.mover_window if name == "base_mult" else approx.windows.lamp_window
+        d, (x, y) = bullet.defect, bullet.witness
+        other = next(f for f in firsts if f != x)
+        changes = {"defect": (d + Fraction(1, 7)) % 1} if edit == "defect" else {"witness": (other, y)}
+        tampered = with_bullet(cert, name, **changes)
+
+        def at(x, y):
+            return f"pair ({groups[0].show(x)}, {groups[1].show(y)})"
+
+        listed = f"{changes['defect']} at {at(x, y)}" if edit == "defect" else f"{d} at {at(other, y)}"
+        assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == [
+            f"{name} mismatch: {listed} vs {d} at {at(x, y)}"
+        ]
+
+    def test_tampered_base_margin_is_reported(self):
+        approx = one_block_short(2, 3)
+        cert = verify_construction(approx)
+        entries = list(cert.details.freeness)
+        i, entry = next((i, e) for i, e in enumerate(entries) if e.base_margin is not None)
+        entries[i] = replace(entry, base_margin=entry.base_margin / 2)
+        tampered = with_freeness(cert, entries)
+        assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == [
+            f"base margin mismatch at {approx.wreath.show(entry.element)}: {entry.base_margin / 2} vs {entry.base_margin}"
+        ]
 
     def test_distances_are_read_from_the_given_certificate(self, small_wreath):
         # same target window, every distance of the exact approximation: the
-        # 336 pairs and the 7 lamp-only margins the missing block moves disagree
+        # 336 pairs and the 7 lamp-only margins the missing block moves
+        # disagree, and so does the intertwine bullet, which the block breaks
         approx = one_block_short(2, 3)
         mismatches = oracle_check(approx, verify_construction(small_wreath))
-        assert len(mismatches) == 336 + 7
+        assert len(mismatches) == 336 + 7 + 1
         assert sum(line.startswith("distance mismatch at pair (") for line in mismatches) == 336
         assert sum(line.startswith("freeness distance mismatch at ") for line in mismatches) == 7
+        assert mismatches[-1] == "intertwine mismatch: 0 at pair ([], 0) vs 2/3 at pair ([[0,1]], 1)"
 
     def test_wrong_composition_is_reported(self, monkeypatch):
         approx = one_block_short(3, 2)

@@ -6,17 +6,18 @@ expands every value and every product again, point by point through
 ``coord_oracle.expand_explicit``, composes the expansions with
 ``Permutation.__mul__`` and measures with ``Permutation.distance``.  It
 returns the same mismatch lines in the same order, each element written as
-compact JSON of the group's encoding.  It composes every lamp-window pair
-of expansions too, for the worst explicit ``lamp_mult`` distance.
+compact JSON of the group's encoding.  It measures each freeness entry's
+base margin on the expansion of its base-only value, and the four hypothesis
+bullets by running ``verify.splitting_hypotheses`` on the expansions.
 """
 import json
 from itertools import product
-from operator import itemgetter
 
 from coord_oracle import expand_explicit
 from soficwreath.bigperm import EXPANSION_CAP
 from soficwreath.groups import WreathElement
 from soficwreath.perm import Permutation
+from soficwreath.verify import splitting_hypotheses
 
 
 def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
@@ -37,16 +38,18 @@ def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
     def show(u, group=wreath):
         return json.dumps(group.encode(u), separators=(",", ":"))
 
-    def lamp_only(f):
-        return expand(WreathElement(f, wreath.base.identity()))
-
     mismatches = []
     if expand(identity) != ident:
         mismatches.append("identity mismatch: rule(identity) does not expand to the identity")
-    for d_fact, u in certificate.free_margins:
+    for entry in certificate.details.freeness:
+        u = entry.element
         d_expl = expand(u).distance(ident)
-        if d_fact != d_expl:
-            mismatches.append(f"freeness distance mismatch at {show(u)}: {d_fact} vs {d_expl}")
+        if entry.margin != d_expl:
+            mismatches.append(f"freeness distance mismatch at {show(u)}: {entry.margin} vs {d_expl}")
+        if entry.base_margin is not None:
+            d_expl = expand(WreathElement(wreath.lamps.identity(), u.right)).distance(ident)
+            if entry.base_margin != d_expl:
+                mismatches.append(f"base margin mismatch at {show(u)}: {entry.base_margin} vs {d_expl}")
     for (u, v), (d_fact, listed) in zip(product(targets, repeat=2), certificate.mult_defects):
         pair = f"pair ({show(u)}, {show(v)})"
         if listed != (u, v):
@@ -58,15 +61,14 @@ def oracle_check(approx, certificate, cap: int = EXPANSION_CAP) -> list[str]:
         d_expl = composed.distance(expand(wreath.mul(u, v)))
         if d_fact != d_expl:
             mismatches.append(f"distance mismatch at {pair}: {d_fact} vs {d_expl}")
-    lamps, lamp_els, bullet = wreath.lamps, approx.windows.lamp_window, certificate.details.almost_hom.lamp_mult
-    d_expl, (f, g) = max(
-        (((lamp_only(f) * lamp_only(g)).distance(lamp_only(lamps.mul(f, g))), (f, g)) for f in lamp_els for g in lamp_els),
-        key=itemgetter(0),
-    )
-    if (bullet.defect, bullet.witness) != (d_expl, (f, g)):
-        f0, g0 = bullet.witness
-        mismatches.append(
-            f"lamp_mult mismatch: {bullet.defect} at pair ({show(f0, lamps)}, {show(g0, lamps)})"
-            f" vs {d_expl} at pair ({show(f, lamps)}, {show(g, lamps)})"
-        )
+    lamps, base, hom = wreath.lamps, wreath.base, certificate.details.almost_hom
+    bullets = {"lamp_mult": (lamps, lamps), "base_mult": (base, base), "split": (lamps, base), "intertwine": (lamps, base)}
+    for (name, (g0, g1)), (d_expl, (x, y)) in zip(bullets.items(), splitting_hypotheses(expand, wreath, approx.windows)):
+        bullet = getattr(hom, name)
+        if (bullet.defect, bullet.witness) != (d_expl, (x, y)):
+            x0, y0 = bullet.witness
+            mismatches.append(
+                f"{name} mismatch: {bullet.defect} at pair ({show(x0, g0)}, {show(y0, g1)})"
+                f" vs {d_expl} at pair ({show(x, g0)}, {show(y, g1)})"
+            )
     return mismatches
