@@ -129,8 +129,12 @@ def pair_defects(value, mul, window):
 
 
 def worst(pairs):
-    """Max of (defect, witness), the first one on a tie; empty -> (0, None)."""
-    return max(pairs, key=itemgetter(0), default=(Fraction(0), None))
+    """Max of (defect, witness), the first one on a tie; empty -> (0, None).  Zeros are never compared."""
+    best = next(pairs := iter(pairs), (Fraction(0), None))
+    for record in pairs:
+        if record[0] and record[0] > best[0]:
+            best = record
+    return best
 
 
 def failing_parts(eps: Fraction, defects, margins, show=repr):

@@ -7,8 +7,9 @@ Three layers of checks, all exact:
   multiplicative, mixed values split, and the base conjugation intertwines
   with the index shift.  The checker measures the four hypotheses (at eps/6),
   in ``splitting_hypotheses``, and the conclusion (at eps) independently.  For
-  the construction, ``lamp_pair_defects`` gives the ``lamp_mult`` records
-  from sigma_A's agreement counts, without composing.
+  the construction, ``construction_records`` gives the four hypotheses' records
+  in closed form, on invariants ``build`` establishes, and composing checks them
+  (the Tier-1 harness and ``oracle_check``).
 * ``verify_construction`` / ``detailed_reports``: the assembled rule is a
   sofic approximation on its target window, with per-pair defects, per
   element freeness margins, and the budget decomposition behind them; each
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import count, product
+from itertools import count, product, repeat
 from math import prod
 from operator import eq, itemgetter
 from typing import Any, Callable
@@ -87,7 +88,10 @@ def _witness_groups(wreath: WreathProduct):
     """Each bullet's name with the groups of its witness's two elements, in field order."""
     lamps, base = wreath.lamps, wreath.base
     groups = (lamps, lamps), (base, base), (lamps, base), (lamps, base), (wreath, wreath)
-    return zip(("lamp_mult", "base_mult", "split", "intertwine", "conclusion"), groups)
+    return zip((*_HYPOTHESES, "conclusion"), groups)
+
+
+_HYPOTHESES = ("lamp_mult", "base_mult", "split", "intertwine")
 
 
 def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
@@ -98,14 +102,16 @@ def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
 
 
 def splitting_hypotheses(
-    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, lamp_defects=None
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, records=None
 ) -> tuple:
     """The four splitting hypotheses' worst ``(defect, witness)`` pairs, in
     ``_witness_groups`` order, measured on the lamp and mover windows.  Pairs
-    run in the windows' sorted order, which fixes every witness.  The
-    ``lamp_mult`` records are read from ``lamp_defects`` when it is given, as
-    ``detailed_reports`` gives ``lamp_pair_defects``; else, as for any other
-    rule, each lamp-only pair is composed and measured."""
+    run in the windows' sorted order, which fixes every witness.  Given
+    ``records``, each bullet name's ``(d, (x, y))`` records in that order, as
+    ``construction_records`` computes them, nothing is composed; else, as for
+    any other rule and for the oracle's expansions, each bullet is composed."""
+    if records is not None:
+        return tuple(worst(records[name]) for name in _HYPOTHESES)
     lamps, base = wreath.lamps, wreath.base
     lamp_els, mover_els = windows.lamp_window, windows.mover_window
 
@@ -115,7 +121,7 @@ def splitting_hypotheses(
     def base_only(h):
         return rule(WreathElement(lamps.identity(), h))
 
-    lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els) if lamp_defects is None else lamp_defects)
+    lamp_mult = worst(pair_defects(lamp_only, lamps.mul, lamp_els))
     base_mult = worst(pair_defects(base_only, base.mul, mover_els))
     split = worst(
         (rule(WreathElement(f, h)).distance(lamp_only(f) * base_only(h)), (f, h)) for f in lamp_els for h in mover_els
@@ -128,10 +134,10 @@ def splitting_hypotheses(
 
 
 def check_almost_homomorphism(
-    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps, lamp_defects=None
+    rule: Callable[[WreathElement], Any], wreath: WreathProduct, windows: WindowSets, eps, records=None
 ) -> AlmostHomReport:
-    """The four ``splitting_hypotheses`` and, measured apart, the conclusion over the sorted closure window."""
-    hypotheses = splitting_hypotheses(rule, wreath, windows, lamp_defects)
+    """The four ``splitting_hypotheses``, from ``records`` if given, and the conclusion, composed over the closure."""
+    hypotheses = splitting_hypotheses(rule, wreath, windows, records)
     conclusion = worst(pair_defects(rule, wreath.mul, windows.closure))
     return _almost_hom_report(Fraction(eps), (*hypotheses, conclusion))
 
@@ -326,20 +332,14 @@ def certificate_from_json(data) -> tuple[Certificate, WreathProduct]:
 
 
 def lamp_pair_defects(approx: WreathApprox):
-    """The construction's ``lamp_mult`` records ``(d, (f, g))``, in the row-major
-    order of ``sofic.pair_defects`` over the lamp window, computed exactly from
-    sigma_A without composing: with P_f(x) = sigma_A(f(x)), or the identity,
-
-        d(f, g) = |good|/|B| (1 - prod_x a_x/|A|),  a_x = agreement_count(P_f(x) P_g(x), P_fg(x))
-
-    over x in supp f | supp g.  It rests on two invariants: ``build`` has checked
-    that rule(1), so sigma_B(1), is the identity, so every lamp-only value has
-    the identity as its base permutation; and ``derive_windows`` puts every
-    lamp-window support, and so that of fg, inside the positions.  So both sides
-    fix every block outside the good set, and write P(x) at each good block b
-    on the anchor sigma_B(x)^-1 b, distinct for distinct x.  An x that only one
-    of f and g lights has a_x = |A|, so x runs over supp f & supp g.  Each a_x
-    is counted once per pair of lamp values, in a table kept for one walk."""
+    """The construction's ``lamp_mult`` records ``(d, (f, g))`` over the lamp window,
+    on the invariants of ``construction_records``: with P_f(x) = sigma_A(f(x)) and
+    a_x = agreement_count(P_f(x) P_g(x), P_fg(x)) for x in supp f & supp g,
+    d(f, g) = |good|/|B| (1 - prod_x a_x/|A|).  Both sides have the identity base
+    move, fix every block outside the good set, and write at each good block b on
+    the anchors sigma_B(x)^-1 b, distinct for distinct x; an x that only one of f
+    and g lights has a_x = |A|.  Each a_x is counted once per pair of lamp values,
+    in a table kept for one walk."""
     lamp, sigma_A, a_size = approx.wreath.lamp, approx.sigma_A, approx.a_size
     good, b_size = len(approx.block.good), approx.b_size
 
@@ -355,15 +355,50 @@ def lamp_pair_defects(approx: WreathApprox):
             yield Fraction(good * (top - agree), b_size * top), (f, g)
 
 
+def construction_records(approx: WreathApprox) -> dict:
+    """The construction's four hypothesis records by bullet name, in the order of
+    ``splitting_hypotheses``'s walks, from sigma_A, sigma_B and the good blocks
+    without composing.  They rest on what ``build`` establishes: sigma_B(1) = id;
+    every lamp-window support, and its shift by each mover, lies in the positions;
+    good blocks are injective and compatible on the positions.  ``lamp_mult`` is
+    ``lamp_pair_defects``; ``base_mult`` walks beta = sigma_B(h) on the mover window,
+    as a base-only value has an empty tau; ``split`` is 0, as ``lamp_action`` builds
+    (f, h) as the lamp-only value after the base move; and, with k = |supp f|,
+
+        intertwine(f, h) = 2 |good - beta^-1(good)| (|A|^k - prod_x fix(f(x))) / (|B| |A|^k),
+
+    fix(g) the fixed points of sigma_A(g).  Where b and beta(b) are both good, both
+    sides write alike, by compatibility; where only one is, one side writes on k
+    distinct anchors, by injectivity.  As beta is a bijection, those blocks number
+    twice the good blocks that beta moves out of the good set."""
+    windows, sigma_B, good = approx.windows, approx.sigma_B, approx.block.good
+    lamp_els, mover_els = windows.lamp_window, windows.mover_window
+    leaving = {h: len(good.difference(map(sigma_B.evaluate(h).inverse().image.__getitem__, good))) for h in mover_els}
+    fix = {g: approx.sigma_A.evaluate(g).fixed_points() for g in windows.lamp_values}
+
+    def intertwine():
+        for f in lamp_els:
+            top = approx.a_size ** len(f.entries)
+            moved = top - prod(fix[g] for _, g in f.entries)
+            for h in mover_els:
+                yield Fraction(2 * leaving[h] * moved, approx.b_size * top), (f, h)
+
+    return {
+        "lamp_mult": lamp_pair_defects(approx),
+        "base_mult": pair_defects(sigma_B.evaluate, approx.wreath.base.mul, mover_els),
+        "split": zip(repeat(Fraction(0)), product(lamp_els, mover_els)),
+        "intertwine": intertwine(),
+    }
+
+
 def detailed_reports(approx: WreathApprox, free_margins) -> DetailedReport:
     """Budget decomposition: the four splitting defects with their structural
     bounds, and the decomposition of each freeness margin in ``free_margins``,
     the (margin, element) records that ``verify_construction`` measured.  The
-    ``lamp_mult`` bullet comes from ``lamp_pair_defects``, and every other
-    bullet from composition, as ``check_almost_homomorphism`` measures it."""
-    wreath = approx.wreath
-    budget = approx.budget
-    almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps, lamp_pair_defects(approx))
+    four bullets come from ``construction_records``, and only the conclusion
+    bullet is composed, as ``check_almost_homomorphism`` measures it."""
+    wreath, budget = approx.wreath, approx.budget
+    almost = check_almost_homomorphism(approx.rule, wreath, approx.windows, budget.eps, construction_records(approx))
     base_ident = Permutation.identity(approx.b_size)
     entries = tuple(
         _freeness_entry(wreath, budget, u, margin, lambda: approx.sigma_B.evaluate(u.right).distance(base_ident))

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import soficwreath as sw
+from closed_forms import small_exact
 
 
 @pytest.fixture
@@ -14,12 +15,7 @@ def rng():
 @pytest.fixture(scope="session")
 def small_wreath():
     """Exact Z/2 wr Z/3 built from regular representations, all 24 targets."""
-    lamp, base = sw.cyclic(2), sw.cyclic(3)
-    wreath = sw.wreath_product(lamp, base)
-    approx = sw.build(
-        sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2)
-    )
-    return approx
+    return small_exact(2, 3)
 
 
 @pytest.fixture(scope="session")

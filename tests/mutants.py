@@ -190,21 +190,64 @@ MUTANTS = (
         "verify.py",
         "            yield Fraction(good * (top - agree), b_size * top), (f, g)\n",
         "            yield Fraction(top - agree, top), (f, g)\n",
-        ("tests/test_inexact_inputs.py::test_lamp_bullet_is_the_composed_one_with_and_without_a_good_block",),
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]",),
     ),
     Mutant(
         "lamp-identity-factor-swap",
         "verify.py",
         "agreement_count(sigma_A.evaluate(a) * sigma_A.evaluate(b), ",
         "agreement_count(sigma_A.evaluate(b) * sigma_A.evaluate(a), ",
-        ("tests/test_inexact_inputs.py::test_lamp_bullet_of_noncommuting_lamps_is_the_composed_one",),
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
     ),
     Mutant(
         "lamp-identity-union-denominator",
         "verify.py",
         "a_size ** len(shared)\n",
         "a_size ** len(at_f.keys() | at_g.keys())\n",
-        ("tests/test_inexact_inputs.py::test_lamp_bullet_is_the_composed_one_with_and_without_a_good_block",),
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
+    ),
+    # the other three bullets in closed form, against composition
+    Mutant(
+        "intertwine-no-factor-two",
+        "verify.py",
+        "Fraction(2 * leaving[h] * moved, approx.b_size * top)",
+        "Fraction(leaving[h] * moved, approx.b_size * top)",
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
+    ),
+    Mutant(
+        "intertwine-counts-injective-not-good",
+        "verify.py",
+        "approx.sigma_B, approx.block.good\n",
+        "approx.sigma_B, approx.block.injective\n",
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
+    ),
+    Mutant(
+        "intertwine-lamp-term-without-power",
+        "verify.py",
+        "            top = approx.a_size ** len(f.entries)\n",
+        "            top = approx.a_size\n",
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]",),
+    ),
+    Mutant(
+        "split-witness-not-first",
+        "verify.py",
+        "zip(repeat(Fraction(0)), product(lamp_els, mover_els))",
+        "zip(repeat(Fraction(0)), reversed([*product(lamp_els, mover_els)]))",
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
+    ),
+    Mutant(
+        "base-mult-on-positions",
+        "verify.py",
+        "pair_defects(sigma_B.evaluate, approx.wreath.base.mul, mover_els)",
+        "pair_defects(sigma_B.evaluate, approx.wreath.base.mul, windows.positions)",
+        ("tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[all_good]", "tests/test_closed_forms.py::test_closed_forms_are_the_composed_walks[lowest_good_block_out]"),
+    ),
+    Mutant(
+        "hypotheses-ignore-records",
+        "verify.py",
+        "    if records is not None:\n",
+        "    if False:\n",
+        ("tests/test_closed_forms.py::test_verify_composes_only_the_certificate_and_conclusion_pairs",),
     ),
     Mutant(
         "writer-heads-by-size",
@@ -239,6 +282,14 @@ MUTANTS = (
             "tests/test_perm.py::TestGatherKernels::test_inexact_product_is_counted",
             "tests/test_sofic.py::TestStrictPassRule::test_defect_equal_to_eps_fails",
         ),
+    ),
+    # the witness rule: the first worst pair on a tie
+    Mutant(
+        "worst-last-on-tie",
+        "sofic.py",
+        "        if record[0] and record[0] > best[0]:\n",
+        "        if record[0] and record[0] >= best[0]:\n",
+        ("tests/test_sofic.py::TestWitnessTies::test_is_multiplicative_names_first_worst_pair",),
     ),
     # the pass rule: a value on the bound fails, at both levels of certificate
     Mutant(

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import soficwreath as sw
 import verify_oracle
+from closed_forms import small_exact
 from helpers import (
     good_block_inputs,
     random_rule,
@@ -363,10 +364,7 @@ def one_block_short(lamp_order: int, base_order: int):
     good block taken out of the good set, so that many pairs have a nonzero
     defect.  Lamp order 3 gives two distinct lamp permutations, which the
     per-call tables of the kernels key by pairs of objects."""
-    lamp, base = sw.cyclic(lamp_order), sw.cyclic(base_order)
-    wreath = sw.wreath_product(lamp, base)
-    approx = sw.build(sw.regular_rep(lamp), sw.regular_rep(base), list(wreath.elements()), Fraction(1, 2))
-    return without_lowest_good_block(approx)
+    return without_lowest_good_block(small_exact(lamp_order, base_order))
 
 
 class TestVerdictBoundaries:
@@ -413,7 +411,8 @@ class TestOracleCheck:
     def test_tampered_margin_and_identity_are_reported(self):
         # rule(identity) cached as a base shift, which build would reject; the
         # certificate's pairs and margins are measured on the same values, but its
-        # lamp_mult bullet is computed from sigma_A, so the oracle finds that too
+        # four hypothesis bullets are computed from sigma_A and sigma_B, on the
+        # invariants build establishes, so the oracle finds each of them too
         approx = one_block_short(2, 3)
         shift = bigperm.CoordAction(2, 3, Permutation((1, 2, 0)), {})
         approx._cache[approx.wreath.identity()] = shift
@@ -425,6 +424,9 @@ class TestOracleCheck:
             "identity mismatch: rule(identity) does not expand to the identity",
             f"freeness distance mismatch at {approx.wreath.show(u)}: {m / 2} vs {m}",
             "lamp_mult mismatch: 0 at pair ([], []) vs 1 at pair ([], [])",
+            "base_mult mismatch: 0 at pair (0, 0) vs 1 at pair (0, 0)",
+            "split mismatch: 0 at pair ([], 0) vs 1 at pair ([], 0)",
+            "intertwine mismatch: 2/3 at pair ([[0,1]], 1) vs 1 at pair ([[0,1]], 0)",
         ]
         assert oracle_check(approx, tampered) == verify_oracle.oracle_check(approx, tampered) == expected
 
