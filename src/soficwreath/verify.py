@@ -84,14 +84,14 @@ class AlmostHomReport:
         return {**out, "hypotheses_pass": self.hypotheses_pass, "conclusion": conclusion}
 
 
+_HYPOTHESES = ("lamp_mult", "base_mult", "split", "intertwine")
+
+
 def _witness_groups(wreath: WreathProduct):
     """Each bullet's name with the groups of its witness's two elements, in field order."""
     lamps, base = wreath.lamps, wreath.base
     groups = (lamps, lamps), (base, base), (lamps, base), (lamps, base), (wreath, wreath)
     return zip((*_HYPOTHESES, "conclusion"), groups)
-
-
-_HYPOTHESES = ("lamp_mult", "base_mult", "split", "intertwine")
 
 
 def _almost_hom_report(eps: Fraction, worst) -> AlmostHomReport:
